@@ -15,7 +15,6 @@ Library layout:
 
 from .version import __version__
 from .errors import (
-    DegenerateCrossingError,
     DomainError,
     FamilyEvalError,
     NegativeRadicandError,

@@ -41,6 +41,14 @@ class Channel(str, Enum):
     WHITE_COLOR = "whitecolor"
 
 
+# The model parameters each channel depends on, in canonical order.
+CHANNEL_PARAMS = {
+    Channel.WHITE: ("x", "p", "r"),
+    Channel.COLOR: ("x", "q", "r"),
+    Channel.WHITE_COLOR: ("x", "p", "q", "r"),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar knobs indexing one state of the model.

@@ -29,10 +29,6 @@ class FamilyEvalError(UnruhKitError):
     """A parametrized state family failed to produce a usable matrix."""
 
 
-class DegenerateCrossingError(UnruhKitError):
-    """Eigenvector matching across a finite-difference stencil is ambiguous."""
-
-
 class ParseError(UnruhKitError):
     """A sweep specification (flags or config file) is malformed."""
 

@@ -16,10 +16,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .version import __version__ as _version
-from .channels import Channel, ModelParams, RINDLER_R_MAX, accelerated_state
+from .channels import CHANNEL_PARAMS, Channel, ModelParams, RINDLER_R_MAX, accelerated_state
 from .entanglement import concurrence, concurrence_closed
 from .errors import (
-    DegenerateCrossingError,
     DomainError,
     FamilyEvalError,
     NegativeRadicandError,
@@ -29,6 +28,7 @@ from .errors import (
     UnknownPresetError,
 )
 from .fisher import (
+    FD_STEP,
     qfi_single_bloch,
     qfi_single_white_closed,
     qfi_two_qubit_spectral_retry,
@@ -42,12 +42,6 @@ CSV_DIGITS = 12
 R_CAPTION_MAX = 0.8
 
 _CANONICAL_PARAM_ORDER = ("x", "p", "q", "r")
-
-_CHANNEL_PARAMS = {
-    Channel.WHITE: ("x", "p", "r"),
-    Channel.COLOR: ("x", "q", "r"),
-    Channel.WHITE_COLOR: ("x", "p", "q", "r"),
-}
 
 
 class Quantity(str, Enum):
@@ -217,7 +211,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
         raise ParseError(f"--qfi-form: {flags['qfi-form']!r} not in {_FLAG_GRAMMAR['qfi-form']}") from exc
 
     vary = flags["vary"]
-    params = _CHANNEL_PARAMS[channel]
+    params = CHANNEL_PARAMS[channel]
     if vary not in params:
         raise ParseError(f"--vary: {vary!r} is not a {channel.value}-channel parameter {params}")
 
@@ -274,7 +268,7 @@ def validate_spec(spec: SweepSpec) -> None:
     """Raise ``ParseError`` if the spec violates a model or grammar invariant."""
     estimated = spec.quantity.estimated_param
     if estimated is not None:
-        if estimated not in _CHANNEL_PARAMS[spec.channel]:
+        if estimated not in CHANNEL_PARAMS[spec.channel]:
             raise ParseError(
                 f"--quantity: {spec.quantity.value} needs parameter {estimated!r}, "
                 f"absent from the {spec.channel.value} channel"
@@ -394,7 +388,6 @@ def figure_preset(name: str) -> SweepSpec:
 
 _CELL_ERRORS = (
     SingularPointError,
-    DegenerateCrossingError,
     NegativeRadicandError,
     NotPSDError,
     FamilyEvalError,
@@ -503,9 +496,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.label != "sweep":
         provenance.append(f"preset: {spec.label}")
     provenance.append(_spec_echo(spec))
-    provenance.append(
-        f"settings: fd-step={1e-05:g} degenerate-retries=2 csv-digits={CSV_DIGITS}"
-    )
+    provenance.append(f"settings: fd-step={FD_STEP:g} csv-digits={CSV_DIGITS}")
     provenance.extend(f"note: {note}" for note in spec.notes)
     total_empty = sum(warnings.values())
     if total_empty:

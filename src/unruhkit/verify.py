@@ -31,7 +31,7 @@ from .entanglement import (
     concurrence_white_closed,
     concurrence_whitecolor_closed,
 )
-from .errors import DegenerateCrossingError, SingularPointError
+from .errors import SingularPointError
 from .fisher import (
     qfi_single_bloch,
     qfi_single_white_closed,
@@ -354,7 +354,7 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
                     try:
                         closed = qfi_two_white_closed(param, x, p, r).value
                         engine = qfi_two_qubit_spectral_retry(family, theta).value
-                    except (SingularPointError, DegenerateCrossingError):
+                    except SingularPointError:
                         gaps += 1
                         continue
                     rel = abs(closed - engine) / max(abs(closed), abs(engine), 1e-9)
@@ -379,7 +379,6 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
 def _check_data_processing(report: VerificationReport) -> None:
     n = report.grid_n
     worst = _Tracker()
-    gaps = 0
     count = 0
     for channel in (Channel.WHITE, Channel.COLOR):
         strength_name = "p" if channel is Channel.WHITE else "q"
@@ -392,11 +391,7 @@ def _check_data_processing(report: VerificationReport) -> None:
                         others = {k: v for k, v in point.items() if k != param}
                         full = state_family(channel, param, **others)
                         reduced = state_family(channel, param, reduced=True, **others)
-                        try:
-                            two = qfi_two_qubit_spectral_retry(full, theta).value
-                        except DegenerateCrossingError:
-                            gaps += 1
-                            continue
+                        two = qfi_two_qubit_spectral_retry(full, theta).value
                         single = qfi_single_bloch(reduced, theta).value
                         count += 1
                         worst.update(single - two, (x, s, r))
@@ -408,7 +403,7 @@ def _check_data_processing(report: VerificationReport) -> None:
             threshold=DPI_SLACK,
             passed=worst.max <= DPI_SLACK,
             worst_point=worst.point,
-            notes=f"{count} comparisons, {gaps} degenerate gaps",
+            notes=f"{count} comparisons",
         )
     )
 

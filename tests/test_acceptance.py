@@ -13,7 +13,6 @@ import pytest
 
 from unruhkit import (
     Channel,
-    DegenerateCrossingError,
     ModelParams,
     RINDLER_R_MAX,
     accelerated_color,
@@ -163,12 +162,9 @@ def test_criterion_6_data_processing_inequality():
                         for param in (strength_name, "x", "r"):
                             theta = point[param]
                             rest = {k: v for k, v in point.items() if k != param}
-                            try:
-                                two = qfi_two_qubit_spectral_retry(
-                                    state_family(channel, param, **rest), theta
-                                ).value
-                            except DegenerateCrossingError:
-                                continue  # reported as a grid gap
+                            two = qfi_two_qubit_spectral_retry(
+                                state_family(channel, param, **rest), theta
+                            ).value
                             single = qfi_single_bloch(
                                 state_family(channel, param, reduced=True, **rest), theta
                             ).value

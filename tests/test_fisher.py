@@ -5,7 +5,6 @@ import pytest
 
 from unruhkit import (
     Channel,
-    DegenerateCrossingError,
     DomainError,
     ModelParams,
     RINDLER_R_MAX,
@@ -180,39 +179,39 @@ class TestSpectralEngine:
         assert pairs == pytest.approx(0.0, abs=1e-12)
 
     def test_decomposition_identity(self):
-        family = state_family(Channel.WHITE, "p", x=0.3, r=0.4)
-        got = qfi_two_qubit_spectral(family, 0.6)
-        classical, quantum, pairs = got.decomposition
-        assert got.value == pytest.approx(classical + quantum - pairs, abs=1e-10)
+        # At r=0 three eigenvalues tie exactly, exercising the tied-pair branch.
+        for fixed, theta in ((dict(x=0.3, r=0.4), 0.6), (dict(x=0.2, r=0.0), 0.5)):
+            family = state_family(Channel.WHITE, "p", **fixed)
+            got = qfi_two_qubit_spectral(family, theta)
+            classical, quantum, pairs = got.decomposition
+            assert got.value == pytest.approx(classical + quantum - pairs, abs=1e-10)
 
     def test_branch_tracking_through_full_degeneracy(self):
-        # At p=0, r=0 the state is maximally mixed; pairwise eigenvector
-        # mixing is still resolved by overlap matching, and the
-        # branch-tracked value must connect continuously to nearby points.
+        # At p=0, r=0 the state is maximally mixed; the value at this full
+        # degeneracy must connect continuously to nearby points.
         family = state_family(Channel.WHITE, "p", x=0.9, r=0.0)
         at_corner = qfi_two_qubit_spectral(family, 0.0).value
         nearby = qfi_two_qubit_spectral(family, 1e-3).value
         assert at_corner == pytest.approx(nearby, rel=5e-2)
 
     def test_degenerate_crossing_detected(self):
-        # A three-way-mixing perturbation of the maximally mixed state: the
-        # stencil-side eigenbasis overlaps every center vector at 1/3, which
-        # no step size can disambiguate, so the retry cascade must surface
-        # the error.
+        # A three-way-mixing perturbation of the maximally mixed state: no
+        # eigenbasis follows the stencil, but the SLD form needs none.  At
+        # rho = I/4, F = 2 sum |drho_ij|^2/(1/2) = 4 * 6 = 24, all of it in
+        # the tied-pair share of the quantum term.
         mix = np.zeros((4, 4), dtype=complex)
         mix[:3, :3] = 1.0 - np.eye(3)
         family = StateFamily(
             evaluate=lambda t: np.eye(4, dtype=complex) / 4.0 + t * mix, param="p"
         )
-        with pytest.raises(DegenerateCrossingError):
-            qfi_two_qubit_spectral(family, 0.0)
-        with pytest.raises(DegenerateCrossingError):
-            qfi_two_qubit_spectral_retry(family, 0.0)
+        got = qfi_two_qubit_spectral_retry(family, 0.0)
+        assert got.value == pytest.approx(24.0, rel=1e-12)
+        assert got.decomposition == pytest.approx((0.0, 24.0, 0.0), rel=1e-12, abs=1e-12)
 
     def test_exact_outer_degeneracy_is_handled(self):
-        # At r=0 the two wedge-free populations tie exactly for every p;
-        # branch tracking through the tie must still give a finite value
-        # consistent with a slightly-off-tie evaluation.
+        # At r=0 the two wedge-free populations tie exactly for every p; the
+        # value at the tie must be finite and consistent with a slightly
+        # off-tie evaluation.
         family = state_family(Channel.WHITE, "p", x=0.2, r=0.0)
         at_tie = qfi_two_qubit_spectral(family, 0.5).value
         family_near = state_family(Channel.WHITE, "p", x=0.2, r=1e-4)
