@@ -13,6 +13,10 @@ Both routes to the final state are provided: the generic channel applied to a
 constructed initial state, and closed-form assembled states whose
 coefficients were simplified by hand.  They must agree to 1e-12 entrywise,
 and the verification harness checks exactly that.
+
+The closed-form builders take floats or numpy arrays of parameter values.
+Arrays broadcast together into a stack of states of shape ``(..., 4, 4)``,
+each equal, bit for bit, to the state built from its own floats.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +94,7 @@ class ModelParams:
         return self.q if self.channel is Channel.COLOR else self.p
 
 
-@dataclass(frozen=True)
-class WhiteCoeffs:
+class WhiteCoeffs(NamedTuple):
     """Populations/coherence coefficients of the accelerated white-noise state."""
 
     alpha: float
@@ -99,13 +103,33 @@ class WhiteCoeffs:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class ColorCoeffs:
+class ColorCoeffs(NamedTuple):
     """Populations/coherence coefficients of the accelerated color-noise state."""
 
     alpha_c: float
     beta_c: float
     epsilon_c: float
+
+
+# math for floats keeps one state at its scalar speed; numpy for arrays.  The
+# stack tests check that both round alike.
+def _sqrt(v):
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _cos_sin(r):
+    if isinstance(r, np.ndarray):
+        return np.cos(r), np.sin(r)
+    return math.cos(r), math.sin(r)
+
+
+def _validate_points(channel: Channel, r_max: float, x, p, q, r) -> None:
+    """``ModelParams.validate`` at each point of broadcast float or array values."""
+    values = (x, p, q, r)
+    # An exact type test keeps the one-state path cheap.
+    points = np.broadcast(*values) if np.ndarray in map(type, values) else (values,)
+    for point in points:
+        ModelParams(*point, channel=channel).validate(r_max)
 
 
 def phi_ket(x: float) -> np.ndarray:
@@ -167,7 +191,7 @@ def unruh_second_qubit(rho: np.ndarray, r: float, r_max: float = RINDLER_R_MAX) 
     return k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
 
 
-def white_coeffs(x: float, p: float) -> WhiteCoeffs:
+def white_coeffs(x, p) -> WhiteCoeffs:
     """Hand-simplified coefficients of the accelerated white-noise state.
 
     alpha + beta + 2*gamma = 1, which is exactly the unit-trace condition of
@@ -177,11 +201,11 @@ def white_coeffs(x: float, p: float) -> WhiteCoeffs:
         alpha=(1.0 + p * (3.0 - 4.0 * x * x)) / 4.0,
         beta=(1.0 - p * (1.0 - 4.0 * x * x)) / 4.0,
         gamma=(1.0 - p) / 4.0,
-        epsilon=p * x * math.sqrt(1.0 - x * x),
+        epsilon=p * x * _sqrt(1.0 - x * x),
     )
 
 
-def color_coeffs(x: float, q: float) -> ColorCoeffs:
+def color_coeffs(x, q) -> ColorCoeffs:
     """Hand-simplified coefficients of the accelerated color-noise state.
 
     The color strength is q throughout; alpha_c + beta_c = 1.
@@ -189,77 +213,94 @@ def color_coeffs(x: float, q: float) -> ColorCoeffs:
     return ColorCoeffs(
         alpha_c=(1.0 + q * (1.0 - 2.0 * x * x)) / 2.0,
         beta_c=(1.0 - q * (1.0 - 2.0 * x * x)) / 2.0,
-        epsilon_c=q * x * math.sqrt(1.0 - x * x),
+        epsilon_c=q * x * _sqrt(1.0 - x * x),
     )
 
 
-def _white_state(x: float, p: float, r: float) -> np.ndarray:
+def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
+    """Real X-shaped state: diagonal (d00, d11, d22, d33) plus the |01>,|10> coherence.
+
+    Float entries give one (4, 4) matrix; entries that broadcast to shape S
+    give an S + (4, 4) stack.
+    """
+    # The sum has the broadcast shape of the entries.
+    shape = getattr(d00 + d11 + d22 + d33 + coherence, "shape", ())
+    # Matrix axes lead while filling, so a single state is written through
+    # numpy's fast integer indexing; literal indices spare the KET_* lookups
+    # on this hot path (|00>, |01>, |10>, |11> are 0, 1, 2, 3).
+    m = np.zeros((4, 4) + shape, dtype=complex)
+    m[0, 0] = d00
+    m[1, 1] = d11
+    m[2, 2] = d22
+    m[3, 3] = d33
+    m[1, 2] = m[2, 1] = coherence
+    return np.moveaxis(m, (0, 1), (-2, -1)) if shape else m
+
+
+def _white_state(x, p, r) -> np.ndarray:
     # No domain checks: finite-difference stencils probe slightly outside.
     c = white_coeffs(x, p)
-    cr = math.cos(r)
-    c2, s2 = cr * cr, math.sin(r) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[KET_00, KET_00] = c.gamma * c2
-    m[KET_01, KET_01] = c.alpha + c.gamma * s2
-    m[KET_10, KET_10] = c.beta * c2
-    m[KET_11, KET_11] = c.beta * s2 + c.gamma
-    m[KET_01, KET_10] = m[KET_10, KET_01] = c.epsilon * cr
-    return m
+    cr, sr = _cos_sin(r)
+    c2, s2 = cr * cr, sr ** 2
+    return _x_state(
+        c.gamma * c2, c.alpha + c.gamma * s2, c.beta * c2, c.beta * s2 + c.gamma, c.epsilon * cr
+    )
 
 
-def _color_state(x: float, q: float, r: float) -> np.ndarray:
+def _color_state(x, q, r) -> np.ndarray:
     c = color_coeffs(x, q)
-    cr = math.cos(r)
-    c2, s2 = cr * cr, math.sin(r) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[KET_01, KET_01] = c.alpha_c
-    m[KET_10, KET_10] = c.beta_c * c2
-    m[KET_11, KET_11] = c.beta_c * s2
-    m[KET_01, KET_10] = m[KET_10, KET_01] = c.epsilon_c * cr
-    return m
+    cr, sr = _cos_sin(r)
+    c2, s2 = cr * cr, sr ** 2
+    return _x_state(0.0, c.alpha_c, c.beta_c * c2, c.beta_c * s2, c.epsilon_c * cr)
 
 
-def _whitecolor_state(x: float, p: float, q: float, r: float) -> np.ndarray:
+def _whitecolor_state(x, p, q, r) -> np.ndarray:
     # Linear combination of the channel images of the three mixture parts.
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
-    cr = math.cos(r)
-    c2, s2 = cr * cr, math.sin(r) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[KET_00, KET_00] = g * c2
-    m[KET_01, KET_01] = p * (1.0 - x * x) + q / 2.0 + g * (1.0 + s2)
-    m[KET_10, KET_10] = b * c2
-    m[KET_11, KET_11] = b * s2 + g
-    m[KET_01, KET_10] = m[KET_10, KET_01] = p * x * math.sqrt(1.0 - x * x) * cr
-    return m
+    cr, sr = _cos_sin(r)
+    c2, s2 = cr * cr, sr ** 2
+    return _x_state(
+        g * c2,
+        p * (1.0 - x * x) + q / 2.0 + g * (1.0 + s2),
+        b * c2,
+        b * s2 + g,
+        p * x * _sqrt(1.0 - x * x) * cr,
+    )
 
 
-def accelerated_white(x: float, p: float, r: float, r_max: float = RINDLER_R_MAX) -> np.ndarray:
+def accelerated_white(x, p, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
     """Closed-form accelerated white-noise state.
 
     Entrywise equal (to 1e-12) to ``unruh_second_qubit(initial_state(...))``
-    with the matching white-channel parameters.
+    with the matching white-channel parameters.  Array arguments give a
+    stack; every point is validated.
     """
-    ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate(r_max)
+    _validate_points(Channel.WHITE, r_max, x, p, 0.0, r)
     return _white_state(x, p, r)
 
 
-def accelerated_color(x: float, q: float, r: float, r_max: float = RINDLER_R_MAX) -> np.ndarray:
-    """Closed-form accelerated color-noise state (strength q)."""
-    ModelParams(x=x, q=q, r=r, channel=Channel.COLOR).validate(r_max)
+def accelerated_color(x, q, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
+    """Closed-form accelerated color-noise state (strength q).
+
+    Array arguments give a stack; every point is validated.
+    """
+    _validate_points(Channel.COLOR, r_max, x, 0.0, q, r)
     return _color_state(x, q, r)
 
 
-def accelerated_whitecolor(
-    x: float, p: float, q: float, r: float, r_max: float = RINDLER_R_MAX
-) -> np.ndarray:
+def accelerated_whitecolor(x, p, q, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
     """Accelerated combined white+color state.
 
     No independent closed form exists for this channel; the state is the
     channel image of the combined initial mixture.  It reduces entrywise to
-    the white state at q=0 and to the color state at p=0.
+    the white state at q=0, ``accelerated_whitecolor(x, p, 0, r) ==
+    accelerated_white(x, p, r)``, and to the color state on the edge p+q=1,
+    ``accelerated_whitecolor(x, s, 1 - s, r) == accelerated_color(x, s, r)``,
+    where the isotropic component's budget vanishes.  Array arguments give a
+    stack; every point is validated.
     """
-    ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR).validate(r_max)
+    _validate_points(Channel.WHITE_COLOR, r_max, x, p, q, r)
     return _whitecolor_state(x, p, q, r)
 
 

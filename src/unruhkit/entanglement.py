@@ -24,26 +24,33 @@ import numpy as np
 
 from .channels import RINDLER_R_MAX, Channel, ModelParams
 from .errors import NegativeRadicandError
-from .qlinalg import sqrt_psd
+from .qlinalg import as_stack, sqrt_psd
 
 # Surd arguments in [-RADICAND_CLAMP, 0) are round-off and are clamped to 0.
 RADICAND_CLAMP = 1e-10
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# (sigma_y x sigma_y) is the real antidiagonal (-1, 1, 1, -1).
-_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
+# (sigma_y x sigma_y) is the real antidiagonal (-1, 1, 1, -1), so conjugating
+# by it reverses both indices and multiplies entry (i, j) by s_i s_j.
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 _LD = np.longdouble
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Time-reversed companion state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    return _FLIP @ rho.conj() @ _FLIP
+    """Time-reversed companion state (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
+
+    ``rho`` is one 4x4 matrix or a ``(..., 4, 4)`` stack.
+    """
+    rho = as_stack(rho, "rho")
+    return _FLIP_SIGNS * rho.conj()[..., ::-1, ::-1]
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit density matrix, or of each matrix
+    of a ``(..., 4, 4)`` stack.
+
+    A single matrix gives a float, a stack an array of shape ``(...)``; each
+    entry equals, bit for bit, the value of its matrix alone.
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     descending eigenvalues of rho @ spin_flip(rho).  Those eigenvalues equal
@@ -56,7 +63,8 @@ def concurrence(rho: np.ndarray) -> float:
     root = sqrt_psd(rho)
     root_flipped = sqrt_psd(spin_flip(rho))
     s = np.linalg.svd(root_flipped @ root, compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    value = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    return float(value) if value.ndim == 0 else value
 
 
 def _sqrt_clamped(value):

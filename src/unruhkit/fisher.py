@@ -26,6 +26,7 @@ the engines and records residuals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,6 +59,13 @@ FORM_TWO_SPECTRAL = "two-spectral"
 FORM_CLOSED = "closed"
 
 _PARAM_INDEX = {"p": 0, "x": 1, "r": 2}
+
+# Unvalidated builders, taking the parameters in CHANNEL_PARAMS order.
+_STATE_BUILDERS = {
+    Channel.WHITE: _white_state,
+    Channel.COLOR: _color_state,
+    Channel.WHITE_COLOR: _whitecolor_state,
+}
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def _family_matrix(family: StateFamily, theta: float) -> np.ndarray:
         m = np.asarray(family.evaluate(theta), dtype=complex)
     except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
         raise FamilyEvalError(f"family {family.label or family.param} failed at {theta}: {exc}") from exc
-    if m.shape != (family.dim, family.dim) or not np.all(np.isfinite(m)):
+    if m.shape != (family.dim, family.dim) or not np.isfinite(m).all():
         raise FamilyEvalError(
             f"family {family.label or family.param} returned an unusable matrix at {theta}"
         )
@@ -192,17 +200,16 @@ def state_family(
         raise DomainError(f"parameter {param!r} is not part of the {channel.value} channel")
 
     base = {"x": x, "p": p, "q": q, "r": r}
+    if reduced:
+        builder, names = functools.partial(_reduced_entries, channel), ("x", "p", "q", "r")
+    else:
+        builder, names = _STATE_BUILDERS[channel], CHANNEL_PARAMS[channel]
+    slot = names.index(param)
+    before = [base[name] for name in names[:slot]]
+    after = [base[name] for name in names[slot + 1 :]]
 
     def evaluate(theta: float) -> np.ndarray:
-        point = dict(base)
-        point[param] = theta
-        if reduced:
-            return _reduced_entries(channel, point["x"], point["p"], point["q"], point["r"])
-        if channel is Channel.WHITE:
-            return _white_state(point["x"], point["p"], point["r"])
-        if channel is Channel.COLOR:
-            return _color_state(point["x"], point["q"], point["r"])
-        return _whitecolor_state(point["x"], point["p"], point["q"], point["r"])
+        return builder(*before, theta, *after)
 
     label = f"{channel.value}:{param}" + (":reduced" if reduced else "")
     return StateFamily(evaluate=evaluate, param=param, dim=2 if reduced else 4, label=label)

@@ -4,6 +4,12 @@ Everything a two-qubit density-matrix calculation needs and nothing more:
 Kronecker products, partial traces, a Hermitian eigendecomposition with a
 deterministic ordering convention, and the PSD matrix square root.  All
 functions are pure and operate on plain ``numpy`` arrays (``complex`` dtype).
+
+``hermitian_defect``, ``eig_hermitian`` and ``sqrt_psd`` take one ``(4, 4)``
+matrix or a stack of shape ``(..., 4, 4)`` and treat every matrix of a stack
+exactly as they treat it alone, bit for bit: one batched ``eigh`` replaces a
+Python loop over matrices.  A check that fails for any matrix of a stack
+raises for the whole stack.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ EIG_CLAMP = 1e-12
 # Eigenvalues below -PSD_REJECT mean the input is genuinely not PSD.
 PSD_REJECT = 1e-8
 
+_COLUMNS = np.arange(4)
+
 
 def _as_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -29,10 +37,24 @@ def _as_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
     return m
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
+def as_stack(m: np.ndarray, name: str = "m") -> np.ndarray:
+    """``m`` as a complex array of shape ``(..., 4, 4)``; raises ``DomainError`` otherwise."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - m.conj().T).max())
+    if m.shape[-2:] != (4, 4):
+        raise DomainError(f"{name} must be 4x4 or a stack of 4x4 matrices, got shape {m.shape}")
+    return m
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def hermitian_defect(m: np.ndarray) -> float:
+    """Largest entrywise deviation of ``m``, or of any matrix of a stack, from
+    its conjugate transpose."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.abs(m - dagger(m)).max())
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,7 +89,11 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+
+    For a stack, ``eigenvalues`` has shape ``(..., 4)`` and ``eigenvectors``
+    ``(..., 4, 4)``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -75,22 +101,44 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         """Sum of lambda_i |v_i><v_i|; equals the decomposed matrix up to round-off."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real and positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        a = out[k, j]
-        if abs(a) > 0:
-            out[:, j] *= np.conj(a) / abs(a)
-    return out
+    """Rotate each column of each (4, 4) matrix of an (N, 4, 4) stack so its
+    largest-magnitude component is real and positive.
+
+    The columns are unit vectors, so that component is at least 1/2 in size.
+    """
+    rows = np.abs(vectors).argmax(axis=1)
+    a = vectors[np.arange(len(vectors))[:, None], rows, _COLUMNS]
+    # hypot rounds as the scalar abs() of one component does; np.abs on a
+    # complex array may differ from it in the last bit.
+    return vectors * (np.conj(a) / np.hypot(a.real, a.imag))[:, None, :]
+
+
+def _order_ties(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Order eigenvector columns inside each run of exactly equal eigenvalues.
+
+    ``w`` is (N, 4) and descending, ``v`` the (N, 4, 4) eigenvectors.  Columns
+    of a run are sorted by their components rounded to 12 digits, negated
+    real parts first, then negated imaginary parts; columns of different runs
+    keep their places.
+    """
+    tied = w[:, 1:] == w[:, :-1]
+    if not tied.any():
+        return v
+    run = np.concatenate([np.zeros_like(tied[:, :1]), ~tied], axis=1).cumsum(axis=1)
+    real = np.round(-v.real, 12).swapaxes(0, 1)
+    imag = np.round(-v.imag, 12).swapaxes(0, 1)
+    # np.lexsort sorts by its last key first: run, then real rows 0..3, then imag rows 0..3.
+    order = np.lexsort([*imag[::-1], *real[::-1], run], axis=-1)
+    return np.take_along_axis(v, order[:, None, :], axis=-1)
 
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian 4x4 matrix with deterministic ordering.
+    """Eigendecomposition of a Hermitian 4x4 matrix, or of each matrix of a
+    ``(..., 4, 4)`` stack, with deterministic ordering.
 
     Eigenvalues are sorted descending; exact ties are broken by comparing the
     phase-canonicalized eigenvector components so that repeated runs (and
@@ -99,39 +147,31 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     Raises
     ------
     NotHermitianError
-        If the asymmetry of ``m`` exceeds ``HERMITICITY_TOL``.
+        If the asymmetry of ``m`` (of any matrix of a stack) exceeds
+        ``HERMITICITY_TOL``.
     """
-    m = _as_square(m, 4, "m")
-    if hermitian_defect(m) > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"asymmetry {hermitian_defect(m):.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    order = np.argsort(-w, kind="stable")
-    w, v = w[order], v[:, order]
-    v = _canonical_phases(v)
-    # Deterministic layout inside exactly degenerate clusters.
-    i = 0
-    while i < 4:
-        j = i + 1
-        while j < 4 and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            keys = sorted(
-                range(i, j),
-                key=lambda k: tuple(np.round(-v[:, k].real, 12))
-                + tuple(np.round(-v[:, k].imag, 12)),
-            )
-            v[:, i:j] = v[:, keys]
-        i = j
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    m = as_stack(m)
+    flat = m.reshape(-1, 4, 4)
+    flat_dagger = dagger(flat)
+    defect = float(np.abs(flat - flat_dagger).max())
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(f"asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    w, v = np.linalg.eigh((flat + flat_dagger) / 2)
+    # eigh sorts ascending; exact ties are reordered by _order_ties.
+    w, v = w[:, ::-1], _canonical_phases(v[:, :, ::-1])
+    return SpectralDecomposition(
+        eigenvalues=w.reshape(m.shape[:-1]),
+        eigenvectors=_order_ties(w, v).reshape(m.shape),
+    )
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite 4x4 matrix.
+    """Hermitian square root of a positive-semidefinite 4x4 matrix, or of each
+    matrix of a ``(..., 4, 4)`` stack.
 
     Eigenvalues in [-PSD_REJECT, 0) are treated as round-off and clamped to
-    zero; anything more negative raises ``NotPSDError``.
+    zero; anything more negative, in any matrix of a stack, raises
+    ``NotPSDError``.
     """
     dec = eig_hermitian(m)
     w = dec.eigenvalues
@@ -139,7 +179,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{PSD_REJECT:.0e}")
     w = np.clip(w, 0.0, None)
     v = dec.eigenvectors
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:

@@ -15,8 +15,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .version import __version__ as _version
-from .channels import CHANNEL_PARAMS, Channel, ModelParams, RINDLER_R_MAX, accelerated_state
+from .channels import (
+    CHANNEL_PARAMS,
+    RINDLER_R_MAX,
+    Channel,
+    ModelParams,
+    accelerated_color,
+    accelerated_white,
+    accelerated_whitecolor,
+)
 from .entanglement import concurrence, concurrence_closed
 from .errors import (
     DomainError,
@@ -412,6 +422,15 @@ def _series_label(spec: SweepSpec, combo: dict[str, float]) -> str:
     return "|".join(parts)
 
 
+def _states(spec: SweepSpec, point: dict):
+    """The accelerated state at ``point``; array values give a stack of states."""
+    if spec.channel is Channel.WHITE:
+        return accelerated_white(point["x"], point["p"], point["r"], r_max=spec.r_limit)
+    if spec.channel is Channel.COLOR:
+        return accelerated_color(point["x"], point["q"], point["r"], r_max=spec.r_limit)
+    return accelerated_whitecolor(point["x"], point["p"], point["q"], point["r"], r_max=spec.r_limit)
+
+
 def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> float:
     params = ModelParams(
         x=point.get("x", 0.0),
@@ -422,7 +441,7 @@ def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> fl
     )
     if spec.quantity is Quantity.CONCURRENCE:
         if variant == "numeric":
-            return concurrence(accelerated_state(params, r_max=spec.r_limit))
+            return concurrence(_states(spec, point))
         return concurrence_closed(params, r_max=spec.r_limit)
 
     estimated = spec.quantity.estimated_param
@@ -439,6 +458,40 @@ def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> fl
             estimated, params.x, params.p, params.r, r_max=spec.r_limit
         ).value
     return qfi_two_white_closed(estimated, params.x, params.p, params.r, r_max=spec.r_limit).value
+
+
+def _evaluate_column(
+    spec: SweepSpec,
+    combo: dict[str, float],
+    variant: str,
+    values: list[float],
+    warnings: dict[str, int],
+) -> list[Optional[float]]:
+    """One output column over the grid ``values``; empty cells come back as None.
+
+    Numeric concurrence is computed for the whole column from one stack of
+    states.  Any other column, and a stacked column that raises a cell error,
+    is evaluated cell by cell, so each empty cell is counted under its own
+    reason in ``warnings``.
+    """
+    if spec.quantity is Quantity.CONCURRENCE and variant == "numeric":
+        point = dict(combo)
+        point[spec.vary] = np.array(values)
+        try:
+            return concurrence(_states(spec, point)).tolist()
+        except _CELL_ERRORS:
+            pass
+    column: list[Optional[float]] = []
+    for value in values:
+        point = dict(combo)
+        point[spec.vary] = value
+        try:
+            column.append(_evaluate_cell(spec, point, variant))
+        except _CELL_ERRORS as exc:
+            kind = type(exc).__name__
+            warnings[kind] = warnings.get(kind, 0) + 1
+            column.append(None)
+    return column
 
 
 def _quantity_base(spec: SweepSpec) -> str:
@@ -478,19 +531,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             cells.append((combo, variant))
 
     warnings: dict[str, int] = {}
-    rows: list[list[Optional[float]]] = []
-    for value in values:
-        row: list[Optional[float]] = [value]
-        for combo, variant in cells:
-            point = dict(combo)
-            point[spec.vary] = value
-            try:
-                row.append(_evaluate_cell(spec, point, variant))
-            except _CELL_ERRORS as exc:
-                kind = type(exc).__name__
-                warnings[kind] = warnings.get(kind, 0) + 1
-                row.append(None)
-        rows.append(row)
+    rows: list[list[Optional[float]]] = [[value] for value in values]
+    for combo, variant in cells:
+        for row, cell in zip(rows, _evaluate_column(spec, combo, variant, values, warnings)):
+            row.append(cell)
 
     provenance = [f"tool: unruhkit {_version}"]
     if spec.label != "sweep":

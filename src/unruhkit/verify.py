@@ -98,10 +98,14 @@ class VerificationReport:
 
 
 class _Tracker:
-    """Running maximum of a residual and where it happened."""
+    """Running maximum of a residual and where it happened.
+
+    It starts at -inf, so the first point sets it: a check reports its worst
+    point and its signed worst value even when no residual is positive.
+    """
 
     def __init__(self) -> None:
-        self.max = 0.0
+        self.max = -math.inf
         self.point: Optional[tuple[float, ...]] = None
 
     def update(self, residual: float, point: tuple[float, ...]) -> None:

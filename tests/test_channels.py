@@ -193,10 +193,15 @@ class TestAcceleratedStates:
     def test_whitecolor_color_edge(self, rng):
         # The color channel sits on the p+q=1 edge of the combined family,
         # where the isotropic component's budget vanishes.
-        for _ in range(20):
-            x, s, r = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, RINDLER_R_MAX)
+        points = [(0.6, 0.4, 0.3)] + [
+            (rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, RINDLER_R_MAX)) for _ in range(20)
+        ]
+        for x, s, r in points:
             got = accelerated_whitecolor(x, s, 1.0 - s, r)
             assert np.abs(got - accelerated_color(x, s, r)).max() < 1e-12
+        # p=0 alone is not the color edge: the isotropic part is still there.
+        off_edge = accelerated_whitecolor(0.6, 0.0, 0.4, 0.3) - accelerated_color(0.6, 0.4, 0.3)
+        assert np.abs(off_edge).max() > 0.1
 
     def test_whitecolor_both_off(self):
         for r in (0.0, 0.4):
@@ -220,6 +225,53 @@ class TestAcceleratedStates:
         with pytest.raises(DomainError):
             accelerated_white(0.2, 0.5, 0.8)
         assert is_density_matrix(accelerated_white(0.2, 0.5, 0.8, r_max=0.8), tol=1e-12)
+
+
+class TestStackedStates:
+    GRID = np.linspace(0.0, 1.0, 11)
+    R_GRID = np.linspace(0.0, RINDLER_R_MAX, 5)
+
+    def assert_matches_points(self, stack, build, *columns):
+        assert stack.shape == (len(columns[0]), 4, 4)
+        for i, point in enumerate(zip(*columns)):
+            assert stack[i].tobytes() == build(*(float(v) for v in point)).tobytes()
+
+    def test_white_stack_matches_each_point_bitwise(self):
+        n = len(self.GRID)
+        for r in self.R_GRID:
+            stack = accelerated_white(self.GRID, 0.6, r)
+            self.assert_matches_points(stack, accelerated_white, self.GRID, [0.6] * n, [r] * n)
+        for p in (0.0, 0.5):  # p=0 and r=0 give exactly tied spectra
+            stack = accelerated_white(0.3, p, self.R_GRID)
+            self.assert_matches_points(stack, accelerated_white, [0.3] * 5, [p] * 5, self.R_GRID)
+
+    def test_color_stack_matches_each_point_bitwise(self):
+        n = len(self.GRID)
+        for r in self.R_GRID:
+            stack = accelerated_color(0.4, self.GRID, r)
+            self.assert_matches_points(stack, accelerated_color, [0.4] * n, self.GRID, [r] * n)
+
+    def test_whitecolor_stack_matches_each_point_bitwise(self):
+        q = 0.5 * (1.0 - self.GRID)
+        stack = accelerated_whitecolor(self.GRID, 0.5, q, 0.3)
+        n = len(self.GRID)
+        self.assert_matches_points(
+            stack, accelerated_whitecolor, self.GRID, [0.5] * n, q, [0.3] * n
+        )
+
+    def test_broadcast_grid(self):
+        stack = accelerated_white(self.GRID[:, None], 0.6, self.R_GRID[None, :])
+        assert stack.shape == (11, 5, 4, 4)
+        assert stack[3, 2].tobytes() == accelerated_white(self.GRID[3], 0.6, self.R_GRID[2]).tobytes()
+
+    def test_every_point_is_validated(self):
+        with pytest.raises(DomainError, match="x=1.2"):
+            accelerated_white(np.array([0.2, 1.2]), 0.3, 0.1)
+        with pytest.raises(DomainError, match="p\\+q"):
+            accelerated_whitecolor(0.5, np.array([0.2, 0.7]), 0.4, 0.1)
+        with pytest.raises(DomainError):
+            accelerated_color(0.5, 0.2, np.array([0.0, 0.8]))
+        assert accelerated_color(0.5, 0.2, np.array([0.0, 0.8]), r_max=0.8).shape == (2, 4, 4)
 
 
 class TestRFromAcceleration:

@@ -5,6 +5,7 @@ import pytest
 
 from unruhkit import (
     NegativeRadicandError,
+    NotPSDError,
     accelerated_color,
     accelerated_white,
     accelerated_whitecolor,
@@ -49,8 +50,34 @@ class TestSpinFlip:
         want[3, 3] = 1.0
         assert np.allclose(spin_flip(rho), want, atol=0)
 
+    def test_signed_reversal_matches_product_definition(self, rng):
+        sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        flip = kron2(sigma_y, sigma_y)
+        for _ in range(20):
+            rho = random_density(rng)
+            assert np.array_equal(spin_flip(rho), flip @ rho.conj() @ flip)
+
+    def test_stack_matches_each_matrix_bitwise(self, state_stack):
+        flipped = spin_flip(state_stack)
+        for i, rho in enumerate(state_stack):
+            assert flipped[i].tobytes() == spin_flip(rho).tobytes()
+
 
 class TestConcurrenceEngine:
+    def test_stack_matches_each_matrix_bitwise(self, state_stack):
+        values = concurrence(state_stack)
+        assert values.shape == (len(state_stack),)
+        for i, rho in enumerate(state_stack):
+            one = concurrence(rho)
+            assert isinstance(one, float)
+            assert values[i] == one
+
+    def test_one_non_psd_matrix_rejects_the_stack(self, state_stack):
+        bad = state_stack.copy()
+        bad[3] = np.diag([1.0, -1e-3, 0.5, -0.5])
+        with pytest.raises(NotPSDError):
+            concurrence(bad)
+
     def test_singlet_is_maximal(self):
         assert concurrence(singlet_projector()) == pytest.approx(1.0, abs=1e-12)
 

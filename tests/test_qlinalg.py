@@ -176,6 +176,50 @@ class TestSqrtPsd:
             sqrt_psd(np.diag([1.0, -1e-3, 0.5, 0.25]))
 
 
+class TestStacks:
+    def test_stack_has_exact_ties(self, state_stack):
+        w = eig_hermitian(state_stack).eigenvalues
+        assert (w[:, 1:] == w[:, :-1]).any(axis=1).sum() >= 10
+
+    def test_eig_hermitian_matches_each_matrix_bitwise(self, state_stack):
+        dec = eig_hermitian(state_stack)
+        assert dec.eigenvalues.shape == (len(state_stack), 4)
+        for i, m in enumerate(state_stack):
+            one = eig_hermitian(m)
+            assert dec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+            assert dec.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
+
+    def test_sqrt_psd_matches_each_matrix_bitwise(self, state_stack):
+        roots = sqrt_psd(state_stack)
+        for i, m in enumerate(state_stack):
+            assert roots[i].tobytes() == sqrt_psd(m).tobytes()
+
+    def test_nested_stack_shape(self, state_stack):
+        nested = state_stack[:12].reshape(3, 4, 4, 4)
+        dec = eig_hermitian(nested)
+        assert dec.eigenvalues.shape == (3, 4, 4)
+        assert dec.eigenvectors.tobytes() == eig_hermitian(state_stack[:12]).eigenvectors.tobytes()
+        assert np.abs(dec.reconstruct() - nested).max() < 1e-12
+
+    def test_one_non_hermitian_matrix_rejects_the_stack(self, state_stack):
+        bad = state_stack.copy()
+        bad[7, 0, 1] += 1e-6
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(bad)
+        with pytest.raises(NotHermitianError):
+            sqrt_psd(bad)
+
+    def test_one_non_psd_matrix_rejects_the_stack(self, state_stack):
+        bad = state_stack.copy()
+        bad[7] = np.diag([1.0, -1e-3, 0.5, 0.25])
+        with pytest.raises(NotPSDError):
+            sqrt_psd(bad)
+
+    def test_wrong_trailing_shape_rejected(self):
+        with pytest.raises(DomainError):
+            eig_hermitian(np.zeros((2, 3, 3)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_is_density_matrix_accepts_valid_diagonal(w):

@@ -1,10 +1,13 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from unruhkit import (
     Channel,
+    NotPSDError,
+    SingularPointError,
     Method,
     ParseError,
     QfiForm,
@@ -17,6 +20,7 @@ from unruhkit import (
     render_csv_body,
     run_sweep,
 )
+from unruhkit import sweep as sweep_module
 from unruhkit.sweep import FIGURE_PRESETS, SweepSpec, format_cell
 from oracles import pure_ket_concurrence, werner_concurrence
 
@@ -267,6 +271,37 @@ class TestRunSweep:
         assert table.rows[1][1] is not None
         assert table.warnings.get("SingularPointError") == 1
         assert any("empty-cells: 1" in line for line in table.provenance)
+
+    def test_stacked_column_fallback_keeps_per_cell_reasons(self, monkeypatch):
+        spec = SweepSpec(
+            channel=Channel.WHITE,
+            vary="p",
+            start=0.0,
+            stop=1.0,
+            step=0.25,
+            fixed={"x": (0.3,), "r": (0.0,)},
+            quantity=Quantity.CONCURRENCE,
+            method=Method.NUMERIC,
+        )
+        reference = run_sweep(spec)
+        engine = sweep_module.concurrence
+        # At r=0 the white state's rho_00 is (1 - p)/4: p=0.25 and p=0.5 fail.
+        failing = {0.1875: NotPSDError, 0.125: SingularPointError}
+
+        def flaky(rho):
+            if np.ndim(rho) > 2:
+                raise NotPSDError("stacked call refused")
+            kind = failing.get(rho[0, 0].real)
+            if kind is not None:
+                raise kind("injected")
+            return engine(rho)
+
+        monkeypatch.setattr(sweep_module, "concurrence", flaky)
+        table = run_sweep(spec)
+        want = [None if row[0] in (0.25, 0.5) else row[1] for row in reference.rows]
+        assert [row[1] for row in table.rows] == want
+        assert table.warnings == {"NotPSDError": 1, "SingularPointError": 1}
+        assert any("empty-cells: 2" in line for line in table.provenance)
 
     def test_determinism(self):
         spec = figure_preset("fig3b")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from unruhkit import run_verification
@@ -58,6 +60,16 @@ class TestReportContent:
         lines = report.render().splitlines()
         assert len(lines) == len(report.checks) + 2
         assert lines[-1].startswith("overall: PASS")
+
+
+def test_every_check_reports_its_worst_point():
+    report = run_verification(grid_n=5)
+    for check in report.checks:
+        assert check.worst_point is not None, check.name
+        assert math.isfinite(check.max_residual), check.name
+    # The DPI residual is single - two, never positive: its worst is 0 at r=0.
+    dpi = record(report, "qfi-data-processing-inequality")
+    assert "max-residual=0.000e+00 at (0.25, 0.25, 0)" in dpi.line()
 
 
 class TestCliVerify:
