@@ -88,11 +88,6 @@ class ModelParams:
         if not 0.0 <= self.r <= r_max + 1e-12:
             raise DomainError(f"r={self.r} outside [0, {r_max}]")
 
-    @property
-    def strength(self) -> float:
-        """The channel's own noise strength (p for white, q for color)."""
-        return self.q if self.channel is Channel.COLOR else self.p
-
 
 class WhiteCoeffs(NamedTuple):
     """Populations/coherence coefficients of the accelerated white-noise state."""

@@ -10,22 +10,9 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError, UnknownPresetError
-from .sweep import emit_csv, figure_preset, parse_spec, run_sweep
+from .sweep import _FLAG_GRAMMAR, emit_csv, figure_preset, parse_spec, run_sweep
 from .verify import run_verification
 from .version import __version__
-
-_SWEEP_FLAGS = (
-    "channel",
-    "vary",
-    "range",
-    "x",
-    "p",
-    "q",
-    "r",
-    "quantity",
-    "method",
-    "qfi-form",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,21 +28,18 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"unruhkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # main leaves the sweep flags to parse_spec; allow_abbrev=False keeps
+    # argparse from reading one such as --c as an abbreviation of --config.
     sweep = sub.add_parser(
         "sweep",
         help="run a declarative parameter sweep and emit CSV",
-        description=(
-            "Flags: --channel white|color|whitecolor, --vary p|q|x|r, "
-            "--range start:stop:step, --x/--p/--q/--r scalar or comma-list "
-            "(lists become series), --quantity concurrence|qfi-p|qfi-q|qfi-x|qfi-r, "
-            "--method numeric|closed|both, --qfi-form single|two, --out FILE, "
-            "--config FILE (line-oriented key=value; flags win)."
-        ),
+        description="sweep flags, each given as --name value (comma-lists become series):\n"
+        + "".join(f"  --{name} {grammar}\n" for name, grammar in _FLAG_GRAMMAR.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
-    for flag in _SWEEP_FLAGS:
-        sweep.add_argument(f"--{flag}", dest=flag.replace("-", "_"))
-    sweep.add_argument("--out")
-    sweep.add_argument("--config")
+    sweep.add_argument("--out", metavar="FILE", help="write the CSV here instead of stdout")
+    sweep.add_argument("--config", metavar="FILE", help="key=value file of sweep flags; flags win")
 
     figure = sub.add_parser("figure", help="run a published-figure preset")
     figure.add_argument("preset", help="e.g. fig1a ... fig11c")
@@ -74,17 +58,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sweep_argv(args: argparse.Namespace) -> list[str]:
-    argv: list[str] = []
-    for flag in _SWEEP_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            argv.extend([f"--{flag}", value])
-    return argv
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, sweep_argv = parser.parse_known_args(argv)
+    if sweep_argv and args.command != "sweep":
+        parser.error(f"unrecognized arguments: {' '.join(sweep_argv)}")
     try:
         if args.command == "sweep":
             config_text = None
@@ -95,7 +73,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 except OSError as exc:
                     print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
                     return 3
-            spec = parse_spec(_sweep_argv(args), config_text=config_text)
+            spec = parse_spec(sweep_argv, config_text=config_text)
             table = run_sweep(spec)
             emit_csv(table, args.out)
             return 0

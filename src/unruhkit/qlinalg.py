@@ -1,9 +1,10 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian problems.
 
 Everything a two-qubit density-matrix calculation needs and nothing more:
-Kronecker products, partial traces, a Hermitian eigendecomposition with a
-deterministic ordering convention, and the PSD matrix square root.  All
-functions are pure and operate on plain ``numpy`` arrays (``complex`` dtype).
+Kronecker products, partial traces, a Hermitian eigendecomposition with
+descending eigenvalues and LAPACK's eigenvector layout, and the PSD matrix
+square root.  All functions are pure and operate on plain ``numpy`` arrays
+(``complex`` dtype).
 
 ``hermitian_defect``, ``eig_hermitian`` and ``sqrt_psd`` take one ``(4, 4)``
 matrix or a stack of shape ``(..., 4, 4)`` and treat every matrix of a stack
@@ -26,8 +27,6 @@ HERMITICITY_TOL = 1e-10
 EIG_CLAMP = 1e-12
 # Eigenvalues below -PSD_REJECT mean the input is genuinely not PSD.
 PSD_REJECT = 1e-8
-
-_COLUMNS = np.arange(4)
 
 
 def _as_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -104,45 +103,13 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
-def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column of each (4, 4) matrix of an (N, 4, 4) stack so its
-    largest-magnitude component is real and positive.
-
-    The columns are unit vectors, so that component is at least 1/2 in size.
-    """
-    rows = np.abs(vectors).argmax(axis=1)
-    a = vectors[np.arange(len(vectors))[:, None], rows, _COLUMNS]
-    # hypot rounds as the scalar abs() of one component does; np.abs on a
-    # complex array may differ from it in the last bit.
-    return vectors * (np.conj(a) / np.hypot(a.real, a.imag))[:, None, :]
-
-
-def _order_ties(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Order eigenvector columns inside each run of exactly equal eigenvalues.
-
-    ``w`` is (N, 4) and descending, ``v`` the (N, 4, 4) eigenvectors.  Columns
-    of a run are sorted by their components rounded to 12 digits, negated
-    real parts first, then negated imaginary parts; columns of different runs
-    keep their places.
-    """
-    tied = w[:, 1:] == w[:, :-1]
-    if not tied.any():
-        return v
-    run = np.concatenate([np.zeros_like(tied[:, :1]), ~tied], axis=1).cumsum(axis=1)
-    real = np.round(-v.real, 12).swapaxes(0, 1)
-    imag = np.round(-v.imag, 12).swapaxes(0, 1)
-    # np.lexsort sorts by its last key first: run, then real rows 0..3, then imag rows 0..3.
-    order = np.lexsort([*imag[::-1], *real[::-1], run], axis=-1)
-    return np.take_along_axis(v, order[:, None, :], axis=-1)
-
-
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian 4x4 matrix, or of each matrix of a
-    ``(..., 4, 4)`` stack, with deterministic ordering.
+    ``(..., 4, 4)`` stack.
 
-    Eigenvalues are sorted descending; exact ties are broken by comparing the
-    phase-canonicalized eigenvector components so that repeated runs (and
-    regression files) always see the same layout.
+    Eigenvalues come back descending.  The eigenvector layout (phases, and
+    the basis chosen inside a degenerate eigenspace) is LAPACK's, the same on
+    every run with a given build.
 
     Raises
     ------
@@ -151,18 +118,11 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
         ``HERMITICITY_TOL``.
     """
     m = as_stack(m)
-    flat = m.reshape(-1, 4, 4)
-    flat_dagger = dagger(flat)
-    defect = float(np.abs(flat - flat_dagger).max())
+    defect = hermitian_defect(m)
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(f"asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    w, v = np.linalg.eigh((flat + flat_dagger) / 2)
-    # eigh sorts ascending; exact ties are reordered by _order_ties.
-    w, v = w[:, ::-1], _canonical_phases(v[:, :, ::-1])
-    return SpectralDecomposition(
-        eigenvalues=w.reshape(m.shape[:-1]),
-        eigenvectors=_order_ties(w, v).reshape(m.shape),
-    )
+    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    return SpectralDecomposition(eigenvalues=w[..., ::-1], eigenvectors=v[..., ::-1])
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -149,8 +149,6 @@ _FLAG_GRAMMAR = {
     "quantity": "concurrence|qfi-p|qfi-q|qfi-x|qfi-r",
     "method": "numeric|closed|both",
     "qfi-form": "single|two",
-    "out": "FILE",
-    "config": "FILE",
 }
 
 
@@ -180,7 +178,7 @@ def _config_to_mapping(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"config line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FLAG_GRAMMAR or key == "config":
+        if key not in _FLAG_GRAMMAR:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         mapping[key] = value
     return mapping
@@ -231,7 +229,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     start, stop, step = (_parse_float(part, "range") for part in range_parts)
     if not start < stop:
         raise ParseError(f"--range: start must be below stop, got {flags['range']!r}")
-    if step <= 0.0:
+    if not step > 0.0:
         raise ParseError(f"--range: step must be positive, got {flags['range']!r}")
 
     fixed: dict[str, tuple[float, ...]] = {}
@@ -252,10 +250,9 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     r_values = list(fixed.get("r", ()))
     if vary == "r":
         r_values.extend((start, stop))
-    r_limit = max((RINDLER_R_MAX, *r_values)) if r_values else RINDLER_R_MAX
+    r_limit, notes = _r_limit_and_notes(r_values)
     if r_limit > R_CAPTION_MAX + 1e-12:
         raise ParseError(f"--r: value {r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
-    notes = (_R_SERIES_NOTE,) if r_limit > RINDLER_R_MAX else ()
 
     spec = SweepSpec(
         channel=channel,
@@ -326,15 +323,18 @@ _R_SERIES_NOTE = (
 _Q_RANGE_NOTE = "q range restricted to [0, 1-p] so the combined strengths stay physical"
 
 
+def _r_limit_and_notes(r_values: Sequence[float]) -> tuple[float, tuple[str, ...]]:
+    """The acceleration ceiling of a parse_spec or preset spec with these r
+    values, and the provenance note it needs when that ceiling passes pi/4."""
+    r_limit = max((RINDLER_R_MAX, *r_values))
+    return r_limit, (_R_SERIES_NOTE,) if r_limit > RINDLER_R_MAX else ()
+
+
 def _preset_table() -> dict[str, SweepSpec]:
     presets: dict[str, SweepSpec] = {}
 
     def add(name, channel, vary, rng, fixed, quantity, method=Method.BOTH, qfi_form=QfiForm.TWO, notes=()):
-        r_values = fixed.get("r", ())
-        r_limit = max((RINDLER_R_MAX, *r_values))
-        all_notes = tuple(notes)
-        if r_limit > RINDLER_R_MAX:
-            all_notes = all_notes + (_R_SERIES_NOTE,)
+        r_limit, r_notes = _r_limit_and_notes(fixed.get("r", ()))
         presets[name] = SweepSpec(
             channel=channel,
             vary=vary,
@@ -347,7 +347,7 @@ def _preset_table() -> dict[str, SweepSpec]:
             qfi_form=qfi_form,
             r_limit=r_limit,
             label=name,
-            notes=all_notes,
+            notes=(*notes, *r_notes),
         )
 
     conc = Quantity.CONCURRENCE

@@ -414,7 +414,7 @@ def _check_data_processing(report: VerificationReport) -> None:
 
 def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationReport:
     """Run the full cross-validation suite and return its report."""
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")

@@ -3,6 +3,22 @@ import pytest
 
 from unruhkit import FamilyEvalError, StateFamily, qfi_single_bloch, qfi_two_qubit_spectral
 from unruhkit.cli import main
+from unruhkit.sweep import _FLAG_GRAMMAR
+
+# A complete sweep; the last two tokens are the --x flag and its value.
+SWEEP_FLAGS = [
+    "--channel", "white",
+    "--vary", "p",
+    "--range", "0:1:0.5",
+    "--r", "0",
+    "--quantity", "concurrence",
+    "--method", "numeric",
+    "--x", "0.3",
+]
+
+
+def body(csv_text):
+    return [line for line in csv_text.splitlines() if not line.startswith("# generated:")]
 
 
 class TestSweepCommand:
@@ -52,11 +68,52 @@ class TestSweepCommand:
         assert rc == 1
         assert "start must be below stop" in capsys.readouterr().err
 
+    def test_flags_before_and_after_out_write_the_same_csv(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["sweep", *SWEEP_FLAGS[:6], "--out", str(first), *SWEEP_FLAGS[6:]]) == 0
+        assert main(["sweep", "--out", str(second), *SWEEP_FLAGS]) == 0
+        assert body(first.read_text()) == body(second.read_text())
+
+    def test_config_out_key_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        config = tmp_path / "scan.cfg"
+        config.write_text(
+            "channel = white\nvary = p\nrange = 0:1:0.5\nx = 0.3\nr = 0\n"
+            f"quantity = concurrence\nout = {out}\n"
+        )
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "config line 7: unknown key 'out'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_equals_form_is_unknown_flag(self, capsys):
+        assert main(["sweep", *SWEEP_FLAGS[:-2], "--x=0.3"]) == 1
+        assert "unknown flag --x=0.3" in capsys.readouterr().err
+
+    def test_abbreviated_flag_is_unknown(self, capsys):
+        assert main(["sweep", *SWEEP_FLAGS[:-2], "--meth", "numeric"]) == 1
+        assert "unknown flag --meth" in capsys.readouterr().err
+
+    def test_help_names_every_sweep_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for name in _FLAG_GRAMMAR:
+            assert f"--{name} " in text
+
 
 class TestFigureCommand:
     def test_unknown_preset(self, capsys):
         assert main(["figure", "fig99"]) == 1
         assert "valid names" in capsys.readouterr().err
+
+    def test_sweep_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "fig1a", "--channel", "white"])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --channel white" in capsys.readouterr().err
 
     def test_unwritable_destination_is_io_error(self, capsys):
         assert main(["figure", "fig1a", "--out", "/no/such/dir/out.csv"]) == 3
@@ -84,6 +141,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_verification", fake)
         assert main(["verify"]) == 2
         assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        assert main(["verify", "--tol", "nan", "--grid", "5"]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
 
 
 class TestFamilyErrors:

@@ -194,6 +194,13 @@ class TestStacks:
         for i, m in enumerate(state_stack):
             assert roots[i].tobytes() == sqrt_psd(m).tobytes()
 
+    def test_square_root_and_reconstruction_on_tied_spectra(self, state_stack):
+        # The stack holds exactly tied spectra, where the eigenvector basis of
+        # an eigenspace is LAPACK's choice; neither result may depend on it.
+        root = sqrt_psd(state_stack)
+        assert np.abs(root @ root - state_stack).max() < 1e-14
+        assert np.abs(eig_hermitian(state_stack).reconstruct() - state_stack).max() < 1e-14
+
     def test_nested_stack_shape(self, state_stack):
         nested = state_stack[:12].reshape(3, 4, 4, 4)
         dec = eig_hermitian(nested)

@@ -65,6 +65,13 @@ class TestParseSpec:
                 "--quantity concurrence".split()
             )
 
+    def test_nan_step_rejected(self):
+        with pytest.raises(ParseError, match="step must be positive"):
+            parse_spec(
+                "--channel white --vary p --range 0:1:nan --x 0.2 --r 0 "
+                "--quantity concurrence".split()
+            )
+
     def test_combined_strengths_rejected(self):
         with pytest.raises(ParseError, match="p\\+q"):
             parse_spec(
