@@ -9,10 +9,9 @@ Rindler-wedge modes (``cos r``/``sin r`` split) while ``|1>`` is unaffected;
 tracing out the causally disconnected wedge leaves a simple two-Kraus map on
 the accelerated qubit.
 
-Both routes to the final state are provided: the generic channel applied to a
-constructed initial state, and closed-form assembled states whose
-coefficients were simplified by hand.  They must agree to 1e-12 entrywise,
-and the verification harness checks exactly that.
+Every engine builds its states with the combined white+color closed form at
+the strengths ``combined_strengths`` gives; the hand-simplified white and
+color states are hypotheses, checked against it and the channel route.
 
 The closed-form builders take floats or numpy arrays of parameter values.
 Arrays broadcast together into a stack of states of shape ``(..., 4, 4)``,
@@ -21,6 +20,7 @@ each equal, bit for bit, to the state built from its own floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +52,16 @@ CHANNEL_PARAMS = {
     Channel.COLOR: ("x", "q", "r"),
     Channel.WHITE_COLOR: ("x", "p", "q", "r"),
 }
+
+
+def combined_strengths(channel: Channel, p, q):
+    """The combined (p, q) whose state is ``channel``'s at strengths p, q: white
+    is the line q=0, color of strength q the edge p+q=1, where 1-p-q is 0.0."""
+    if channel is Channel.WHITE:
+        return p, 0.0
+    if channel is Channel.COLOR:
+        return q, 1.0 - q
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -118,13 +128,18 @@ def _cos_sin(r):
     return math.cos(r), math.sin(r)
 
 
-def _validate_points(channel: Channel, r_max: float, x, p, q, r) -> None:
+def _validate_points(r_max: float, x, p, q, r) -> None:
     """``ModelParams.validate`` at each point of broadcast float or array values."""
     values = (x, p, q, r)
-    # An exact type test keeps the one-state path cheap.
-    points = np.broadcast(*values) if np.ndarray in map(type, values) else (values,)
-    for point in points:
-        ModelParams(*point, channel=channel).validate(r_max)
+    # An exact type test keeps the one-state path cheap.  Of an array, each
+    # rule is tested at once; then the first failing point (the first point
+    # if none fails) is validated alone.
+    if np.ndarray in map(type, values):
+        ok = (0.0 <= x) & (x <= 1.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)
+        ok = ok & (p + q <= 1.0 + 1e-12) & (0.0 <= r) & (r <= r_max + 1e-12)
+        values = next(itertools.islice(np.broadcast(*values), int(np.argmin(ok)), None))
+    # The p+q rule holds by itself where p or q is 0, as for white and color.
+    ModelParams(*values, channel=Channel.WHITE_COLOR).validate(r_max)
 
 
 def phi_ket(x: float) -> np.ndarray:
@@ -233,7 +248,6 @@ def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
 
 
 def _white_state(x, p, r) -> np.ndarray:
-    # No domain checks: finite-difference stencils probe slightly outside.
     c = white_coeffs(x, p)
     cr, sr = _cos_sin(r)
     c2, s2 = cr * cr, sr ** 2
@@ -251,6 +265,7 @@ def _color_state(x, q, r) -> np.ndarray:
 
 def _whitecolor_state(x, p, q, r) -> np.ndarray:
     # Linear combination of the channel images of the three mixture parts.
+    # No domain checks: finite-difference stencils probe slightly outside.
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
     cr, sr = _cos_sin(r)
@@ -271,7 +286,7 @@ def accelerated_white(x, p, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
     with the matching white-channel parameters.  Array arguments give a
     stack; every point is validated.
     """
-    _validate_points(Channel.WHITE, r_max, x, p, 0.0, r)
+    _validate_points(r_max, x, p, 0.0, r)
     return _white_state(x, p, r)
 
 
@@ -280,32 +295,26 @@ def accelerated_color(x, q, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
 
     Array arguments give a stack; every point is validated.
     """
-    _validate_points(Channel.COLOR, r_max, x, 0.0, q, r)
+    _validate_points(r_max, x, 0.0, q, r)
     return _color_state(x, q, r)
 
 
 def accelerated_whitecolor(x, p, q, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
-    """Accelerated combined white+color state.
+    """Accelerated combined white+color state, the builder behind every engine.
 
     No independent closed form exists for this channel; the state is the
-    channel image of the combined initial mixture.  It reduces entrywise to
-    the white state at q=0, ``accelerated_whitecolor(x, p, 0, r) ==
-    accelerated_white(x, p, r)``, and to the color state on the edge p+q=1,
-    ``accelerated_whitecolor(x, s, 1 - s, r) == accelerated_color(x, s, r)``,
-    where the isotropic component's budget vanishes.  Array arguments give a
-    stack; every point is validated.
+    channel image of the combined initial mixture.  At the strengths
+    ``combined_strengths`` gives, it is the white or the color state.  Array
+    arguments give a stack; every point is validated.
     """
-    _validate_points(Channel.WHITE_COLOR, r_max, x, p, q, r)
+    _validate_points(r_max, x, p, q, r)
     return _whitecolor_state(x, p, q, r)
 
 
 def accelerated_state(params: ModelParams, r_max: float = RINDLER_R_MAX) -> np.ndarray:
-    """Closed accelerated state for whichever channel ``params`` selects."""
-    if params.channel is Channel.WHITE:
-        return accelerated_white(params.x, params.p, params.r, r_max)
-    if params.channel is Channel.COLOR:
-        return accelerated_color(params.x, params.q, params.r, r_max)
-    return accelerated_whitecolor(params.x, params.p, params.q, params.r, r_max)
+    """Accelerated state of ``params``'s channel, built by the combined builder."""
+    p, q = combined_strengths(params.channel, params.p, params.q)
+    return accelerated_whitecolor(params.x, p, q, params.r, r_max)
 
 
 def r_from_acceleration(acceleration: float, omega_c: float) -> float:

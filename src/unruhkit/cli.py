@@ -60,9 +60,12 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args, sweep_argv = parser.parse_known_args(argv)
-    if sweep_argv and args.command != "sweep":
-        parser.error(f"unrecognized arguments: {' '.join(sweep_argv)}")
+    try:
+        args, sweep_argv = parser.parse_known_args(argv)
+        if sweep_argv and args.command != "sweep":
+            parser.error(f"unrecognized arguments: {' '.join(sweep_argv)}")
+    except SystemExit as exc:  # usage errors, --help and --version
+        return exc.code
     try:
         if args.command == "sweep":
             config_text = None

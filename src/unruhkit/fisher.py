@@ -26,7 +26,6 @@ the engines and records residuals.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,10 +37,9 @@ from .channels import (
     RINDLER_R_MAX,
     Channel,
     ModelParams,
-    _color_state,
-    _white_state,
     _whitecolor_state,
     accelerated_state,
+    combined_strengths,
     white_coeffs,
 )
 from .errors import DomainError, FamilyEvalError, SingularPointError
@@ -59,13 +57,6 @@ FORM_TWO_SPECTRAL = "two-spectral"
 FORM_CLOSED = "closed"
 
 _PARAM_INDEX = {"p": 0, "x": 1, "r": 2}
-
-# Unvalidated builders, taking the parameters in CHANNEL_PARAMS order.
-_STATE_BUILDERS = {
-    Channel.WHITE: _white_state,
-    Channel.COLOR: _color_state,
-    Channel.WHITE_COLOR: _whitecolor_state,
-}
 
 
 @dataclass(frozen=True)
@@ -167,11 +158,11 @@ def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
     return partial_trace(accelerated_state(params), keep="second")
 
 
-def _reduced_entries(channel: Channel, x: float, p: float, q: float, r: float) -> np.ndarray:
-    # Polynomial in x (no square root), so stencils may cross x = 0 or 1.
+def _reduced_state(x: float, p: float, q: float, r: float) -> np.ndarray:
+    # top is the combined builder's d00 + d22, where q cancels.  Polynomial in
+    # x (no square root), so stencils may cross x = 0 or 1.
     a = 1.0 - 2.0 * x * x
-    strength = q if channel is Channel.COLOR else p
-    top = (1.0 - a * strength) * math.cos(r) ** 2 / 2.0
+    top = (1.0 - a * p) * math.cos(r) ** 2 / 2.0
     return np.array([[top, 0.0], [0.0, 1.0 - top]], dtype=complex)
 
 
@@ -190,8 +181,8 @@ def state_family(
 ) -> StateFamily:
     """Family theta -> accelerated state with ``param`` freed and the rest fixed.
 
-    The evaluators use the closed-form coefficient expressions without domain
-    checks, so finite-difference stencils may poke slightly past the
+    The family evaluates the combined builder at the mapped strengths, without
+    domain checks, so finite-difference stencils may poke slightly past the
     parameter boundaries.  ``reduced=True`` gives the 2x2 reduction of the
     accelerated qubit instead of the full state.
     """
@@ -199,17 +190,16 @@ def state_family(
     if param not in CHANNEL_PARAMS[channel]:
         raise DomainError(f"parameter {param!r} is not part of the {channel.value} channel")
 
-    base = {"x": x, "p": p, "q": q, "r": r}
-    if reduced:
-        builder, names = functools.partial(_reduced_entries, channel), ("x", "p", "q", "r")
-    else:
-        builder, names = _STATE_BUILDERS[channel], CHANNEL_PARAMS[channel]
-    slot = names.index(param)
-    before = [base[name] for name in names[:slot]]
-    after = [base[name] for name in names[slot + 1 :]]
-
-    def evaluate(theta: float) -> np.ndarray:
-        return builder(*before, theta, *after)
+    build = _reduced_state if reduced else _whitecolor_state
+    cp, cq = combined_strengths(channel, p, q)
+    evaluate = {
+        "x": lambda t: build(t, cp, cq, r),
+        "p": lambda t: build(x, t, cq, r),
+        "q": lambda t: build(x, cp, t, r),
+        "r": lambda t: build(x, cp, cq, t),
+    }[param]
+    if channel is Channel.COLOR and param == "q":  # a color q moves both: (q, 1 - q)
+        evaluate = lambda t: build(x, t, 1.0 - t, r)
 
     label = f"{channel.value}:{param}" + (":reduced" if reduced else "")
     return StateFamily(evaluate=evaluate, param=param, dim=2 if reduced else 4, label=label)

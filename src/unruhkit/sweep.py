@@ -23,9 +23,8 @@ from .channels import (
     RINDLER_R_MAX,
     Channel,
     ModelParams,
-    accelerated_color,
-    accelerated_white,
     accelerated_whitecolor,
+    combined_strengths,
 )
 from .entanglement import concurrence, concurrence_closed
 from .errors import (
@@ -424,11 +423,8 @@ def _series_label(spec: SweepSpec, combo: dict[str, float]) -> str:
 
 def _states(spec: SweepSpec, point: dict):
     """The accelerated state at ``point``; array values give a stack of states."""
-    if spec.channel is Channel.WHITE:
-        return accelerated_white(point["x"], point["p"], point["r"], r_max=spec.r_limit)
-    if spec.channel is Channel.COLOR:
-        return accelerated_color(point["x"], point["q"], point["r"], r_max=spec.r_limit)
-    return accelerated_whitecolor(point["x"], point["p"], point["q"], point["r"], r_max=spec.r_limit)
+    p, q = combined_strengths(spec.channel, point.get("p", 0.0), point.get("q", 0.0))
+    return accelerated_whitecolor(point["x"], p, q, point["r"], r_max=spec.r_limit)
 
 
 def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> float:

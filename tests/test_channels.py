@@ -166,6 +166,16 @@ class TestAcceleratedStates:
                     )
                     assert np.abs(closed - image).max() < 1e-12
 
+    def test_whitecolor_matches_channel_route(self):
+        for x in np.linspace(0, 1, 7):
+            for p in np.linspace(0, 1, 7):
+                for q in np.linspace(0, 1 - p, 5):
+                    for r in np.linspace(0, RINDLER_R_MAX, 5):
+                        closed = accelerated_whitecolor(x, p, q, r)
+                        params = ModelParams(x=x, p=p, q=q, channel=Channel.WHITE_COLOR)
+                        image = unruh_second_qubit(initial_state(params), r)
+                        assert np.abs(closed - image).max() < 1e-12
+
     def test_white_noiseless_unaccelerated_singlet(self):
         x = 1.0 / math.sqrt(2.0)
         ket = phi_ket(x)
@@ -271,6 +281,8 @@ class TestStackedStates:
             accelerated_whitecolor(0.5, np.array([0.2, 0.7]), 0.4, 0.1)
         with pytest.raises(DomainError):
             accelerated_color(0.5, 0.2, np.array([0.0, 0.8]))
+        with pytest.raises(DomainError, match="p=nan"):
+            accelerated_white(0.5, np.array([0.2, np.nan]), 0.1)
         assert accelerated_color(0.5, 0.2, np.array([0.0, 0.8]), r_max=0.8).shape == (2, 4, 4)
 
 

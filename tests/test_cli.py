@@ -96,9 +96,7 @@ class TestSweepCommand:
         assert "unknown flag --meth" in capsys.readouterr().err
 
     def test_help_names_every_sweep_flag(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--help"])
-        assert exit_info.value.code == 0
+        assert main(["sweep", "--help"]) == 0
         text = capsys.readouterr().out
         for name in _FLAG_GRAMMAR:
             assert f"--{name} " in text
@@ -110,9 +108,7 @@ class TestFigureCommand:
         assert "valid names" in capsys.readouterr().err
 
     def test_sweep_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["figure", "fig1a", "--channel", "white"])
-        assert exit_info.value.code == 1
+        assert main(["figure", "fig1a", "--channel", "white"]) == 1
         assert "unrecognized arguments: --channel white" in capsys.readouterr().err
 
     def test_unwritable_destination_is_io_error(self, capsys):

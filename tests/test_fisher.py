@@ -10,8 +10,12 @@ from unruhkit import (
     RINDLER_R_MAX,
     SingularPointError,
     StateFamily,
+    accelerated_color,
     accelerated_state,
+    accelerated_white,
+    accelerated_whitecolor,
     bloch_vector,
+    figure_preset,
     kappa_mu_terms,
     partial_trace,
     qfi_single_bloch,
@@ -20,9 +24,11 @@ from unruhkit import (
     qfi_two_qubit_spectral_retry,
     qfi_two_white_closed,
     reduced_accelerated_qubit,
+    run_sweep,
     state_family,
     white_coeffs,
 )
+from unruhkit.channels import CHANNEL_PARAMS
 from unruhkit.fisher import _kappa_bundle, _mu_bundle
 from oracles import central_difference
 
@@ -91,6 +97,42 @@ class TestReducedQubit:
                         params = ModelParams(x=x, r=r, channel=channel, **kwargs)
                         direct = partial_trace(accelerated_state(params), keep="second")
                         assert np.abs(family.evaluate(x) - direct).max() < 1e-12
+
+
+class TestStateFamily:
+    PRINTED = {
+        Channel.WHITE: lambda x, p, q, r: accelerated_white(x, p, r),
+        Channel.COLOR: lambda x, p, q, r: accelerated_color(x, q, r),
+        Channel.WHITE_COLOR: accelerated_whitecolor,
+    }
+
+    def test_families_equal_printed_states(self):
+        # Every family runs the combined builder; the printed white and color
+        # states agree with it to round-off.  A color q moves both combined
+        # strengths.
+        for channel, printed in self.PRINTED.items():
+            for x in (0.0, 0.3, 0.8, 1.0):
+                for s in (0.0, 0.25, 0.6, 1.0):
+                    for r in (0.0, 0.5, RINDLER_R_MAX):
+                        point = {"x": x, "p": s, "q": (1 - s) / 2, "r": r}
+                        if channel is Channel.COLOR:
+                            point["q"] = s
+                        want = printed(**point)
+                        for param in CHANNEL_PARAMS[channel]:
+                            others = {k: v for k, v in point.items() if k != param}
+                            family = state_family(channel, param, **others)
+                            got = family.evaluate(point[param])
+                            assert np.abs(got - want).max() < 1e-15
+
+    def test_reduced_family_steps_past_x_one(self):
+        # The reduced family is polynomial in x, so the stencil at x=1 reaches
+        # x=1+h and the fig9a cells there stay filled.
+        family = state_family(Channel.WHITE, "x", p=0.2, r=0.0, reduced=True)
+        assert math.isfinite(qfi_single_bloch(family, 1.0).value)
+        table = run_sweep(figure_preset("fig9a"))
+        edge = [row for row in table.rows if row[0] == 1.0]
+        assert len(edge) == 1 and len(edge[0]) == 7
+        assert None not in edge[0]
 
 
 class TestSingleQubitEngine:
