@@ -13,9 +13,11 @@ Every engine builds its states with the combined white+color closed form at
 the strengths ``combined_strengths`` gives; the hand-simplified white and
 color states are hypotheses, checked against it and the channel route.
 
-The closed-form builders take floats or numpy arrays of parameter values.
+The closed-form builders and the channel route (``initial_state``,
+``unruh_second_qubit``) take floats or numpy arrays of parameter values.
 Arrays broadcast together into a stack of states of shape ``(..., 4, 4)``,
-each equal, bit for bit, to the state built from its own floats.
+each equal, bit for bit, to the state built from its own floats, and every
+point of an array is validated with the message its float would raise.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .qlinalg import HERMITICITY_TOL, hermitian_defect
+from .qlinalg import HERMITICITY_TOL, as_stack, hermitian_defect
 
 # Physical upper bound of the acceleration parameter (infinite acceleration).
 RINDLER_R_MAX = math.pi / 4
@@ -128,27 +130,32 @@ def _cos_sin(r):
     return math.cos(r), math.sin(r)
 
 
-def _validate_points(r_max: float, x, p, q, r) -> None:
-    """``ModelParams.validate`` at each point of broadcast float or array values."""
+def _validate_points(r_max: float, x, p, q, r, channel: Channel = Channel.WHITE_COLOR) -> None:
+    """``ModelParams.validate`` of ``channel`` at each point of broadcast float
+    or array values."""
     values = (x, p, q, r)
     # An exact type test keeps the one-state path cheap.  Of an array, each
     # rule is tested at once; then the first failing point (the first point
     # if none fails) is validated alone.
     if np.ndarray in map(type, values):
         ok = (0.0 <= x) & (x <= 1.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)
-        ok = ok & (p + q <= 1.0 + 1e-12) & (0.0 <= r) & (r <= r_max + 1e-12)
+        ok = ok & (0.0 <= r) & (r <= r_max + 1e-12)
+        if channel is Channel.WHITE_COLOR:
+            ok = ok & (p + q <= 1.0 + 1e-12)
         values = next(itertools.islice(np.broadcast(*values), int(np.argmin(ok)), None))
-    # The p+q rule holds by itself where p or q is 0, as for white and color.
-    ModelParams(*values, channel=Channel.WHITE_COLOR).validate(r_max)
+    ModelParams(*values, channel=channel).validate(r_max)
 
 
-def phi_ket(x: float) -> np.ndarray:
-    """The initial ket sqrt(1-x^2)|01> + x|10> as a length-4 amplitude vector."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x={x} outside [0, 1]")
-    v = np.zeros(4, dtype=complex)
-    v[KET_01] = math.sqrt(1.0 - x * x)
-    v[KET_10] = x
+def phi_ket(x) -> np.ndarray:
+    """The initial ket sqrt(1-x^2)|01> + x|10> as a length-4 amplitude vector.
+
+    An array of x gives a ``(..., 4)`` stack of kets.
+    """
+    _validate_points(RINDLER_R_MAX, x, 0.0, 0.0, 0.0)
+    x = np.asarray(x, dtype=float)
+    v = np.zeros(x.shape + (4,), dtype=complex)
+    v[..., KET_01] = np.sqrt(1.0 - x * x)
+    v[..., KET_10] = x
     return v
 
 
@@ -160,45 +167,48 @@ def initial_state(params: ModelParams) -> np.ndarray:
     the color branch that is a valid density operator).  The combined channel
     spends strength p on white noise, q on color noise, and leaves the
     remaining 1-p-q as the entangled projector's complement budget:
-    ``p*P_phi + (q/2)(|01><01| + |10><10|) + ((1-p-q)/4) I``.
+    ``p*P_phi + (q/2)(|01><01| + |10><10|) + ((1-p-q)/4) I``.  White is its
+    q=0 line and color its p+q=1 edge (``combined_strengths``).
+
+    Array-valued fields broadcast into a ``(..., 4, 4)`` stack.
     """
-    params.validate()
+    _validate_points(RINDLER_R_MAX, params.x, params.p, params.q, params.r, params.channel)
     ket = phi_ket(params.x)
-    proj = np.outer(ket, ket.conj())
-    flip_mix = np.zeros((4, 4), dtype=complex)
-    flip_mix[KET_01, KET_01] = flip_mix[KET_10, KET_10] = 0.5
-    eye4 = np.eye(4, dtype=complex)
-    if params.channel is Channel.WHITE:
-        return params.p * proj + (1.0 - params.p) / 4.0 * eye4
-    if params.channel is Channel.COLOR:
-        return params.q * proj + (1.0 - params.q) * flip_mix
-    return (
-        params.p * proj
-        + params.q * flip_mix
-        + (1.0 - params.p - params.q) / 4.0 * eye4
+    proj = ket[..., :, None] * ket.conj()[..., None, :]
+    p, q = (
+        np.asarray(v, dtype=float)[..., None, None]
+        for v in combined_strengths(params.channel, params.p, params.q)
     )
+    flip_mix = np.diag([0.0, 0.5, 0.5, 0.0])
+    return p * proj + q * flip_mix + (1.0 - p - q) / 4.0 * np.eye(4)
 
 
-def unruh_second_qubit(rho: np.ndarray, r: float, r_max: float = RINDLER_R_MAX) -> np.ndarray:
+def unruh_second_qubit(rho: np.ndarray, r, r_max: float = RINDLER_R_MAX) -> np.ndarray:
     """Accelerate the second qubit and trace out the hidden Rindler wedge.
 
     Acting on the second qubit only: |0> -> cos r |0>|0_II> + sin r |1>|1_II>,
     |1> -> |1>|0_II>; discarding the wedge modes leaves the Kraus pair
     K0 = diag(cos r, 1), K1 = sin r |1><0|.  The map is linear, trace
     preserving and completely positive.
+
+    ``rho`` may be a ``(..., 4, 4)`` stack and ``r`` an array that broadcasts
+    against its leading axes.  The Kraus pair acts entrywise: K0 rho K0^dagger
+    scales entry (i, j) by k_i k_j with k = (cos r, 1, cos r, 1), and
+    K1 rho K1^dagger moves sin^2 r times the second-qubit |0><0| block into
+    the |1><1| block.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError(f"rho must be 4x4, got {rho.shape}")
+    rho = as_stack(rho, "rho")
     if hermitian_defect(rho) > HERMITICITY_TOL:
         raise DomainError("rho is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max() > 1e-9:
         raise DomainError("rho does not have unit trace")
-    if not 0.0 <= r <= r_max + 1e-12:
-        raise DomainError(f"r={r} outside [0, {r_max}]")
-    k0 = np.kron(np.eye(2), np.diag([math.cos(r), 1.0])).astype(complex)
-    k1 = np.kron(np.eye(2), np.array([[0.0, 0.0], [math.sin(r), 0.0]])).astype(complex)
-    return k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
+    _validate_points(r_max, 0.0, 0.0, 0.0, r)
+    c, s = np.cos(r), np.sin(r)
+    k = np.stack(np.broadcast_arrays(c, 1.0, c, 1.0), axis=-1)
+    out = k[..., :, None] * rho * k[..., None, :]
+    s = np.asarray(s)[..., None, None]
+    out[..., 1::2, 1::2] += s * rho[..., ::2, ::2] * s
+    return out
 
 
 def white_coeffs(x, p) -> WhiteCoeffs:
@@ -237,20 +247,22 @@ def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
     shape = getattr(d00 + d11 + d22 + d33 + coherence, "shape", ())
     # Matrix axes lead while filling, so a single state is written through
     # numpy's fast integer indexing; literal indices spare the KET_* lookups
-    # on this hot path (|00>, |01>, |10>, |11> are 0, 1, 2, 3).
+    # on this hot path (|00>, |01>, |10>, |11> are 0, 1, 2, 3).  A stack is
+    # then laid out matrix by matrix, so a reduction over one matrix (a trace)
+    # adds in the order it does for that matrix alone.
     m = np.zeros((4, 4) + shape, dtype=complex)
     m[0, 0] = d00
     m[1, 1] = d11
     m[2, 2] = d22
     m[3, 3] = d33
     m[1, 2] = m[2, 1] = coherence
-    return np.moveaxis(m, (0, 1), (-2, -1)) if shape else m
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1))) if shape else m
 
 
 def _white_state(x, p, r) -> np.ndarray:
     c = white_coeffs(x, p)
     cr, sr = _cos_sin(r)
-    c2, s2 = cr * cr, sr ** 2
+    c2, s2 = cr * cr, sr * sr
     return _x_state(
         c.gamma * c2, c.alpha + c.gamma * s2, c.beta * c2, c.beta * s2 + c.gamma, c.epsilon * cr
     )
@@ -259,7 +271,7 @@ def _white_state(x, p, r) -> np.ndarray:
 def _color_state(x, q, r) -> np.ndarray:
     c = color_coeffs(x, q)
     cr, sr = _cos_sin(r)
-    c2, s2 = cr * cr, sr ** 2
+    c2, s2 = cr * cr, sr * sr
     return _x_state(0.0, c.alpha_c, c.beta_c * c2, c.beta_c * s2, c.epsilon_c * cr)
 
 
@@ -269,7 +281,7 @@ def _whitecolor_state(x, p, q, r) -> np.ndarray:
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
     cr, sr = _cos_sin(r)
-    c2, s2 = cr * cr, sr ** 2
+    c2, s2 = cr * cr, sr * sr
     return _x_state(
         g * c2,
         p * (1.0 - x * x) + q / 2.0 + g * (1.0 + s2),

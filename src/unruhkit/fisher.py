@@ -17,6 +17,14 @@ eigenvector is differenced and no eigenvector gauge has to be fixed
 (Braunstein & Caves, PRL 72, 3439 (1994); Liu et al., J. Phys. A 53, 023001
 (2020)).
 
+Both engines take a float or an array of parameter values.  An array theta
+evaluates the family once per stencil point, as one ``shape(theta) +
+(dim, dim)`` stack, and gives arrays of the same shape; the SLD engine runs
+one batched ``eigh`` over the center stack.  A float theta runs the same code
+and gives floats, so each entry of an array result equals, bit for bit, the
+value of its own float.  ``state_family`` accepts array-valued fixed
+parameters, which broadcast against theta.
+
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
 are implemented with their primes read as partial derivatives with respect
@@ -43,7 +51,7 @@ from .channels import (
     white_coeffs,
 )
 from .errors import DomainError, FamilyEvalError, SingularPointError
-from .qlinalg import partial_trace
+from .qlinalg import dagger, partial_trace
 
 # Default finite-difference step, in the parameter's natural units.
 FD_STEP = 1e-5
@@ -57,6 +65,7 @@ FORM_TWO_SPECTRAL = "two-spectral"
 FORM_CLOSED = "closed"
 
 _PARAM_INDEX = {"p": 0, "x": 1, "r": 2}
+_EYE4 = np.eye(4, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,8 @@ class StateFamily:
 
     ``evaluate`` must be side-effect free and twice differentiable on the
     probed interval; ``param`` names the estimated parameter (p, q, x or r).
+    The engines call it with a float or an array of theta values and expect
+    a matrix of shape ``shape(theta) + (dim, dim)``.
     """
 
     evaluate: Callable[[float], np.ndarray]
@@ -103,16 +114,35 @@ class StateFamily:
     label: str = ""
 
 
-def _family_matrix(family: StateFamily, theta: float) -> np.ndarray:
-    try:
-        m = np.asarray(family.evaluate(theta), dtype=complex)
-    except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
-        raise FamilyEvalError(f"family {family.label or family.param} failed at {theta}: {exc}") from exc
-    if m.shape != (family.dim, family.dim) or not np.isfinite(m).all():
-        raise FamilyEvalError(
-            f"family {family.label or family.param} returned an unusable matrix at {theta}"
-        )
-    return m
+def _family_stencil(family: StateFamily, theta, h: float) -> np.ndarray:
+    """The family at theta - h, theta and theta + h, stacked on a new first axis.
+
+    A stencil past the domain (x > 1 under a square root) gives NaN in an
+    array and raises for a float; both become ``FamilyEvalError``.
+    """
+    if h <= 0.0:
+        raise DomainError("h must be positive")
+    shape = np.shape(theta) + (family.dim, family.dim)
+    name = family.label or family.param
+    matrices = []
+    with np.errstate(invalid="ignore"):
+        for t in (theta - h, theta, theta + h):
+            try:
+                m = np.asarray(family.evaluate(t), dtype=complex)
+            except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
+                raise FamilyEvalError(f"family {name} failed at {t}: {exc}") from exc
+            if m.shape != shape:
+                raise FamilyEvalError(f"family {name} returned shape {m.shape} at {t}, not {shape}")
+            matrices.append(m)
+    stencil = np.stack(matrices)
+    if not np.isfinite(stencil).all():
+        raise FamilyEvalError(f"family {name} returned a non-finite matrix near {theta}")
+    return stencil
+
+
+def _as_theta_result(value, theta):
+    """A float for a float theta, else the array."""
+    return float(value) if np.ndim(theta) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -120,33 +150,33 @@ def _family_matrix(family: StateFamily, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector s with rho = (I + s . sigma)/2 for a single-qubit state."""
+    """Bloch vector s with rho = (I + s . sigma)/2 for a single-qubit state.
+
+    A ``(..., 2, 2)`` stack gives a ``(..., 3)`` stack of vectors.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise DomainError(f"rho must be 2x2, got {rho.shape}")
-    return np.array(
-        [
-            2.0 * rho[0, 1].real,
-            -2.0 * rho[0, 1].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
+    s = np.empty(rho.shape[:-2] + (3,))
+    s[..., 0] = 2.0 * rho[..., 0, 1].real
+    s[..., 1] = -2.0 * rho[..., 0, 1].imag
+    s[..., 2] = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return s
 
 
-def qfi_single_bloch(family: StateFamily, theta: float, h: float = FD_STEP) -> QfiValue:
-    """Single-qubit QFI of a 2x2 family at ``theta`` via central differences."""
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    s_minus = bloch_vector(_family_matrix(family, theta - h))
-    s_center = bloch_vector(_family_matrix(family, theta))
-    s_plus = bloch_vector(_family_matrix(family, theta + h))
+def qfi_single_bloch(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
+    """Single-qubit QFI of a 2x2 family at ``theta`` via central differences.
+
+    An array ``theta`` gives an array ``value`` of its shape.
+    """
+    s_minus, s_center, s_plus = bloch_vector(_family_stencil(family, theta, h))
     ds = (s_plus - s_minus) / (2.0 * h)
-    norm = float(np.linalg.norm(s_center))
-    if norm >= 1.0 - PURE_MARGIN:
-        value = float(ds @ ds)
-    else:
-        value = float((s_center @ ds) ** 2 / (1.0 - norm * norm) + ds @ ds)
-    return QfiValue(value=max(0.0, value), form=FORM_SINGLE_BLOCH)
+    ds_sq = (ds * ds).sum(axis=-1)
+    norm_sq = (s_center * s_center).sum(axis=-1)
+    pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
+    mixed = (s_center * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
+    value = np.maximum(0.0, np.where(pure, ds_sq, mixed))
+    return QfiValue(value=_as_theta_result(value, theta), form=FORM_SINGLE_BLOCH)
 
 
 def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
@@ -158,12 +188,16 @@ def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
     return partial_trace(accelerated_state(params), keep="second")
 
 
-def _reduced_state(x: float, p: float, q: float, r: float) -> np.ndarray:
+def _reduced_state(x, p, q, r) -> np.ndarray:
     # top is the combined builder's d00 + d22, where q cancels.  Polynomial in
     # x (no square root), so stencils may cross x = 0 or 1.
     a = 1.0 - 2.0 * x * x
-    top = (1.0 - a * p) * math.cos(r) ** 2 / 2.0
-    return np.array([[top, 0.0], [0.0, 1.0 - top]], dtype=complex)
+    cr = np.cos(r)
+    top = (1.0 - a * p) * (cr * cr) / 2.0
+    m = np.zeros(np.shape(top) + (2, 2), dtype=complex)
+    m[..., 0, 0] = top
+    m[..., 1, 1] = 1.0 - top
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +218,9 @@ def state_family(
     The family evaluates the combined builder at the mapped strengths, without
     domain checks, so finite-difference stencils may poke slightly past the
     parameter boundaries.  ``reduced=True`` gives the 2x2 reduction of the
-    accelerated qubit instead of the full state.
+    accelerated qubit instead of the full state.  Fixed parameters may be
+    arrays; they broadcast against theta, so the engines need a theta of the
+    broadcast shape.
     """
     channel = Channel(channel)
     if param not in CHANNEL_PARAMS[channel]:
@@ -247,7 +283,12 @@ def qfi_single_white_closed(
 # Two-qubit spectral engine
 # ---------------------------------------------------------------------------
 
-def qfi_two_qubit_spectral(family: StateFamily, theta: float, h: float = FD_STEP) -> QfiValue:
+def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over the last two axes where ``mask`` holds."""
+    return np.where(mask, values, 0.0).sum(axis=(-2, -1))
+
+
+def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
     """SLD-form QFI of a 4x4 family at ``theta`` via a central difference.
 
     With rho = sum_i l_i |V_i><V_i| at ``theta`` and D = V^dagger (drho) V,
@@ -257,45 +298,45 @@ def qfi_two_qubit_spectral(family: StateFamily, theta: float, h: float = FD_STEP
     form, with <V_i|dV_j> = D_ij/(l_j - l_i); an exactly tied pair, whose
     eigenvectors are not defined, puts its whole share 4|D_ij|^2/(l_i + l_j)
     into the quantum term, so value = classical + quantum - pairs throughout.
-    """
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    stack = np.stack(
-        [
-            _family_matrix(family, theta - h),
-            _family_matrix(family, theta),
-            _family_matrix(family, theta + h),
-        ]
-    )
-    stack = (stack + np.conj(np.transpose(stack, (0, 2, 1)))) / 2.0
-    lam, vc = np.linalg.eigh(stack[1])
-    d_rho = (stack[2] - stack[0]) / (2.0 * h)
-    weight = np.abs(vc.conj().T @ d_rho @ vc) ** 2
 
-    lam_i, lam_j = lam[:, None], lam[None, :]
+    An array ``theta`` gives arrays of its shape for the value and for each
+    term of the decomposition.
+    """
+    stencil = _family_stencil(family, theta, h)
+    minus, center, plus = (stencil + dagger(stencil)) / 2.0
+    lam, vc = np.linalg.eigh(center)
+    d_rho = (plus - minus) / (2.0 * h)
+    weight = np.abs(dagger(vc) @ d_rho @ vc) ** 2
+
+    lam_i, lam_j = lam[..., :, None], lam[..., None, :]
     pair_sum = lam_i + lam_j
     keep = pair_sum >= EIG_FLOOR
-    value = float(2.0 * np.sum(weight[keep] / pair_sum[keep]))
+    # Divisors are swapped for 1 outside their masks, so nothing divides by 0.
+    kept_sum = np.where(keep, pair_sum, 1.0)
+    value = 2.0 * _masked_sum(keep, weight / kept_sum)
 
-    classical = np.diag(keep)
-    term_classical = float(np.sum(np.diag(weight)[classical] / lam[classical]))
+    # The diagonal of ``keep``: l_i + l_i >= EIG_FLOOR.
+    classical = _EYE4 & (lam_i >= EIG_FLOOR / 2.0)
+    term_classical = _masked_sum(classical, weight / np.where(classical, lam_i, 1.0))
     gap_sq = (lam_i - lam_j) ** 2
-    off_diagonal = keep & ~np.eye(len(lam), dtype=bool)
+    off_diagonal = keep & ~_EYE4
     tied = off_diagonal & (gap_sq == 0.0)
     split = off_diagonal & ~tied
-    mixing = weight[split] / gap_sq[split]  # |<V_i|dV_j>|^2
-    term_quantum = float(
-        2.0 * np.sum(pair_sum[split] * mixing) + 2.0 * np.sum(weight[tied] / pair_sum[tied])
+    mixing = weight / np.where(split, gap_sq, 1.0)  # |<V_i|dV_j>|^2 where split
+    term_quantum = 2.0 * _masked_sum(split, pair_sum * mixing) + 2.0 * _masked_sum(
+        tied, weight / kept_sum
     )
-    term_pairs = float(8.0 * np.sum((lam_i * lam_j)[split] / pair_sum[split] * mixing))
+    term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
     return QfiValue(
-        value=value,
+        value=_as_theta_result(value, theta),
         form=FORM_TWO_SPECTRAL,
-        decomposition=(term_classical, term_quantum, term_pairs),
+        decomposition=tuple(
+            _as_theta_result(term, theta) for term in (term_classical, term_quantum, term_pairs)
+        ),
     )
 
 
-def qfi_two_qubit_spectral_retry(family: StateFamily, theta: float, h: float = FD_STEP) -> QfiValue:
+def qfi_two_qubit_spectral_retry(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
     """Same as ``qfi_two_qubit_spectral``; the SLD form needs no retries.
 
     Kept under this name because the benchmark's tracer looks it up in
@@ -401,13 +442,15 @@ def kappa_mu_terms(x: float, p: float, r: float, require_mu: bool = True) -> Kap
     )
 
 
-def _mu_bundle(x: float, p: float, r: float):
+def _mu_bundle(x: float, p: float, r: float, bundle: Optional[dict] = None):
     """mu1, mu2 and their gradients d/d(p, x, r); singular where the block
-    coherence vanishes."""
+    coherence vanishes.  ``bundle`` is ``_kappa_bundle(x, p, r)``, if the
+    caller has it already."""
     epsilon = white_coeffs(x, p).epsilon
     if epsilon == 0.0:
         raise SingularPointError(f"coherence coefficient vanishes at x={x}, p={p}")
-    bundle = _kappa_bundle(x, p, r)
+    if bundle is None:
+        bundle = _kappa_bundle(x, p, r)
     kappa2, d_kappa2 = bundle["kappa2"]
     kappa3, d_kappa3 = bundle["kappa3"]
     if d_kappa2 is None:
@@ -449,7 +492,7 @@ def qfi_two_white_closed(
     bundle = _kappa_bundle(x, p, r)
     kappa1, d_kappa1 = bundle["kappa1"]
     kappa2, d_kappa2 = bundle["kappa2"]
-    mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r)
+    mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r, bundle)
 
     gamma, beta = coeffs.gamma, coeffs.beta
     d_gamma = np.array([-0.25, 0.0, 0.0])

@@ -427,7 +427,9 @@ def _states(spec: SweepSpec, point: dict):
     return accelerated_whitecolor(point["x"], p, q, point["r"], r_max=spec.r_limit)
 
 
-def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> float:
+def _evaluate_cell(spec: SweepSpec, point: dict, variant: str):
+    """One cell's value; a numeric variant also takes an array for the varied
+    parameter and then gives the array of its cells."""
     params = ModelParams(
         x=point.get("x", 0.0),
         p=point.get("p", 0.0),
@@ -441,9 +443,10 @@ def _evaluate_cell(spec: SweepSpec, point: dict[str, float], variant: str) -> fl
         return concurrence_closed(params, r_max=spec.r_limit)
 
     estimated = spec.quantity.estimated_param
-    theta = point[estimated]
-    others = {k: v for k, v in point.items() if k != estimated}
     if variant == "numeric":
+        # The engines need theta in the shape of the column.
+        theta = np.broadcast_to(point[estimated], np.shape(point[spec.vary]))
+        others = {k: v for k, v in point.items() if k != estimated}
         if spec.qfi_form is QfiForm.SINGLE:
             family = state_family(spec.channel, estimated, reduced=True, **others)
             return qfi_single_bloch(family, theta).value
@@ -465,16 +468,16 @@ def _evaluate_column(
 ) -> list[Optional[float]]:
     """One output column over the grid ``values``; empty cells come back as None.
 
-    Numeric concurrence is computed for the whole column from one stack of
-    states.  Any other column, and a stacked column that raises a cell error,
-    is evaluated cell by cell, so each empty cell is counted under its own
-    reason in ``warnings``.
+    A numeric column, concurrence or QFI, is computed in one engine call over
+    the whole column.  A closed-form column, and a numeric column that raises
+    a cell error, is evaluated cell by cell, so each empty cell is counted
+    under its own reason in ``warnings``.
     """
-    if spec.quantity is Quantity.CONCURRENCE and variant == "numeric":
+    if variant == "numeric":
         point = dict(combo)
         point[spec.vary] = np.array(values)
         try:
-            return concurrence(_states(spec, point)).tolist()
+            return _evaluate_cell(spec, point, variant).tolist()
         except _CELL_ERRORS:
             pass
     column: list[Optional[float]] = []

@@ -2,13 +2,23 @@
 
 Each check scans a parameter grid and records the worst residual.  Checks
 marked ``ledgered`` document known defects of the published closed forms
-(a wrong printed coefficient, an ambiguous weighting convention, and the
-spectral building blocks whose primes/eigenvalue labels had to be
-interpreted); their residuals are reported but they never fail the run.
+(the printed white-noise surd coefficient, and the combined-channel form as
+printed, where the cos(r)-weighted reading is the one that holds); their
+residuals are reported but they never fail the run.  Every other check,
+including the interpreted readings that pass with margin, gates the run.
+
+Each check loops over x and evaluates the rest of its grid, an (s, r) plane
+or the (p, q, r) block with p+q <= 1, as one array: one stack of states, one
+concurrence call, one engine call per estimated parameter.  Slicing by x
+keeps the arrays, and the memory they take, at the size of one plane.  The
+long-double concurrence forms and the closed QFI forms are scalar and are
+called per cell.  Singular loci are masks; the worst point is the first
+maximum in the loop order x, then the slice's axes, then the parameter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,7 +49,7 @@ from .fisher import (
     qfi_two_white_closed,
     state_family,
 )
-from .qlinalg import hermitian_defect
+from .qlinalg import dagger
 
 # Margin around singular loci (vanishing coherence, pure reductions) that the
 # QFI grids skip; gaps are reported, never interpolated.
@@ -102,16 +112,27 @@ class _Tracker:
 
     It starts at -inf, so the first point sets it: a check reports its worst
     point and its signed worst value even when no residual is positive.
+    ``update`` takes one residual or an array of them, with each coordinate
+    as a float or an array broadcasting to the residuals' shape.  Of tied
+    maxima the first in C order wins, as in a loop; a NaN residual wins
+    outright, so the check fails where it cannot vouch.
     """
 
     def __init__(self) -> None:
         self.max = -math.inf
         self.point: Optional[tuple[float, ...]] = None
 
-    def update(self, residual: float, point: tuple[float, ...]) -> None:
-        if residual > self.max:
-            self.max = residual
-            self.point = point
+    def update(self, residuals, *coords) -> None:
+        residuals = np.asarray(residuals, dtype=float)
+        if residuals.size == 0 or math.isnan(self.max):
+            return
+        i = int(np.argmax(residuals))
+        worst = float(residuals.flat[i])
+        if worst > self.max or math.isnan(worst):
+            self.max = worst
+            self.point = tuple(
+                float(np.broadcast_to(c, residuals.shape).flat[i]) for c in coords
+            )
 
 
 def _grid(n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -122,8 +143,41 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[1:-1] if len(values) > 2 else values
 
 
+def _plane(strengths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (strength, r) plane of one x slice, strength on the first axis."""
+    return np.meshgrid(strengths, _grid(n, 0.0, RINDLER_R_MAX), indexing="ij")
+
+
+def _whitecolor_block(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (p, q, r) points of an m^3 grid with p+q <= 1, flat, in loop order."""
+    p, q, r = np.meshgrid(_grid(m), _grid(m), _grid(m, 0.0, RINDLER_R_MAX), indexing="ij")
+    inside = p + q <= 1.0
+    return p[inside], q[inside], r[inside]
+
+
+def _per_cell(form, *args) -> np.ndarray:
+    """``form`` called at each point of broadcast arguments, as an array."""
+    arrays = np.broadcast_arrays(*args)
+    values = [form(*point) for point in zip(*(a.flat for a in arrays))]
+    return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+
+def _closed_qfi(form, param: str, *point) -> float:
+    """A closed QFI form's value at one point; NaN where it is singular."""
+    try:
+        return form(param, *point).value
+    except SingularPointError:
+        return math.nan
+
+
+def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entrywise |a - b| of each matrix of two stacks."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
 def _check_channel_consistency(report: VerificationReport) -> None:
     n = report.grid_n
+    s, r = _plane(_grid(n), n)
     grids = {
         "white": (accelerated_white, Channel.WHITE),
         "color": (accelerated_color, Channel.COLOR),
@@ -132,24 +186,24 @@ def _check_channel_consistency(report: VerificationReport) -> None:
         tracker = _Tracker()
         validity = _Tracker()
         for x in _grid(n):
-            for s in _grid(n):
-                for r in _grid(n, 0.0, RINDLER_R_MAX):
-                    params = ModelParams(
-                        x=x,
-                        p=s if channel is Channel.WHITE else 0.0,
-                        q=s if channel is Channel.COLOR else 0.0,
-                        r=r,
-                        channel=channel,
-                    )
-                    direct = closed(x, s, r)
-                    image = unruh_second_qubit(initial_state(params), r)
-                    tracker.update(float(np.abs(direct - image).max()), (x, s, r))
-                    bad = max(
-                        hermitian_defect(direct),
-                        abs(float(np.trace(direct).real) - 1.0),
-                        max(0.0, -float(np.linalg.eigvalsh(direct).min())),
-                    )
-                    validity.update(bad, (x, s, r))
+            params = ModelParams(
+                x=x,
+                p=s if channel is Channel.WHITE else 0.0,
+                q=s if channel is Channel.COLOR else 0.0,
+                r=r,
+                channel=channel,
+            )
+            direct = closed(x, s, r)
+            image = unruh_second_qubit(initial_state(params), r)
+            tracker.update(_entry_gap(direct, image), x, s, r)
+            bad = np.maximum(
+                np.maximum(
+                    _entry_gap(direct, dagger(direct)),
+                    np.abs(np.trace(direct, axis1=-2, axis2=-1).real - 1.0),
+                ),
+                np.maximum(0.0, -np.linalg.eigvalsh(direct).min(axis=-1)),
+            )
+            validity.update(bad, x, s, r)
         report.checks.append(
             CheckRecord(
                 name=f"{label}-closed-state-vs-channel",
@@ -181,16 +235,11 @@ def _check_channel_consistency(report: VerificationReport) -> None:
     # combined state loses its isotropic component there).
     tracker = _Tracker()
     for x in _grid(n):
-        for s in _grid(n):
-            for r in _grid(n, 0.0, RINDLER_R_MAX):
-                tracker.update(
-                    float(np.abs(accelerated_whitecolor(x, s, 0.0, r) - accelerated_white(x, s, r)).max()),
-                    (x, s, r),
-                )
-                tracker.update(
-                    float(np.abs(accelerated_whitecolor(x, s, 1.0 - s, r) - accelerated_color(x, s, r)).max()),
-                    (x, s, r),
-                )
+        white = accelerated_white(x, s, r)
+        color = accelerated_color(x, s, r)
+        white_edge = _entry_gap(accelerated_whitecolor(x, s, 0.0, r), white)
+        color_edge = _entry_gap(accelerated_whitecolor(x, s, 1.0 - s, r), color)
+        tracker.update(np.stack([white_edge, color_edge], axis=-1), x, s[..., None], r[..., None])
     report.checks.append(
         CheckRecord(
             name="whitecolor-boundary-reductions",
@@ -203,30 +252,47 @@ def _check_channel_consistency(report: VerificationReport) -> None:
         )
     )
 
+    # Its interior: the builder every engine uses against the channel route.
+    m = max(5, n // 2 + 1)
+    p, q, r = _whitecolor_block(m)
+    tracker = _Tracker()
+    for x in _grid(m):
+        params = ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR)
+        image = unruh_second_qubit(initial_state(params), r)
+        tracker.update(_entry_gap(accelerated_whitecolor(x, p, q, r), image), x, p, q, r)
+    report.checks.append(
+        CheckRecord(
+            name="whitecolor-closed-state-vs-channel",
+            grid=f"{m}^4",
+            max_residual=tracker.max,
+            threshold=STATE_TOL,
+            passed=tracker.max <= STATE_TOL,
+            worst_point=tracker.point,
+            notes="p+q <= 1",
+        )
+    )
+
 
 def _check_concurrence_closed(report: VerificationReport) -> None:
     n, tol = report.grid_n, report.tolerance
+    s, r = _plane(_grid(n), n)
+    printed_form = functools.partial(concurrence_white_closed, w4_coefficient=4.0)
     corrected = _Tracker()
     printed = _Tracker()
     color = _Tracker()
     for x in _grid(n):
-        for s in _grid(n):
-            for r in _grid(n, 0.0, RINDLER_R_MAX):
-                engine_w = concurrence(accelerated_white(x, s, r))
-                corrected.update(abs(concurrence_white_closed(x, s, r) - engine_w), (x, s, r))
-                printed.update(
-                    abs(concurrence_white_closed(x, s, r, w4_coefficient=4.0) - engine_w),
-                    (x, s, r),
-                )
-                engine_c = concurrence(accelerated_color(x, s, r))
-                color.update(abs(concurrence_color_closed(x, s, r) - engine_c), (x, s, r))
+        engine_w, engine_c = concurrence(
+            np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
+        )
+        corrected.update(np.abs(_per_cell(concurrence_white_closed, x, s, r) - engine_w), x, s, r)
+        printed.update(np.abs(_per_cell(printed_form, x, s, r) - engine_w), x, s, r)
+        color.update(np.abs(_per_cell(concurrence_color_closed, x, s, r) - engine_c), x, s, r)
     # Probe the exactly known mixing line where the printed coefficient breaks.
     x_w, p_w = 1.0 / math.sqrt(2.0), 0.9
     werner_residual = abs(
-        concurrence_white_closed(x_w, p_w, 0.0, w4_coefficient=4.0)
-        - concurrence(accelerated_white(x_w, p_w, 0.0))
+        printed_form(x_w, p_w, 0.0) - concurrence(accelerated_white(x_w, p_w, 0.0))
     )
-    printed.update(werner_residual, (x_w, p_w, 0.0))
+    printed.update(werner_residual, x_w, p_w, 0.0)
 
     report.checks.append(
         CheckRecord(
@@ -265,22 +331,16 @@ def _check_concurrence_closed(report: VerificationReport) -> None:
 
 def _check_concurrence_whitecolor(report: VerificationReport) -> None:
     n = max(5, report.grid_n // 2 + 1)
+    p, q, r = _whitecolor_block(n)
+    weighted_form = functools.partial(concurrence_whitecolor_closed, cos_r_weighted=True)
     printed = _Tracker()
     weighted = _Tracker()
     for x in _grid(n):
-        for p in _grid(n):
-            for q in _grid(n):
-                if p + q > 1.0:
-                    continue
-                for r in _grid(n, 0.0, RINDLER_R_MAX):
-                    engine = concurrence(accelerated_whitecolor(x, p, q, r))
-                    printed.update(
-                        abs(concurrence_whitecolor_closed(x, p, q, r) - engine), (x, p, q, r)
-                    )
-                    weighted.update(
-                        abs(concurrence_whitecolor_closed(x, p, q, r, cos_r_weighted=True) - engine),
-                        (x, p, q, r),
-                    )
+        engine = concurrence(accelerated_whitecolor(x, p, q, r))
+        printed.update(
+            np.abs(_per_cell(concurrence_whitecolor_closed, x, p, q, r) - engine), x, p, q, r
+        )
+        weighted.update(np.abs(_per_cell(weighted_form, x, p, q, r) - engine), x, p, q, r)
     match = "cos-r-weighted" if weighted.max < printed.max else "printed"
     verdict = (
         f"{match} reading matches the engine "
@@ -305,7 +365,6 @@ def _check_concurrence_whitecolor(report: VerificationReport) -> None:
             max_residual=weighted.max,
             threshold=report.tolerance,
             passed=weighted.max <= report.tolerance,
-            ledgered=True,
             worst_point=weighted.point,
             notes=verdict,
         )
@@ -314,22 +373,23 @@ def _check_concurrence_whitecolor(report: VerificationReport) -> None:
 
 def _check_qfi_single_closed(report: VerificationReport) -> None:
     n = report.grid_n
+    p_plane, r_plane = _plane(_grid(n), n)
     tracker = _Tracker()
     gaps = 0
     for x in _grid(n):
-        for p in _grid(n):
-            for r in _grid(n, 0.0, RINDLER_R_MAX):
-                a = 1.0 - 2.0 * x * x
-                sz = (1.0 - a * p) * math.cos(r) ** 2 - 1.0
-                if abs(sz) >= 1.0 - SINGULAR_MARGIN:
-                    gaps += 1
-                    continue
-                for param, theta in (("p", p), ("x", x), ("r", r)):
-                    family = state_family(Channel.WHITE, param, x=x, p=p, r=r, reduced=True)
-                    engine = qfi_single_bloch(family, theta).value
-                    closed = qfi_single_white_closed(param, x, p, r).value
-                    rel = abs(closed - engine) / max(abs(closed), 1e-12)
-                    tracker.update(rel, (x, p, r))
+        a = 1.0 - 2.0 * x * x
+        sz = (1.0 - a * p_plane) * np.cos(r_plane) ** 2 - 1.0
+        mixed = np.abs(sz) < 1.0 - SINGULAR_MARGIN
+        gaps += int(np.count_nonzero(~mixed))
+        p, r = p_plane[mixed], r_plane[mixed]
+        residuals = []
+        for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
+            family = state_family(Channel.WHITE, param, x=x, p=p, r=r, reduced=True)
+            engine = qfi_single_bloch(family, theta).value
+            form = functools.partial(_closed_qfi, qfi_single_white_closed, param)
+            closed = _per_cell(form, x, p, r)
+            residuals.append(np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12))
+        tracker.update(np.stack(residuals, axis=-1), x, p[:, None], r[:, None])
     report.checks.append(
         CheckRecord(
             name="qfi-single-closed-vs-bloch-engine",
@@ -345,24 +405,25 @@ def _check_qfi_single_closed(report: VerificationReport) -> None:
 
 def _check_qfi_two_closed(report: VerificationReport) -> None:
     n = report.grid_n
+    p_plane, r_plane = _plane(_interior(_grid(n)), n)
     tracker = _Tracker()
     gaps = 0
     for x in _interior(_grid(n)):
-        for p in _interior(_grid(n)):
-            for r in _grid(n, 0.0, RINDLER_R_MAX):
-                if p * x * math.sqrt(1.0 - x * x) <= SINGULAR_MARGIN:
-                    gaps += 1
-                    continue
-                for param, theta in (("p", p), ("x", x), ("r", r)):
-                    family = state_family(Channel.WHITE, param, x=x, p=p, r=r)
-                    try:
-                        closed = qfi_two_white_closed(param, x, p, r).value
-                        engine = qfi_two_qubit_spectral_retry(family, theta).value
-                    except SingularPointError:
-                        gaps += 1
-                        continue
-                    rel = abs(closed - engine) / max(abs(closed), abs(engine), 1e-9)
-                    tracker.update(rel, (x, p, r))
+        coherent = p_plane * x * math.sqrt(1.0 - x * x) > SINGULAR_MARGIN
+        gaps += int(np.count_nonzero(~coherent))
+        p, r = p_plane[coherent], r_plane[coherent]
+        residuals = []
+        for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
+            form = functools.partial(_closed_qfi, qfi_two_white_closed, param)
+            closed = _per_cell(form, x, p, r)
+            singular = np.isnan(closed)
+            gaps += int(np.count_nonzero(singular))
+            family = state_family(Channel.WHITE, param, x=x, p=p, r=r)
+            engine = qfi_two_qubit_spectral_retry(family, theta).value
+            scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
+            rel = np.abs(closed - engine) / scale
+            residuals.append(np.where(singular, -math.inf, rel))
+        tracker.update(np.stack(residuals, axis=-1), x, p[:, None], r[:, None])
     report.checks.append(
         CheckRecord(
             name="qfi-two-closed-vs-spectral-engine",
@@ -370,7 +431,6 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
             max_residual=tracker.max,
             threshold=QFI_REL_TOL,
             passed=tracker.max <= QFI_REL_TOL,
-            ledgered=True,
             worst_point=tracker.point,
             notes=(
                 "primes read as partial derivatives; pair eigenvalues read as the "
@@ -382,23 +442,23 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
 
 def _check_data_processing(report: VerificationReport) -> None:
     n = report.grid_n
+    s, r = _plane(_interior(_grid(n)), n)
     worst = _Tracker()
     count = 0
     for channel in (Channel.WHITE, Channel.COLOR):
         strength_name = "p" if channel is Channel.WHITE else "q"
         for x in _interior(_grid(n)):
-            for s in _interior(_grid(n)):
-                for r in _grid(n, 0.0, RINDLER_R_MAX):
-                    point = {"x": x, strength_name: s, "r": r}
-                    for param in (strength_name, "x", "r"):
-                        theta = point[param]
-                        others = {k: v for k, v in point.items() if k != param}
-                        full = state_family(channel, param, **others)
-                        reduced = state_family(channel, param, reduced=True, **others)
-                        two = qfi_two_qubit_spectral_retry(full, theta).value
-                        single = qfi_single_bloch(reduced, theta).value
-                        count += 1
-                        worst.update(single - two, (x, s, r))
+            point = {"x": np.full(s.shape, x), strength_name: s, "r": r}
+            residuals = []
+            for param in (strength_name, "x", "r"):
+                others = {k: v for k, v in point.items() if k != param}
+                full = state_family(channel, param, **others)
+                reduced = state_family(channel, param, reduced=True, **others)
+                two = qfi_two_qubit_spectral_retry(full, point[param]).value
+                single = qfi_single_bloch(reduced, point[param]).value
+                residuals.append(single - two)
+            count += 3 * s.size
+            worst.update(np.stack(residuals, axis=-1), x, s[..., None], r[..., None])
     report.checks.append(
         CheckRecord(
             name="qfi-data-processing-inequality",

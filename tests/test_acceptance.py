@@ -227,8 +227,10 @@ def test_criterion_9_verification_harness():
         ledgered = {check.name: check for check in report.checks if check.ledgered}
         assert "concurrence-white-closed(printed-coef-4)" in ledgered
         assert "concurrence-whitecolor-closed(printed)" in ledgered
-        assert "concurrence-whitecolor-closed(cos-r)" in ledgered
-        assert "qfi-two-closed-vs-spectral-engine" in ledgered
+        # The interpreted readings pass with margin, so they gate the run.
+        checks = {check.name: check for check in report.checks}
+        for name in ("concurrence-whitecolor-closed(cos-r)", "qfi-two-closed-vs-spectral-engine"):
+            assert checks[name].passed and not checks[name].ledgered, name
         for check in ledgered.values():
             assert math.isfinite(check.max_residual)
         # CLI contract: exit 0 on pass, report on stdout.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from unruhkit import (
     Channel,
     DomainError,
+    FamilyEvalError,
     ModelParams,
     RINDLER_R_MAX,
     SingularPointError,
@@ -396,3 +398,98 @@ class TestDataProcessing:
                             two = qfi_two_qubit_spectral_retry(full, theta).value
                             single = qfi_single_bloch(reduced, theta).value
                             assert two >= single - 1e-6
+
+
+class TestArrayEngines:
+    """An array theta runs the engines once over the whole array."""
+
+    @staticmethod
+    def grid_points(channel):
+        """A broadcast (x, strength, r) grid of one channel, as point arrays."""
+        x, s, r = np.meshgrid(
+            np.linspace(0.05, 0.95, 5),
+            np.linspace(0.0, 1.0, 5),
+            np.linspace(0.0, RINDLER_R_MAX, 4),
+            indexing="ij",
+        )
+        if channel is Channel.WHITE:
+            return {"x": x, "p": s, "r": r}
+        if channel is Channel.COLOR:
+            return {"x": x, "q": s, "r": r}
+        return {"x": x, "p": s / 2, "q": (1 - s) / 3, "r": r}
+
+    @staticmethod
+    def scalar_family(channel, param, point, index, reduced=False):
+        others = {k: float(v[index]) for k, v in point.items() if k != param}
+        return state_family(channel, param, reduced=reduced, **others)
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_spectral_engine_equals_scalar_calls_bitwise(self, channel):
+        point = self.grid_points(channel)
+        for param in CHANNEL_PARAMS[channel]:
+            others = {k: v for k, v in point.items() if k != param}
+            got = qfi_two_qubit_spectral(state_family(channel, param, **others), point[param])
+            assert got.value.shape == point[param].shape
+            for index in np.ndindex(point[param].shape):
+                family = self.scalar_family(channel, param, point, index)
+                want = qfi_two_qubit_spectral(family, float(point[param][index]))
+                assert isinstance(want.value, float)
+                assert got.value[index] == want.value, (param, index)
+                assert tuple(term[index] for term in got.decomposition) == want.decomposition
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_bloch_engine_agrees_with_scalar_calls(self, channel):
+        point = self.grid_points(channel)
+        for param in CHANNEL_PARAMS[channel]:
+            others = {k: v for k, v in point.items() if k != param}
+            family = state_family(channel, param, reduced=True, **others)
+            got = qfi_single_bloch(family, point[param]).value
+            for index in np.ndindex(point[param].shape):
+                family = self.scalar_family(channel, param, point, index, reduced=True)
+                want = qfi_single_bloch(family, float(point[param][index])).value
+                assert abs(got[index] - want) <= 1e-9 * abs(want), (param, index)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_array_fixed_parameters_equal_per_point_families(self, reduced):
+        point = self.grid_points(Channel.WHITE_COLOR)
+        for param in CHANNEL_PARAMS[Channel.WHITE_COLOR]:
+            others = {k: v for k, v in point.items() if k != param}
+            family = state_family(Channel.WHITE_COLOR, param, reduced=reduced, **others)
+            stack = family.evaluate(point[param])
+            assert stack.shape == point[param].shape + ((2, 2) if reduced else (4, 4))
+            for index in np.ndindex(point[param].shape):
+                one = self.scalar_family(Channel.WHITE_COLOR, param, point, index, reduced)
+                assert stack[index].tobytes() == one.evaluate(float(point[param][index])).tobytes()
+
+    def test_column_past_x_one_raises_family_error_without_warning(self):
+        family = state_family(Channel.COLOR, "x", q=0.2, r=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FamilyEvalError):
+                qfi_two_qubit_spectral(family, np.array([0.5, 0.9, 1.0]))
+            # Without the x=1 cell the column evaluates.
+            got = qfi_two_qubit_spectral(family, np.array([0.5, 0.9, 0.99]))
+        assert np.isfinite(got.value).all()
+
+    def test_theta_must_have_the_broadcast_shape(self):
+        family = state_family(Channel.WHITE, "p", x=np.array([0.2, 0.4]), r=0.3)
+        with pytest.raises(FamilyEvalError):
+            qfi_two_qubit_spectral(family, 0.5)
+        assert qfi_two_qubit_spectral(family, np.full(2, 0.5)).value.shape == (2,)
+
+    @pytest.mark.parametrize("name", ["fig9b", "fig11b"])
+    def test_fallback_column_keeps_per_cell_reasons(self, name):
+        # The x=1 stencil leaves the domain, so each numeric column falls back
+        # to cells; only its x=1 cell is empty, for its own reason.
+        table = run_sweep(figure_preset(name))
+        numeric = [i for i, column in enumerate(table.columns) if column.endswith(":numeric")]
+        assert len(numeric) == 3
+        for row in table.rows:
+            empty = [row[i] is None for i in numeric]
+            assert empty == [row[0] == 1.0] * 3, row[0]
+        assert table.warnings["FamilyEvalError"] == 3
+        want = {
+            "fig9b": {"FamilyEvalError": 3, "SingularPointError": 6},
+            "fig11b": {"FamilyEvalError": 3},
+        }
+        assert table.warnings == want[name]
