@@ -16,15 +16,17 @@ Closed forms are evaluated in extended precision: their printed polynomial
 groupings cancel almost completely near entanglement-death points, and plain
 double arithmetic there leaves ~1e-8 noise, which would drown the 1e-8
 engine-agreement contract.
+The closed forms take floats or broadcast arrays of parameter values through
+one code path: each entry of an array result equals its own float call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import RINDLER_R_MAX, Channel, ModelParams
+from .channels import RINDLER_R_MAX, Channel, ModelParams, _validate_points
 from .errors import NegativeRadicandError
-from .qlinalg import as_stack, sqrt_psd
+from .qlinalg import as_stack, clip_at_zero, sqrt_psd
 
 # Surd arguments in [-RADICAND_CLAMP, 0) are round-off and are clamped to 0.
 RADICAND_CLAMP = 1e-10
@@ -69,29 +71,30 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 def _sqrt_clamped(value):
     """Square root with the round-off clamp window; raises on real negatives."""
-    if value < 0.0:
-        if value < -RADICAND_CLAMP:
-            raise NegativeRadicandError(f"surd argument {float(value):.3e}")
-        return _LD(0.0)
-    return np.sqrt(_LD(value))
+    too_negative = value < -RADICAND_CLAMP
+    if np.any(too_negative):
+        first = np.asarray(value)[too_negative].flat[0]
+        raise NegativeRadicandError(f"surd argument {float(first):.3e}")
+    return np.sqrt(np.where(value < 0.0, _LD(0.0), _LD(value)))
 
 
 def concurrence_white_closed(
-    x: float,
-    p: float,
-    r: float,
+    x,
+    p,
+    r,
     w4_coefficient: float = 0.5,
     r_max: float = RINDLER_R_MAX,
-) -> float:
+):
     """Closed-form concurrence in the presence of white noise.
 
     ``w4_coefficient`` is the coefficient of the final surd; 0.5 is the
     corrected value, 4.0 reproduces the printed (wrong) form for comparison.
     """
-    ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate(r_max)
+    _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     xl, pl, rl = _LD(x), _LD(p), _LD(r)
     cr, c2r, c3r = np.cos(rl), np.cos(2 * rl), np.cos(3 * rl)
-    sr2 = np.sin(rl) ** 2
+    sr = np.sin(rl)
+    sr2 = sr * sr
     x2 = xl * xl
     w1 = (5 + 6 * pl - 11 * pl * pl + 4 * pl * (1 + 31 * pl) * x2 - 128 * pl * pl * x2 * x2) * cr
     w2 = (
@@ -109,24 +112,23 @@ def concurrence_white_closed(
         + _sqrt_clamped(cr * (w1 + w2 + w3)) / 8
         - _LD(w4_coefficient) * _sqrt_clamped(w4)
     )
-    return max(0.0, float(value))
+    return clip_at_zero(value)
 
 
-def concurrence_color_closed(
-    x: float, q: float, r: float, r_max: float = RINDLER_R_MAX
-) -> float:
+def concurrence_color_closed(x, q, r, r_max: float = RINDLER_R_MAX):
     """Closed-form concurrence in the presence of color noise (strength q)."""
-    ModelParams(x=x, q=q, r=r, channel=Channel.COLOR).validate(r_max)
+    _validate_points(r_max, x, 0.0, q, r, Channel.COLOR)
     xl, ql, rl = _LD(x), _LD(q), _LD(r)
     cr = np.cos(rl)
     x2 = xl * xl
     c1 = cr - ql * ql * cr * (1 - 8 * x2 + 8 * x2 * x2)
-    c2 = 4 * ql * xl * cr * _sqrt_clamped((1 - x2) * (1 - ql * ql * (1 - 2 * x2) ** 2))
+    tilt = 1 - 2 * x2
+    c2 = 4 * ql * xl * cr * _sqrt_clamped((1 - x2) * (1 - ql * ql * (tilt * tilt)))
     value = (_sqrt_clamped(cr * (c1 + c2)) - _sqrt_clamped(cr * (c1 - c2))) / 2
-    return max(0.0, float(value))
+    return clip_at_zero(value)
 
 
-def _whitecolor_terms(x: float, p: float, q: float, r: float):
+def _whitecolor_terms(x, p, q, r):
     """Extended-precision building blocks of the combined-channel closed form."""
     xl, pl, ql, rl = _LD(x), _LD(p), _LD(q), _LD(r)
     cr, c2r, c3r = np.cos(rl), np.cos(2 * rl), np.cos(3 * rl)
@@ -143,7 +145,8 @@ def _whitecolor_terms(x: float, p: float, q: float, r: float):
         * (3 + 5 * pl + ql - 8 * pl * x2 + eta2 * c2r)
     )
     a3 = eta2 * (eta1 + 4 * pl * x2) * c3r
-    a4 = -eta2 * cr * cr * (1 - pl - ql + (1 + ql + pl * (4 * x2 - 1)) * np.sin(rl) ** 2)
+    sr = np.sin(rl)
+    a4 = -eta2 * cr * cr * (1 - pl - ql + (1 + ql + pl * (4 * x2 - 1)) * (sr * sr))
     return a1, a2, a3, a4
 
 
@@ -157,13 +160,13 @@ def whitecolor_surd_terms(x: float, p: float, q: float, r: float):
 
 
 def concurrence_whitecolor_closed(
-    x: float,
-    p: float,
-    q: float,
-    r: float,
+    x,
+    p,
+    q,
+    r,
     cos_r_weighted: bool = False,
     r_max: float = RINDLER_R_MAX,
-) -> float:
+):
     """Closed-form concurrence for the combined white+color channel.
 
     With ``cos_r_weighted=False`` the expression is evaluated exactly as
@@ -172,7 +175,7 @@ def concurrence_whitecolor_closed(
     convention; the two readings coincide at r=0 and the verification
     harness reports which one agrees with the numerical engine.
     """
-    ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR).validate(r_max)
+    _validate_points(r_max, x, p, q, r)
     a1, a2, a3, a4 = _whitecolor_terms(x, p, q, r)
     cr = np.cos(_LD(r))
     if cos_r_weighted:
@@ -182,10 +185,10 @@ def concurrence_whitecolor_closed(
         low = a1 - a2 + a3
         high = a1 + a2 + a3
     value = -_sqrt_clamped(low) / 8 + _sqrt_clamped(high) / 8 - _sqrt_clamped(a4) / 2
-    return max(0.0, float(value))
+    return clip_at_zero(value)
 
 
-def concurrence_closed(params: ModelParams, r_max: float = RINDLER_R_MAX) -> float:
+def concurrence_closed(params: ModelParams, r_max: float = RINDLER_R_MAX):
     """Channel-dispatching wrapper over the three closed forms."""
     if params.channel is Channel.WHITE:
         return concurrence_white_closed(params.x, params.p, params.r, r_max=r_max)

@@ -29,12 +29,13 @@ The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
 are implemented with their primes read as partial derivatives with respect
 to the estimated parameter; the verification harness compares them against
-the engines and records residuals.
+the engines and records residuals.  They take floats or broadcast arrays of
+(x, p, r) through one code path: each entry of an array result equals its own
+float call, and is NaN where that call raises ``SingularPointError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,13 +46,14 @@ from .channels import (
     RINDLER_R_MAX,
     Channel,
     ModelParams,
+    _validate_points,
     _whitecolor_state,
     accelerated_state,
     combined_strengths,
     white_coeffs,
 )
 from .errors import DomainError, FamilyEvalError, SingularPointError
-from .qlinalg import dagger, partial_trace
+from .qlinalg import clip_at_zero, dagger, partial_trace
 
 # Default finite-difference step, in the parameter's natural units.
 FD_STEP = 1e-5
@@ -140,9 +142,9 @@ def _family_stencil(family: StateFamily, theta, h: float) -> np.ndarray:
     return stencil
 
 
-def _as_theta_result(value, theta):
-    """A float for a float theta, else the array."""
-    return float(value) if np.ndim(theta) == 0 else value
+def _as_result(value):
+    """A float for a 0-d value, else the array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def qfi_single_bloch(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue
     pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
     mixed = (s_center * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
     value = np.maximum(0.0, np.where(pure, ds_sq, mixed))
-    return QfiValue(value=_as_theta_result(value, theta), form=FORM_SINGLE_BLOCH)
+    return QfiValue(value=_as_result(value), form=FORM_SINGLE_BLOCH)
 
 
 def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
@@ -245,38 +247,41 @@ def state_family(
 # Closed single-qubit forms (white channel)
 # ---------------------------------------------------------------------------
 
-def qfi_single_white_closed(
-    param: str, x: float, p: float, r: float, r_max: float = RINDLER_R_MAX
-) -> QfiValue:
+def qfi_single_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form single-qubit QFI of the accelerated white channel.
 
     The reduced qubit's Bloch vector is (0, 0, (1-a p) cos^2 r - 1) with
     a = 1 - 2 x^2; the mixed/pure branch is selected from |s| exactly as the
-    numerical engine does.
+    numerical engine does.  Singular where the mixed branch's denominator
+    vanishes.
     """
     if param not in ("p", "x", "r"):
         raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
-    ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate(r_max)
+    _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     a = 1.0 - 2.0 * x * x
-    cr2 = math.cos(r) ** 2
-    sz = (1.0 - a * p) * cr2 - 1.0
-    if abs(sz) >= 1.0 - PURE_MARGIN:
-        value = {
-            "p": a * a * cr2 * cr2,
-            "x": 16.0 * p * p * x * x * cr2 * cr2,
-            "r": (1.0 - a * p) ** 2 * math.sin(2.0 * r) ** 2,
-        }[param]
-        return QfiValue(value=value, form=FORM_CLOSED)
-    bracket = 3.0 + a * p - (1.0 - a * p) * math.cos(2.0 * r)
-    denom = (1.0 - a * p) * bracket
-    if abs(denom if param != "r" else bracket) < 1e-14:
+    lin = 1.0 - a * p
+    cr, sr, s2r = np.cos(r), np.sin(r), np.sin(2.0 * r)
+    cr2 = cr * cr
+    sz = lin * cr2 - 1.0
+    pure = np.abs(sz) >= 1.0 - PURE_MARGIN
+    bracket = 3.0 + a * p - lin * np.cos(2.0 * r)
+    denom = lin * bracket
+    singular = ~pure & (np.abs(denom if param != "r" else bracket) < 1e-14)
+    if np.ndim(singular) == 0 and singular:
         raise SingularPointError(f"mixed-branch denominator vanishes at x={x}, p={p}, r={r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixed = {
+            "p": 2.0 * a * a * cr2 / denom,
+            "x": 32.0 * p * p * x * x * cr2 / denom,
+            "r": 8.0 * lin * (sr * sr) / bracket,
+        }[param]
     value = {
-        "p": 2.0 * a * a * cr2 / denom,
-        "x": 32.0 * p * p * x * x * cr2 / denom,
-        "r": 8.0 * (1.0 - a * p) * math.sin(r) ** 2 / bracket,
+        "p": a * a * cr2 * cr2,
+        "x": 16.0 * p * p * x * x * cr2 * cr2,
+        "r": lin * lin * (s2r * s2r),
     }[param]
-    return QfiValue(value=max(0.0, value), form=FORM_CLOSED)
+    value = np.where(singular, np.nan, np.where(pure, value, mixed))
+    return QfiValue(value=clip_at_zero(value), form=FORM_CLOSED)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +333,10 @@ def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> Qf
     )
     term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
     return QfiValue(
-        value=_as_theta_result(value, theta),
+        value=_as_result(value),
         form=FORM_TWO_SPECTRAL,
         decomposition=tuple(
-            _as_theta_result(term, theta) for term in (term_classical, term_quantum, term_pairs)
+            _as_result(term) for term in (term_classical, term_quantum, term_pairs)
         ),
     )
 
@@ -350,131 +355,115 @@ def qfi_two_qubit_spectral_retry(family: StateFamily, theta, h: float = FD_STEP)
 # Closed two-qubit form (white channel)
 # ---------------------------------------------------------------------------
 
-def _kappa_bundle(x: float, p: float, r: float):
-    """kappa/b values and their gradients d/d(p, x, r) as length-3 arrays."""
+def _grad(d_p, d_x, d_r) -> np.ndarray:
+    """A gradient d/d(p, x, r), its components on a trailing axis."""
+    # The sum has the broadcast shape of the components.
+    grad = np.empty(np.shape(d_p + d_x + d_r) + (3,))
+    grad[..., 0], grad[..., 1], grad[..., 2] = d_p, d_x, d_r
+    return grad
+
+
+def _kappa_bundle(x, p, r):
+    """(kappa_i, d kappa_i) for i = 1, 2, 3, then (b1, b2, b3).  The gradients
+    d/d(p, x, r) lie on a trailing axis; d kappa2 is NaN where the coherent
+    block is degenerate (kappa2 <= 1e-12)."""
     x2 = x * x
-    c2r, c4r = math.cos(2.0 * r), math.cos(4.0 * r)
-    s2r, s4r = math.sin(2.0 * r), math.sin(4.0 * r)
+    c2r, c4r = np.cos(2.0 * r), np.cos(4.0 * r)
+    s2r, s4r = np.sin(2.0 * r), np.sin(4.0 * r)
 
     kappa1 = 4.0 + 4.0 * p - 4.0 * p * x2 + 4.0 * p * x2 * c2r
-    d_kappa1 = np.array(
-        [
-            4.0 - 4.0 * x2 + 4.0 * x2 * c2r,
-            -8.0 * p * x + 8.0 * p * x * c2r,
-            -8.0 * p * x2 * s2r,
-        ]
+    d_kappa1 = _grad(
+        4.0 - 4.0 * x2 + 4.0 * x2 * c2r,
+        -8.0 * p * x + 8.0 * p * x * c2r,
+        -8.0 * p * x2 * s2r,
     )
 
     b1 = 6.0 + 20.0 * p + 38.0 * p * p - 40.0 * p * x2 - 24.0 * p * p * x2 + 24.0 * p * p * x2 * x2
-    d_b1 = np.array(
-        [
-            20.0 + 76.0 * p - 40.0 * x2 - 48.0 * p * x2 + 48.0 * p * x2 * x2,
-            -80.0 * p * x - 48.0 * p * p * x + 96.0 * p * p * x * x2,
-            0.0,
-        ]
+    d_b1 = _grad(
+        20.0 + 76.0 * p - 40.0 * x2 - 48.0 * p * x2 + 48.0 * p * x2 * x2,
+        -80.0 * p * x - 48.0 * p * p * x + 96.0 * p * p * x * x2,
+        0.0,
     )
 
     poly = 1.0 + p * (2.0 - 4.0 * x2) + p * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
     d_poly_p = 2.0 - 4.0 * x2 + 2.0 * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
     d_poly_x = -8.0 * p * x - 8.0 * p * p * x + 16.0 * p * p * x * x2
     b2 = 8.0 * poly * c2r
-    d_b2 = np.array([8.0 * d_poly_p * c2r, 8.0 * d_poly_x * c2r, -16.0 * poly * s2r])
+    d_b2 = _grad(8.0 * d_poly_p * c2r, 8.0 * d_poly_x * c2r, -16.0 * poly * s2r)
 
     lin = -1.0 + p - 2.0 * p * x2
     b3 = 2.0 * c4r * lin * lin
-    d_b3 = np.array(
-        [
-            4.0 * c4r * lin * (1.0 - 2.0 * x2),
-            -16.0 * p * x * c4r * lin,
-            -8.0 * s4r * lin * lin,
-        ]
+    d_b3 = _grad(
+        4.0 * c4r * lin * (1.0 - 2.0 * x2),
+        -16.0 * p * x * c4r * lin,
+        -8.0 * s4r * lin * lin,
     )
 
-    radicand = b1 - b2 + b3
-    kappa2 = math.sqrt(max(0.0, radicand))
+    kappa2 = np.sqrt(clip_at_zero(b1 - b2 + b3))
+    degenerate = (kappa2 <= 1e-12)[..., None]
     d_radicand = d_b1 - d_b2 + d_b3
-    d_kappa2 = d_radicand / (2.0 * kappa2) if kappa2 > 1e-12 else None
+    d_kappa2 = np.where(
+        degenerate, np.nan, d_radicand / (2.0 * np.where(degenerate, 1.0, kappa2[..., None]))
+    )
 
     kappa3 = 2.0 + 6.0 * p - 12.0 * p * x2 - (2.0 - 2.0 * p + 4.0 * p * x2) * c2r
-    d_kappa3 = np.array(
-        [
-            6.0 - 12.0 * x2 + (2.0 - 4.0 * x2) * c2r,
-            -24.0 * p * x - 8.0 * p * x * c2r,
-            (4.0 - 4.0 * p + 8.0 * p * x2) * s2r,
-        ]
+    d_kappa3 = _grad(
+        6.0 - 12.0 * x2 + (2.0 - 4.0 * x2) * c2r,
+        -24.0 * p * x - 8.0 * p * x * c2r,
+        (4.0 - 4.0 * p + 8.0 * p * x2) * s2r,
     )
-
-    return {
-        "kappa1": (kappa1, d_kappa1),
-        "kappa2": (kappa2, d_kappa2),
-        "kappa3": (kappa3, d_kappa3),
-        "b": (b1, b2, b3),
-        "db": (d_b1, d_b2, d_b3),
-    }
+    return (kappa1, d_kappa1), (kappa2, d_kappa2), (kappa3, d_kappa3), (b1, b2, b3)
 
 
 def kappa_mu_terms(x: float, p: float, r: float, require_mu: bool = True) -> KappaMuTerms:
     """Evaluate the spectral closed form's building blocks at (x, p, r).
 
-    mu1, mu2 require a nonvanishing coherence coefficient; where it is zero
-    (p=0 or x in {0, 1}) this raises ``SingularPointError`` unless
-    ``require_mu=False``, in which case the mu fields come back as ``None``.
+    mu1, mu2 require a nondegenerate block with a nonvanishing coherence
+    coefficient; where that is zero (p=0 or x in {0, 1}) this raises
+    ``SingularPointError`` unless ``require_mu=False``, which gives ``None``.
     """
     ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate()
     bundle = _kappa_bundle(x, p, r)
-    kappa1, _ = bundle["kappa1"]
-    kappa2, _ = bundle["kappa2"]
-    kappa3, _ = bundle["kappa3"]
-    b1, b2, b3 = bundle["b"]
-    epsilon = white_coeffs(x, p).epsilon
-    if epsilon == 0.0:
-        if require_mu:
-            raise SingularPointError(
-                f"coherence coefficient vanishes at x={x}, p={p}; mu terms undefined"
-            )
-        mu1 = mu2 = None
-    else:
-        sec_r = 1.0 / math.cos(r)
-        mu1 = sec_r * (kappa3 - kappa2) / (16.0 * epsilon)
-        mu2 = sec_r * (kappa3 + kappa2) / (16.0 * epsilon)
+    (kappa1, _), (kappa2, _), (kappa3, _), (b1, b2, b3) = bundle
+    mu1 = mu2 = None
+    if require_mu or white_coeffs(x, p).epsilon != 0.0:
+        mu1, mu2 = (float(mu) for mu in _mu_bundle(x, p, r, bundle)[::2])
     return KappaMuTerms(
         kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, b1=b1, b2=b2, b3=b3, mu1=mu1, mu2=mu2
     )
 
 
-def _mu_bundle(x: float, p: float, r: float, bundle: Optional[dict] = None):
-    """mu1, mu2 and their gradients d/d(p, x, r); singular where the block
-    coherence vanishes.  ``bundle`` is ``_kappa_bundle(x, p, r)``, if the
-    caller has it already."""
+def _mu_bundle(x, p, r, bundle):
+    """mu1, d mu1, mu2, d mu2 from ``bundle = _kappa_bundle(x, p, r)``, the
+    gradients d/d(p, x, r) on a trailing axis; singular (NaN, or
+    ``SingularPointError`` for a float call) where the block coherence
+    vanishes or the block is degenerate."""
     epsilon = white_coeffs(x, p).epsilon
-    if epsilon == 0.0:
-        raise SingularPointError(f"coherence coefficient vanishes at x={x}, p={p}")
-    if bundle is None:
-        bundle = _kappa_bundle(x, p, r)
-    kappa2, d_kappa2 = bundle["kappa2"]
-    kappa3, d_kappa3 = bundle["kappa3"]
-    if d_kappa2 is None:
-        raise SingularPointError(f"coherent block degenerate at x={x}, p={p}, r={r}")
-    d_epsilon = np.array(
-        [
-            x * math.sqrt(1.0 - x * x),
-            p * (1.0 - 2.0 * x * x) / math.sqrt(1.0 - x * x),
-            0.0,
-        ]
-    )
-    sec_r, tan_r = 1.0 / math.cos(r), math.tan(r)
-    mu1 = sec_r * (kappa3 - kappa2) / (16.0 * epsilon)
-    mu2 = sec_r * (kappa3 + kappa2) / (16.0 * epsilon)
-    d_mu1 = sec_r * ((d_kappa3 - d_kappa2) - (kappa3 - kappa2) * d_epsilon / epsilon) / (16.0 * epsilon)
-    d_mu2 = sec_r * ((d_kappa3 + d_kappa2) - (kappa3 + kappa2) * d_epsilon / epsilon) / (16.0 * epsilon)
-    d_mu1 = d_mu1 + np.array([0.0, 0.0, tan_r * mu1])
-    d_mu2 = d_mu2 + np.array([0.0, 0.0, tan_r * mu2])
-    return mu1, d_mu1, mu2, d_mu2
+    _, (kappa2, d_kappa2), (kappa3, d_kappa3), _ = bundle
+    incoherent = epsilon == 0.0
+    degenerate = np.isnan(d_kappa2[..., 0])
+    if np.ndim(kappa2) == 0:
+        if incoherent:
+            raise SingularPointError(f"coherence coefficient vanishes at x={x}, p={p}")
+        if degenerate:
+            raise SingularPointError(f"coherent block degenerate at x={x}, p={p}, r={r}")
+    singular = incoherent | degenerate
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(1.0 - x * x)
+        d_epsilon = _grad(x * root, p * (1.0 - 2.0 * x * x) / root, 0.0)
+        sec_r, tan_r = 1.0 / np.cos(r), np.tan(r)
+        eps = np.asarray(epsilon)[..., None]
+        pairs = ((kappa3 - kappa2, d_kappa3 - d_kappa2), (kappa3 + kappa2, d_kappa3 + d_kappa2))
+        for kappa, d_kappa in pairs:
+            mu = sec_r * kappa / (16.0 * epsilon)
+            d_mu = sec_r[..., None] * (d_kappa - kappa[..., None] * d_epsilon / eps) / (16.0 * eps)
+            d_mu = d_mu + _grad(0.0, 0.0, tan_r * mu)
+            out += [np.where(singular, np.nan, mu), np.where(singular[..., None], np.nan, d_mu)]
+    return tuple(out)
 
 
-def qfi_two_white_closed(
-    param: str, x: float, p: float, r: float, r_max: float = RINDLER_R_MAX
-) -> QfiValue:
+def qfi_two_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form spectral QFI of the accelerated white channel.
 
     Assembled from the published building blocks with primes read as partial
@@ -485,25 +474,27 @@ def qfi_two_white_closed(
     """
     if param not in ("p", "x", "r"):
         raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
-    ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate(r_max)
+    _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     idx = _PARAM_INDEX[param]
 
     coeffs = white_coeffs(x, p)
     bundle = _kappa_bundle(x, p, r)
-    kappa1, d_kappa1 = bundle["kappa1"]
-    kappa2, d_kappa2 = bundle["kappa2"]
+    (kappa1, d_kappa1), (kappa2, d_kappa2), _, _ = bundle
     mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r, bundle)
+    # Only the estimated parameter's component of each gradient is needed.
+    d_kappa1, d_kappa2, d_mu1, d_mu2 = (g[..., idx] for g in (d_kappa1, d_kappa2, d_mu1, d_mu2))
 
     gamma, beta = coeffs.gamma, coeffs.beta
-    d_gamma = np.array([-0.25, 0.0, 0.0])
-    d_beta = np.array([(-1.0 + 4.0 * x * x) / 4.0, 2.0 * p * x, 0.0])
-    cr2, sr2 = math.cos(r) ** 2, math.sin(r) ** 2
-    s2r = math.sin(2.0 * r)
+    d_gamma = (-0.25, 0.0, 0.0)[idx]
+    d_beta = ((-1.0 + 4.0 * x * x) / 4.0, 2.0 * p * x, 0.0)[idx]
+    cr, sr = np.cos(r), np.sin(r)
+    cr2, sr2 = cr * cr, sr * sr
+    s2r = np.sin(2.0 * r)
 
     eig_low = gamma * cr2
-    d_eig_low = d_gamma * cr2 + np.array([0.0, 0.0, -gamma * s2r])
+    d_eig_low = d_gamma * cr2 + (0.0, 0.0, -gamma * s2r)[idx]
     eig_high = gamma + beta * sr2
-    d_eig_high = d_gamma + d_beta * sr2 + np.array([0.0, 0.0, beta * s2r])
+    d_eig_high = d_gamma + d_beta * sr2 + (0.0, 0.0, beta * s2r)[idx]
     lam2 = (kappa1 - kappa2) / 16.0
     lam3 = (kappa1 + kappa2) / 16.0
     d_lam2 = (d_kappa1 - d_kappa2) / 16.0
@@ -516,24 +507,27 @@ def qfi_two_white_closed(
         (lam2, d_lam2),
         (lam3, d_lam3),
     ):
-        if lam >= EIG_FLOOR:
-            term_classical += grad[idx] ** 2 / lam
+        kept = lam >= EIG_FLOOR
+        kept_lam = np.where(kept, lam, 1.0)
+        term_classical = term_classical + np.where(kept, grad * grad / kept_lam, 0.0)
+    term_classical = np.where(np.isnan(mu1), np.nan, term_classical)
 
     one1 = 1.0 + mu1 * mu1
     one2 = 1.0 + mu2 * mu2
     term_quantum = 0.25 * (
-        (kappa1 - kappa2) * d_mu1[idx] ** 2 / one1**2
-        + (kappa1 + kappa2) * d_mu2[idx] ** 2 / one2**2
+        (kappa1 - kappa2) * (d_mu1 * d_mu1) / (one1 * one1)
+        + (kappa1 + kappa2) * (d_mu2 * d_mu2) / (one2 * one2)
     )
+    mu_gap = mu1 - mu2
     term_pairs = (
         8.0
         * (lam2 * lam3 / (lam2 + lam3))
-        * ((mu1 - mu2) ** 2 / (one1 * one2))
-        * (d_mu1[idx] ** 2 / one1**2 + d_mu2[idx] ** 2 / one2**2)
+        * (mu_gap * mu_gap / (one1 * one2))
+        * (d_mu1 * d_mu1 / (one1 * one1) + d_mu2 * d_mu2 / (one2 * one2))
     )
     value = term_classical + term_quantum - term_pairs
     return QfiValue(
-        value=max(0.0, value),
+        value=clip_at_zero(value),
         form=FORM_CLOSED,
-        decomposition=(float(term_classical), float(term_quantum), float(term_pairs)),
+        decomposition=tuple(_as_result(t) for t in (term_classical, term_quantum, term_pairs)),
     )

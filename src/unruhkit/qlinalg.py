@@ -142,10 +142,19 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
+def clip_at_zero(value):
+    """Python's ``max(0.0, value)`` as a float, or entrywise as a float64 array,
+    except that NaN stays NaN (``np.maximum(0.0, -0.0)`` would give -0.0)."""
+    value = np.asarray(value, dtype=float)
+    value = np.where(value <= 0.0, 0.0, value)
+    return float(value) if value.ndim == 0 else value
+
+
 def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when ``rho`` is Hermitian, unit-trace and PSD within ``tol``."""
+    """True when ``rho`` is one square matrix that is Hermitian, unit-trace
+    and PSD within ``tol``; False for anything else, stacks included."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
     if hermitian_defect(rho) > tol:
         return False

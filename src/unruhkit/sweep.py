@@ -46,6 +46,8 @@ from .fisher import (
 )
 
 CSV_DIGITS = 12
+# Most grid rows a sweep may have; the figure presets have 101.
+MAX_GRID_ROWS = 1_000_000
 # Published figures draw acceleration series up to r=0.8, slightly past the
 # physical bound pi/4; sweeps accept values up to that ceiling and flag them.
 R_CAPTION_MAX = 0.8
@@ -112,15 +114,20 @@ class SweepTable:
     warnings: dict[str, int] = field(default_factory=dict)
 
 
-def grid_values(start: float, stop: float, step: float) -> list[float]:
-    """The grid start, start+step, ...; row count floor((stop-start)/step)+1.
+def _row_count(start: float, stop: float, step: float) -> float:
+    """floor((stop-start)/step)+1, with a small epsilon against float division
+    shortfall; inf if the quotient overflows."""
+    quotient = (stop - start) / step + 1e-9
+    return math.floor(quotient) + 1 if math.isfinite(quotient) else math.inf
 
-    A small epsilon guards the count against float division shortfall, and
-    the last value is clamped to ``stop`` so accumulated rounding cannot
+
+def grid_values(start: float, stop: float, step: float) -> list[float]:
+    """The grid start, start+step, ... with ``_row_count`` rows.
+
+    The last value is clamped to ``stop`` so accumulated rounding cannot
     push it out of the parameter's domain.
     """
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + i * step, stop) for i in range(count)]
+    return [min(start + i * step, stop) for i in range(_row_count(start, stop, step))]
 
 
 def _parse_float(token: str, flag: str) -> float:
@@ -226,10 +233,6 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     if len(range_parts) != 3:
         raise ParseError(f"--range: expected {_FLAG_GRAMMAR['range']}, got {flags['range']!r}")
     start, stop, step = (_parse_float(part, "range") for part in range_parts)
-    if not start < stop:
-        raise ParseError(f"--range: start must be below stop, got {flags['range']!r}")
-    if not step > 0.0:
-        raise ParseError(f"--range: step must be positive, got {flags['range']!r}")
 
     fixed: dict[str, tuple[float, ...]] = {}
     for name in _CANONICAL_PARAM_ORDER:
@@ -272,6 +275,11 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
 
 def validate_spec(spec: SweepSpec) -> None:
     """Raise ``ParseError`` if the spec violates a model or grammar invariant."""
+    grid = f"{spec.start:g}:{spec.stop:g}:{spec.step:g}"
+    if not spec.start < spec.stop:
+        raise ParseError(f"--range: start must be below stop, got {grid}")
+    if not spec.step > 0.0:
+        raise ParseError(f"--range: step must be positive, got {grid}")
     estimated = spec.quantity.estimated_param
     if estimated is not None:
         if estimated not in CHANNEL_PARAMS[spec.channel]:
@@ -304,6 +312,9 @@ def validate_spec(spec: SweepSpec) -> None:
             raise ParseError(
                 f"--p/--q: combined-channel strengths reach p+q={max_of['p'] + max_of['q']:g} > 1"
             )
+    rows = _row_count(spec.start, spec.stop, spec.step)
+    if rows > MAX_GRID_ROWS:
+        raise ParseError(f"--range: {grid} gives {rows} grid rows, more than {MAX_GRID_ROWS}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +439,12 @@ def _states(spec: SweepSpec, point: dict):
 
 
 def _evaluate_cell(spec: SweepSpec, point: dict, variant: str):
-    """One cell's value; a numeric variant also takes an array for the varied
-    parameter and then gives the array of its cells."""
-    params = ModelParams(
-        x=point.get("x", 0.0),
-        p=point.get("p", 0.0),
-        q=point.get("q", 0.0),
-        r=point.get("r", 0.0),
-        channel=spec.channel,
-    )
+    """One cell's value, or, with an array for the varied parameter, the
+    array of its cells; a closed form gives NaN where its cell is singular."""
     if spec.quantity is Quantity.CONCURRENCE:
         if variant == "numeric":
             return concurrence(_states(spec, point))
-        return concurrence_closed(params, r_max=spec.r_limit)
+        return concurrence_closed(ModelParams(channel=spec.channel, **point), r_max=spec.r_limit)
 
     estimated = spec.quantity.estimated_param
     if variant == "numeric":
@@ -452,11 +456,9 @@ def _evaluate_cell(spec: SweepSpec, point: dict, variant: str):
             return qfi_single_bloch(family, theta).value
         family = state_family(spec.channel, estimated, **others)
         return qfi_two_qubit_spectral_retry(family, theta).value
-    if spec.qfi_form is QfiForm.SINGLE:
-        return qfi_single_white_closed(
-            estimated, params.x, params.p, params.r, r_max=spec.r_limit
-        ).value
-    return qfi_two_white_closed(estimated, params.x, params.p, params.r, r_max=spec.r_limit).value
+    # Closed QFI forms exist for the white channel only, over (x, p, r).
+    closed = qfi_single_white_closed if spec.qfi_form is QfiForm.SINGLE else qfi_two_white_closed
+    return closed(estimated, point["x"], point["p"], point["r"], r_max=spec.r_limit).value
 
 
 def _evaluate_column(
@@ -468,28 +470,28 @@ def _evaluate_column(
 ) -> list[Optional[float]]:
     """One output column over the grid ``values``; empty cells come back as None.
 
-    A numeric column, concurrence or QFI, is computed in one engine call over
-    the whole column.  A closed-form column, and a numeric column that raises
-    a cell error, is evaluated cell by cell, so each empty cell is counted
-    under its own reason in ``warnings``.
+    Every column, numeric or closed, is computed in one call over the whole
+    column.  The cells that call cannot give, all of them if it raises a cell
+    error and its NaN cells (a closed form's singular cells) otherwise, are
+    evaluated one by one, so each empty cell is counted under its own reason
+    in ``warnings``.  Every other cell equals its one-cell call bit for bit.
     """
-    if variant == "numeric":
-        point = dict(combo)
-        point[spec.vary] = np.array(values)
-        try:
-            return _evaluate_cell(spec, point, variant).tolist()
-        except _CELL_ERRORS:
-            pass
-    column: list[Optional[float]] = []
-    for value in values:
-        point = dict(combo)
+    point = dict(combo)
+    point[spec.vary] = np.array(values)
+    try:
+        column: list[Optional[float]] = _evaluate_cell(spec, point, variant).tolist()
+    except _CELL_ERRORS:
+        column = [math.nan] * len(values)
+    for i, value in enumerate(values):
+        if not math.isnan(column[i]):
+            continue
         point[spec.vary] = value
         try:
-            column.append(_evaluate_cell(spec, point, variant))
+            column[i] = _evaluate_cell(spec, point, variant)
         except _CELL_ERRORS as exc:
             kind = type(exc).__name__
             warnings[kind] = warnings.get(kind, 0) + 1
-            column.append(None)
+            column[i] = None
     return column
 
 

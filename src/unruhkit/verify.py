@@ -9,11 +9,12 @@ including the interpreted readings that pass with margin, gates the run.
 
 Each check loops over x and evaluates the rest of its grid, an (s, r) plane
 or the (p, q, r) block with p+q <= 1, as one array: one stack of states, one
-concurrence call, one engine call per estimated parameter.  Slicing by x
-keeps the arrays, and the memory they take, at the size of one plane.  The
-long-double concurrence forms and the closed QFI forms are scalar and are
-called per cell.  Singular loci are masks; the worst point is the first
-maximum in the loop order x, then the slice's axes, then the parameter.
+concurrence call, one engine call and one closed-form call per estimated
+parameter.  Slicing by x keeps the arrays, and the memory they take, at the
+size of one plane.  Singular loci are masks: a closed form gives NaN where
+its float call would raise ``SingularPointError``, and those points are the
+check's gaps.  The worst point is the first maximum in the loop order x,
+then the slice's axes, then the parameter.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .entanglement import (
     concurrence_white_closed,
     concurrence_whitecolor_closed,
 )
-from .errors import SingularPointError
 from .fisher import (
     qfi_single_bloch,
     qfi_single_white_closed,
@@ -153,21 +153,6 @@ def _whitecolor_block(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, q, r = np.meshgrid(_grid(m), _grid(m), _grid(m, 0.0, RINDLER_R_MAX), indexing="ij")
     inside = p + q <= 1.0
     return p[inside], q[inside], r[inside]
-
-
-def _per_cell(form, *args) -> np.ndarray:
-    """``form`` called at each point of broadcast arguments, as an array."""
-    arrays = np.broadcast_arrays(*args)
-    values = [form(*point) for point in zip(*(a.flat for a in arrays))]
-    return np.array(values, dtype=float).reshape(arrays[0].shape)
-
-
-def _closed_qfi(form, param: str, *point) -> float:
-    """A closed QFI form's value at one point; NaN where it is singular."""
-    try:
-        return form(param, *point).value
-    except SingularPointError:
-        return math.nan
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,9 +269,9 @@ def _check_concurrence_closed(report: VerificationReport) -> None:
         engine_w, engine_c = concurrence(
             np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
         )
-        corrected.update(np.abs(_per_cell(concurrence_white_closed, x, s, r) - engine_w), x, s, r)
-        printed.update(np.abs(_per_cell(printed_form, x, s, r) - engine_w), x, s, r)
-        color.update(np.abs(_per_cell(concurrence_color_closed, x, s, r) - engine_c), x, s, r)
+        corrected.update(np.abs(concurrence_white_closed(x, s, r) - engine_w), x, s, r)
+        printed.update(np.abs(printed_form(x, s, r) - engine_w), x, s, r)
+        color.update(np.abs(concurrence_color_closed(x, s, r) - engine_c), x, s, r)
     # Probe the exactly known mixing line where the printed coefficient breaks.
     x_w, p_w = 1.0 / math.sqrt(2.0), 0.9
     werner_residual = abs(
@@ -337,10 +322,8 @@ def _check_concurrence_whitecolor(report: VerificationReport) -> None:
     weighted = _Tracker()
     for x in _grid(n):
         engine = concurrence(accelerated_whitecolor(x, p, q, r))
-        printed.update(
-            np.abs(_per_cell(concurrence_whitecolor_closed, x, p, q, r) - engine), x, p, q, r
-        )
-        weighted.update(np.abs(_per_cell(weighted_form, x, p, q, r) - engine), x, p, q, r)
+        printed.update(np.abs(concurrence_whitecolor_closed(x, p, q, r) - engine), x, p, q, r)
+        weighted.update(np.abs(weighted_form(x, p, q, r) - engine), x, p, q, r)
     match = "cos-r-weighted" if weighted.max < printed.max else "printed"
     verdict = (
         f"{match} reading matches the engine "
@@ -386,8 +369,7 @@ def _check_qfi_single_closed(report: VerificationReport) -> None:
         for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
             family = state_family(Channel.WHITE, param, x=x, p=p, r=r, reduced=True)
             engine = qfi_single_bloch(family, theta).value
-            form = functools.partial(_closed_qfi, qfi_single_white_closed, param)
-            closed = _per_cell(form, x, p, r)
+            closed = qfi_single_white_closed(param, x, p, r).value
             residuals.append(np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12))
         tracker.update(np.stack(residuals, axis=-1), x, p[:, None], r[:, None])
     report.checks.append(
@@ -414,8 +396,7 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
         p, r = p_plane[coherent], r_plane[coherent]
         residuals = []
         for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
-            form = functools.partial(_closed_qfi, qfi_two_white_closed, param)
-            closed = _per_cell(form, x, p, r)
+            closed = qfi_two_white_closed(param, x, p, r).value
             singular = np.isnan(closed)
             gaps += int(np.count_nonzero(singular))
             family = state_family(Channel.WHITE, param, x=x, p=p, r=r)

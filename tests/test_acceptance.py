@@ -5,6 +5,7 @@ assertions themselves carry the tolerances.
 """
 
 import contextlib
+import itertools
 import math
 import time
 
@@ -153,24 +154,31 @@ def test_criterion_6_data_processing_inequality():
         violations = 0
         comparisons = 0
         interior = GRID[1:-1]
+        # Each engine takes a channel's whole (x, s, r) grid in one call.
+        x, s, r = np.meshgrid(interior, interior, R_GRID, indexing="ij")
+        # A grid-5 subset, checked against per-cell calls.
+        five, five_r = (0, 4, 9, 14, 18), (0, 5, 10, 15, 20)
+        subset = list(itertools.product(five, five, five_r))
         for channel in (Channel.WHITE, Channel.COLOR):
             strength_name = "p" if channel is Channel.WHITE else "q"
-            for x in interior:
-                for s in interior:
-                    for r in R_GRID:
-                        point = {"x": x, strength_name: s, "r": r}
-                        for param in (strength_name, "x", "r"):
-                            theta = point[param]
-                            rest = {k: v for k, v in point.items() if k != param}
-                            two = qfi_two_qubit_spectral_retry(
-                                state_family(channel, param, **rest), theta
-                            ).value
-                            single = qfi_single_bloch(
-                                state_family(channel, param, reduced=True, **rest), theta
-                            ).value
-                            comparisons += 1
-                            if two < single - 1e-6:
-                                violations += 1
+            grid = {"x": x, strength_name: s, "r": r}
+            for param in (strength_name, "x", "r"):
+                theta = grid[param]
+                rest = {k: v for k, v in grid.items() if k != param}
+                two = qfi_two_qubit_spectral_retry(state_family(channel, param, **rest), theta).value
+                single = qfi_single_bloch(
+                    state_family(channel, param, reduced=True, **rest), theta
+                ).value
+                comparisons += theta.size
+                violations += int(np.count_nonzero(two < single - 1e-6))
+                for index in subset:
+                    cell = {k: float(v[index]) for k, v in rest.items()}
+                    one = float(theta[index])
+                    full = state_family(channel, param, **cell)
+                    reduced = state_family(channel, param, reduced=True, **cell)
+                    assert qfi_two_qubit_spectral_retry(full, one).value == two[index]
+                    assert qfi_single_bloch(reduced, one).value == single[index]
+        assert comparisons == 45486
         assert comparisons > 40000
         assert violations == 0
 

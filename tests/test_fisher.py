@@ -329,15 +329,13 @@ class TestKappaMuTerms:
             r = rng.uniform(0.05, RINDLER_R_MAX - 0.05)
 
             def kappas(x_, p_, r_):
-                bundle = _kappa_bundle(x_, p_, r_)
-                return (
-                    bundle["kappa1"][0],
-                    bundle["kappa2"][0],
-                    bundle["kappa3"][0],
-                )
+                return tuple(value for value, _ in _kappa_bundle(x_, p_, r_)[:3])
 
-            bundle = _kappa_bundle(x, p, r)
-            mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r)
+            def mus(x_, p_, r_):
+                return _mu_bundle(x_, p_, r_, _kappa_bundle(x_, p_, r_))
+
+            gradients = [gradient for _, gradient in _kappa_bundle(x, p, r)[:3]]
+            mu1, d_mu1, mu2, d_mu2 = mus(x, p, r)
             for idx, slot in ((0, "p"), (1, "x"), (2, "r")):
                 def apply(f):
                     def wrapped(t):
@@ -348,12 +346,13 @@ class TestKappaMuTerms:
                     return wrapped
 
                 theta = {"p": p, "x": x, "r": r}[slot]
-                for key, pos in (("kappa1", 0), ("kappa2", 1), ("kappa3", 2)):
+                for pos, gradient in enumerate(gradients):
                     fd = central_difference(apply(lambda *a: kappas(*a)[pos]), theta)
-                    analytic = bundle[key][1][idx]
+                    assert gradient.shape == (3,)
+                    analytic = gradient[idx]
                     assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-6)
-                fd_mu1 = central_difference(apply(lambda *a: _mu_bundle(*a)[0]), theta)
-                fd_mu2 = central_difference(apply(lambda *a: _mu_bundle(*a)[2]), theta)
+                fd_mu1 = central_difference(apply(lambda *a: mus(*a)[0]), theta)
+                fd_mu2 = central_difference(apply(lambda *a: mus(*a)[2]), theta)
                 assert d_mu1[idx] == pytest.approx(fd_mu1, rel=1e-5, abs=1e-5)
                 assert d_mu2[idx] == pytest.approx(fd_mu2, rel=1e-5, abs=1e-5)
 
@@ -477,19 +476,24 @@ class TestArrayEngines:
             qfi_two_qubit_spectral(family, 0.5)
         assert qfi_two_qubit_spectral(family, np.full(2, 0.5)).value.shape == (2,)
 
-    @pytest.mark.parametrize("name", ["fig9b", "fig11b"])
+    @pytest.mark.parametrize("name", ["fig9b", "fig11b", "fig8b:closed", "fig9b:closed"])
     def test_fallback_column_keeps_per_cell_reasons(self, name):
         # The x=1 stencil leaves the domain, so each numeric column falls back
-        # to cells; only its x=1 cell is empty, for its own reason.
-        table = run_sweep(figure_preset(name))
-        numeric = [i for i, column in enumerate(table.columns) if column.endswith(":numeric")]
-        assert len(numeric) == 3
+        # to cells; only its x=1 cell is empty, for its own reason.  A closed
+        # column is NaN at its singular cells (p=0, or x in {0, 1}) and falls
+        # back the same way.
+        preset, _, variant = name.partition(":")
+        table = run_sweep(figure_preset(preset))
+        suffix = ":" + (variant or "numeric")
+        columns = [i for i, c in enumerate(table.columns) if c.endswith(suffix)]
+        assert len(columns) == 3
+        empty_at = {"fig8b:closed": (0.0,), "fig9b:closed": (0.0, 1.0)}.get(name, (1.0,))
         for row in table.rows:
-            empty = [row[i] is None for i in numeric]
-            assert empty == [row[0] == 1.0] * 3, row[0]
-        assert table.warnings["FamilyEvalError"] == 3
+            empty = [row[i] is None for i in columns]
+            assert empty == [row[0] in empty_at] * 3, row[0]
         want = {
+            "fig8b": {"SingularPointError": 3},
             "fig9b": {"FamilyEvalError": 3, "SingularPointError": 6},
             "fig11b": {"FamilyEvalError": 3},
         }
-        assert table.warnings == want[name]
+        assert table.warnings == want[preset]

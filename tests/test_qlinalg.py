@@ -236,3 +236,7 @@ def test_is_density_matrix_accepts_valid_diagonal(w):
 
 def test_is_density_matrix_rejects_traceless():
     assert not is_density_matrix(np.eye(4))
+    # Nor is anything but one square matrix a density matrix.
+    assert not is_density_matrix(np.zeros(4))
+    for count in (2, 4):
+        assert not is_density_matrix(np.stack([np.eye(4) / 4] * count))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -124,6 +125,30 @@ class TestParseSpec:
                 "--channel white --vary p --range 0:1:0.1 --x 0.2 --r 0.9 "
                 "--quantity concurrence".split()
             )
+
+    def test_grid_row_cap(self):
+        # Refused before any row is built: grid_values would list 1e12 rows.
+        with pytest.raises(ParseError, match="gives 1000000000001 grid rows"):
+            parse_spec(
+                "--channel white --vary p --range 0:1:1e-12 --x 0.2 --r 0 "
+                "--quantity concurrence".split()
+            )
+        spec = SweepSpec(
+            channel=Channel.WHITE,
+            vary="p",
+            start=0.0,
+            stop=1.0,
+            step=1.0 / sweep_module.MAX_GRID_ROWS,
+            fixed={"x": (0.2,), "r": (0.0,)},
+            quantity=Quantity.CONCURRENCE,
+        )
+        with pytest.raises(ParseError, match=f"gives {sweep_module.MAX_GRID_ROWS + 1} grid rows"):
+            sweep_module.validate_spec(spec)
+        with pytest.raises(ParseError, match="gives inf grid rows"):
+            sweep_module.validate_spec(dataclasses.replace(spec, step=5e-324))
+        sweep_module.validate_spec(
+            dataclasses.replace(spec, step=1.0 / (sweep_module.MAX_GRID_ROWS - 1))
+        )
 
     def test_config_provides_defaults_and_flags_win(self):
         config = "\n".join(
