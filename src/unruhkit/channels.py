@@ -136,12 +136,14 @@ def _validate_points(r_max: float, x, p, q, r, channel: Channel = Channel.WHITE_
     values = (x, p, q, r)
     # An exact type test keeps the one-state path cheap.  Of an array, each
     # rule is tested at once; then the first failing point (the first point
-    # if none fails) is validated alone.
+    # if none fails) is validated alone.  An empty broadcast has no point.
     if np.ndarray in map(type, values):
         ok = (0.0 <= x) & (x <= 1.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)
         ok = ok & (0.0 <= r) & (r <= r_max + 1e-12)
         if channel is Channel.WHITE_COLOR:
             ok = ok & (p + q <= 1.0 + 1e-12)
+        if ok.size == 0:
+            return
         values = next(itertools.islice(np.broadcast(*values), int(np.argmin(ok)), None))
     ModelParams(*values, channel=channel).validate(r_max)
 
@@ -200,7 +202,7 @@ def unruh_second_qubit(rho: np.ndarray, r, r_max: float = RINDLER_R_MAX) -> np.n
     rho = as_stack(rho, "rho")
     if hermitian_defect(rho) > HERMITICITY_TOL:
         raise DomainError("rho is not Hermitian within tolerance")
-    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max() > 1e-9:
+    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max(initial=0.0) > 1e-9:
         raise DomainError("rho does not have unit trace")
     _validate_points(r_max, 0.0, 0.0, 0.0, r)
     c, s = np.cos(r), np.sin(r)

@@ -22,8 +22,12 @@ evaluates the family once per stencil point, as one ``shape(theta) +
 (dim, dim)`` stack, and gives arrays of the same shape; the SLD engine runs
 one batched ``eigh`` over the center stack.  A float theta runs the same code
 and gives floats, so each entry of an array result equals, bit for bit, the
-value of its own float.  ``state_family`` accepts array-valued fixed
-parameters, which broadcast against theta.
+value of its own float.  Where a float call raises ``FamilyEvalError`` because
+the family is not finite at one of its stencil points (a stencil past x = 1,
+where sqrt(1 - x^2) has no real value), an array gives NaN for the value and
+for each term of the decomposition, and the other entries keep their float
+values.  ``state_family`` accepts array-valued fixed parameters, which
+broadcast against theta.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
@@ -36,6 +40,7 @@ float call, and is NaN where that call raises ``SingularPointError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -116,14 +121,19 @@ class StateFamily:
     label: str = ""
 
 
-def _family_stencil(family: StateFamily, theta, h: float) -> np.ndarray:
-    """The family at theta - h, theta and theta + h, stacked on a new first axis.
+def _family_stencil(family: StateFamily, theta, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The family at theta - h, theta and theta + h, stacked on a new first
+    axis, and the mask of shape ``shape(theta)`` of its non-finite cells.
 
-    A stencil past the domain (x > 1 under a square root) gives NaN in an
-    array and raises for a float; both become ``FamilyEvalError``.
+    A cell is non-finite when any of its three matrices is, as where a stencil
+    steps past the domain (x > 1 under a square root).  A float theta raises
+    ``FamilyEvalError`` there; an array overwrites the cell's three matrices
+    with I/dim, so the batched eigensolve sees only finite input, and the
+    engines give NaN at the mask.  An exception or a wrong shape from
+    ``family.evaluate`` raises ``FamilyEvalError`` for either.
     """
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"h must be finite and positive, got {h}")
     shape = np.shape(theta) + (family.dim, family.dim)
     name = family.label or family.param
     matrices = []
@@ -137,14 +147,26 @@ def _family_stencil(family: StateFamily, theta, h: float) -> np.ndarray:
                 raise FamilyEvalError(f"family {name} returned shape {m.shape} at {t}, not {shape}")
             matrices.append(m)
     stencil = np.stack(matrices)
-    if not np.isfinite(stencil).all():
+    # One reduction over the whole stencil is the common case and the cheap one.
+    if np.isfinite(stencil).all():
+        return stencil, np.zeros(np.shape(theta), dtype=bool)
+    if np.ndim(theta) == 0:
         raise FamilyEvalError(f"family {name} returned a non-finite matrix near {theta}")
-    return stencil
+    bad = ~np.isfinite(stencil).all(axis=(0, -2, -1))
+    stencil[:, bad] = np.eye(family.dim) / family.dim
+    return stencil, bad
 
 
 def _as_result(value):
     """A float for a 0-d value, else the array."""
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _results(bad: np.ndarray, *values) -> list:
+    """Each of ``values`` through ``_as_result``, NaN at the ``bad`` cells."""
+    if bad.any():
+        values = [np.where(bad, np.nan, value) for value in values]
+    return [_as_result(value) for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +191,18 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def qfi_single_bloch(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
     """Single-qubit QFI of a 2x2 family at ``theta`` via central differences.
 
-    An array ``theta`` gives an array ``value`` of its shape.
+    An array ``theta`` gives an array ``value`` of its shape, NaN at the cells
+    whose stencil is not finite.
     """
-    s_minus, s_center, s_plus = bloch_vector(_family_stencil(family, theta, h))
+    stencil, bad = _family_stencil(family, theta, h)
+    s_minus, s_center, s_plus = bloch_vector(stencil)
     ds = (s_plus - s_minus) / (2.0 * h)
     ds_sq = (ds * ds).sum(axis=-1)
     norm_sq = (s_center * s_center).sum(axis=-1)
     pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
     mixed = (s_center * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
-    value = np.maximum(0.0, np.where(pure, ds_sq, mixed))
-    return QfiValue(value=_as_result(value), form=FORM_SINGLE_BLOCH)
+    (value,) = _results(bad, np.maximum(0.0, np.where(pure, ds_sq, mixed)))
+    return QfiValue(value=value, form=FORM_SINGLE_BLOCH)
 
 
 def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
@@ -305,9 +329,9 @@ def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> Qf
     into the quantum term, so value = classical + quantum - pairs throughout.
 
     An array ``theta`` gives arrays of its shape for the value and for each
-    term of the decomposition.
+    term of the decomposition, NaN at the cells whose stencil is not finite.
     """
-    stencil = _family_stencil(family, theta, h)
+    stencil, bad = _family_stencil(family, theta, h)
     minus, center, plus = (stencil + dagger(stencil)) / 2.0
     lam, vc = np.linalg.eigh(center)
     d_rho = (plus - minus) / (2.0 * h)
@@ -332,13 +356,8 @@ def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> Qf
         tied, weight / kept_sum
     )
     term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
-    return QfiValue(
-        value=_as_result(value),
-        form=FORM_TWO_SPECTRAL,
-        decomposition=tuple(
-            _as_result(term) for term in (term_classical, term_quantum, term_pairs)
-        ),
-    )
+    value, *terms = _results(bad, value, term_classical, term_quantum, term_pairs)
+    return QfiValue(value=value, form=FORM_TWO_SPECTRAL, decomposition=tuple(terms))
 
 
 def qfi_two_qubit_spectral_retry(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:

@@ -53,7 +53,7 @@ def hermitian_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m``, or of any matrix of a stack, from
     its conjugate transpose."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - dagger(m)).max())
+    return float(np.abs(m - dagger(m)).max(initial=0.0))
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,7 +135,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """
     dec = eig_hermitian(m)
     w = dec.eigenvalues
-    if w.min() < -PSD_REJECT:
+    if w.min(initial=0.0) < -PSD_REJECT:
         raise NotPSDError(f"minimum eigenvalue {w.min():.3e} below -{PSD_REJECT:.0e}")
     w = np.clip(w, 0.0, None)
     v = dec.eigenvectors

@@ -471,10 +471,11 @@ def _evaluate_column(
     """One output column over the grid ``values``; empty cells come back as None.
 
     Every column, numeric or closed, is computed in one call over the whole
-    column.  The cells that call cannot give, all of them if it raises a cell
-    error and its NaN cells (a closed form's singular cells) otherwise, are
-    evaluated one by one, so each empty cell is counted under its own reason
-    in ``warnings``.  Every other cell equals its one-cell call bit for bit.
+    column.  The cells that call cannot give are evaluated one by one, so each
+    empty cell is counted under its own reason in ``warnings``: its NaN cells
+    (a closed form's singular cells, an engine's cells whose stencil steps
+    past the domain), or all of them if it raises a cell error.  Every other
+    cell equals its one-cell call bit for bit.
     """
     point = dict(combo)
     point[spec.vary] = np.array(values)

@@ -1,17 +1,31 @@
-"""The closed forms take arrays: each entry of an array call is its float call."""
+"""The closed forms take arrays: each entry of an array call is its float call.
+An empty array gives an empty result, here and in the builders and engines."""
 
 import numpy as np
 import pytest
 
 from unruhkit import (
+    Channel,
     DomainError,
+    ModelParams,
     NegativeRadicandError,
     SingularPointError,
+    accelerated_color,
+    accelerated_state,
+    accelerated_white,
+    accelerated_whitecolor,
+    concurrence,
     concurrence_color_closed,
     concurrence_white_closed,
     concurrence_whitecolor_closed,
+    initial_state,
+    phi_ket,
+    qfi_single_bloch,
     qfi_single_white_closed,
+    qfi_two_qubit_spectral,
     qfi_two_white_closed,
+    state_family,
+    unruh_second_qubit,
 )
 from unruhkit import entanglement
 
@@ -105,3 +119,37 @@ def test_array_call_equals_float_calls(variant, monkeypatch):
             VARIANTS[variant](x, p, q, r)
         assert str(raised.value) in messages
         VARIANTS[variant](*map(np.array, zip(*fine)))  # the points that do not raise
+
+
+EMPTY = np.empty((2, 0))
+
+
+def _engine(engine, reduced):
+    def call():
+        got = engine(state_family(Channel.WHITE, "x", p=0.3, r=0.2, reduced=reduced), EMPTY)
+        return (got.value, *(got.decomposition or ()))
+
+    return call
+
+
+# Each case maps to (its outputs on EMPTY, the trailing shape of each).
+EMPTY_CASES = {
+    "accelerated_white": (lambda: (accelerated_white(EMPTY, 0.3, 0.2),), (4, 4)),
+    "accelerated_color": (lambda: (accelerated_color(EMPTY, 0.3, 0.2),), (4, 4)),
+    "accelerated_whitecolor": (lambda: (accelerated_whitecolor(EMPTY, 0.3, 0.2, 0.1),), (4, 4)),
+    "accelerated_state": (lambda: (accelerated_state(ModelParams(x=EMPTY, p=0.3, r=0.2)),), (4, 4)),
+    "initial_state": (lambda: (initial_state(ModelParams(x=EMPTY, p=0.3)),), (4, 4)),
+    "phi_ket": (lambda: (phi_ket(EMPTY),), (4,)),
+    "unruh_second_qubit": (lambda: (unruh_second_qubit(np.zeros((2, 0, 4, 4), complex), 0.2),), (4, 4)),
+    "concurrence": (lambda: (concurrence(np.zeros((2, 0, 4, 4), complex)),), ()),
+    **{name: (lambda f=f: f(EMPTY, 0.3, 0.2, 0.1), ()) for name, f in VARIANTS.items()},
+    "qfi_two_qubit_spectral": (_engine(qfi_two_qubit_spectral, False), ()),
+    "qfi_single_bloch": (_engine(qfi_single_bloch, True), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_CASES))
+def test_empty_input_gives_empty_result(case):
+    call, trailing = EMPTY_CASES[case]
+    for out in call():
+        assert np.shape(out) == EMPTY.shape + trailing

@@ -460,15 +460,66 @@ class TestArrayEngines:
                 one = self.scalar_family(Channel.WHITE_COLOR, param, point, index, reduced)
                 assert stack[index].tobytes() == one.evaluate(float(point[param][index])).tobytes()
 
-    def test_column_past_x_one_raises_family_error_without_warning(self):
-        family = state_family(Channel.COLOR, "x", q=0.2, r=np.zeros(3))
+    @staticmethod
+    def assert_nan_only_at_bad_cells(engine, family, theta, bad):
+        """An array call is NaN, value and decomposition alike, exactly at the
+        ``bad`` cells, whose float calls raise; elsewhere it is bit for bit
+        the float call.  No warning escapes."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FamilyEvalError):
-                qfi_two_qubit_spectral(family, np.array([0.5, 0.9, 1.0]))
-            # Without the x=1 cell the column evaluates.
-            got = qfi_two_qubit_spectral(family, np.array([0.5, 0.9, 0.99]))
-        assert np.isfinite(got.value).all()
+            got = engine(family, theta)
+            outputs = (got.value, *(got.decomposition or ()))
+            for i, t in enumerate(theta):
+                if bad[i]:
+                    assert all(np.isnan(out[i]) for out in outputs), t
+                    with pytest.raises(FamilyEvalError):
+                        engine(family, float(t))
+                    continue
+                want = engine(family, float(t))
+                ones = (want.value, *(want.decomposition or ()))
+                assert len(ones) == len(outputs)
+                for out, one in zip(outputs, ones):
+                    assert np.float64(out[i]).tobytes() == np.float64(one).tobytes(), t
+
+    def test_column_past_x_one_is_nan_only_at_x_one(self):
+        # The x=1 stencil steps past the domain: sqrt(1 - x^2) of x = 1 + h.
+        family = state_family(Channel.COLOR, "x", q=0.2, r=0.0)
+        theta = np.array([0.5, 0.9, 1.0])
+        self.assert_nan_only_at_bad_cells(qfi_two_qubit_spectral, family, theta, theta == 1.0)
+
+    def test_bloch_column_is_nan_only_at_non_finite_cells(self):
+        # The model's reduced families are polynomial in x and stay finite, so
+        # a caller-built one has the square root.
+        def evaluate(t):
+            z = 0.5 * np.sqrt(1.0 - t * t)
+            m = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+            m[..., 0, 0] = (1.0 + z) / 2.0
+            m[..., 1, 1] = (1.0 - z) / 2.0
+            return m
+
+        family = StateFamily(evaluate=evaluate, param="x", dim=2, label="root")
+        theta = np.array([0.5, 0.9, 1.0])
+        self.assert_nan_only_at_bad_cells(qfi_single_bloch, family, theta, theta == 1.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("engine", [qfi_two_qubit_spectral, qfi_single_bloch])
+    def test_step_must_be_finite_and_positive(self, engine, h):
+        family = state_family(Channel.WHITE, "p", x=0.3, r=0.2, reduced=engine is qfi_single_bloch)
+        for theta in (0.5, np.array([0.4, 0.5])):
+            with pytest.raises(DomainError, match="h must be finite and positive"):
+                engine(family, theta, h=h)
+
+    def test_failing_or_misshapen_family_raises_for_float_and_array(self):
+        def evaluate(t):
+            raise ValueError("broken")
+
+        failing = StateFamily(evaluate=evaluate, param="p")
+        one_state = constant_family(accelerated_white(0.3, 0.4, 0.2))
+        for theta in (0.5, np.array([0.4, 0.5])):
+            with pytest.raises(FamilyEvalError, match="broken"):
+                qfi_two_qubit_spectral(failing, theta)
+        with pytest.raises(FamilyEvalError, match="returned shape"):
+            qfi_two_qubit_spectral(one_state, np.array([0.4, 0.5]))
 
     def test_theta_must_have_the_broadcast_shape(self):
         family = state_family(Channel.WHITE, "p", x=np.array([0.2, 0.4]), r=0.3)

@@ -335,6 +335,28 @@ class TestRunSweep:
         assert table.warnings == {"NotPSDError": 1, "SingularPointError": 1}
         assert any("empty-cells: 2" in line for line in table.provenance)
 
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("fig9b", {"FamilyEvalError": 3, "SingularPointError": 6}),
+            ("fig11b", {"FamilyEvalError": 3}),
+        ],
+    )
+    def test_x_one_cells_alone_are_rerun(self, name, want, monkeypatch):
+        # The x=1 stencil steps past the domain.  The column call gives NaN
+        # there, and only that cell is rerun, to learn its reason.
+        shapes = []
+        engine = sweep_module.qfi_two_qubit_spectral_retry
+
+        def counting(family, theta, *args, **kwargs):
+            shapes.append(np.shape(theta))
+            return engine(family, theta, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "qfi_two_qubit_spectral_retry", counting)
+        table = run_sweep(figure_preset(name))
+        assert shapes == [(101,), ()] * 3
+        assert table.warnings == want
+
     def test_determinism(self):
         spec = figure_preset("fig3b")
         first = run_sweep(spec)
