@@ -119,9 +119,12 @@ class ColorCoeffs(NamedTuple):
 
 
 # math for floats keeps one state at its scalar speed; numpy for arrays.  The
-# stack tests check that both round alike.
+# stack tests check that both round alike.  An array radicand u + iv is NaN
+# unless u >= |v|: a complex step within reach of the branch point has no value.
 def _sqrt(v):
-    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+    if isinstance(v, np.ndarray):
+        return np.where(v.real >= np.abs(v.imag), np.sqrt(v), np.nan)
+    return math.sqrt(v)
 
 
 def _cos_sin(r):
@@ -279,7 +282,7 @@ def _color_state(x, q, r) -> np.ndarray:
 
 def _whitecolor_state(x, p, q, r) -> np.ndarray:
     # Linear combination of the channel images of the three mixture parts.
-    # No domain checks: finite-difference stencils probe slightly outside.
+    # No domain checks: the QFI engines evaluate it at complex theta + ih.
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
     cr, sr = _cos_sin(r)

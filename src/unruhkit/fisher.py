@@ -11,23 +11,21 @@ parameter:
   reported as the spectral-form decomposition F = term_classical +
   term_quantum - term_pairs.
 
-Derivatives are central finite differences.  The SLD form differences the
-density matrix itself and needs one eigendecomposition at the center, so no
-eigenvector is differenced and no eigenvector gauge has to be fixed
-(Braunstein & Caves, PRL 72, 3439 (1994); Liu et al., J. Phys. A 53, 023001
-(2020)).
+Derivatives are taken by complex step: every family is real-analytic in its
+parameter, so one evaluation at theta + ih gives rho = Re and drho = Im/h,
+exact to round-off (Squire & Trapp, SIAM Rev. 40, 110 (1998)).  The SLD form
+needs one eigendecomposition of rho, so no eigenvector is differentiated and
+no eigenvector gauge has to be fixed (Braunstein & Caves, PRL 72, 3439
+(1994); Liu et al., J. Phys. A 53, 023001 (2020)).
 
 Both engines take a float or an array of parameter values.  An array theta
-evaluates the family once per stencil point, as one ``shape(theta) +
-(dim, dim)`` stack, and gives arrays of the same shape; the SLD engine runs
-one batched ``eigh`` over the center stack.  A float theta runs the same code
-and gives floats, so each entry of an array result equals, bit for bit, the
-value of its own float.  Where a float call raises ``FamilyEvalError`` because
-the family is not finite at one of its stencil points (a stencil past x = 1,
-where sqrt(1 - x^2) has no real value), an array gives NaN for the value and
-for each term of the decomposition, and the other entries keep their float
-values.  ``state_family`` accepts array-valued fixed parameters, which
-broadcast against theta.
+evaluates the family once, as one ``shape(theta) + (dim, dim)`` stack, and
+gives arrays of the same shape; the SLD engine runs one batched ``eigh``.  A
+float theta runs as a one-element array and gives floats, so each entry of an
+array result equals, bit for bit, the value of its own float.  Where a float
+call raises ``FamilyEvalError`` because the family is not finite at theta +
+ih (at x = 1 the step reaches the branch point of sqrt(1 - x^2)), an array
+gives NaN for the value and for each term of the decomposition.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
@@ -40,7 +38,6 @@ float call, and is NaN where that call raises ``SingularPointError``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,10 +55,10 @@ from .channels import (
     white_coeffs,
 )
 from .errors import DomainError, FamilyEvalError, SingularPointError
-from .qlinalg import clip_at_zero, dagger, partial_trace
+from .qlinalg import HERMITICITY_TOL, clip_at_zero, partial_trace
 
-# Default finite-difference step, in the parameter's natural units.
-FD_STEP = 1e-5
+# Imaginary step of the complex-step derivative; its O(h^2) error is nil.
+COMPLEX_STEP = 1e-30
 # Branch threshold: |s| at or above 1 - PURE_MARGIN uses the pure-state form.
 PURE_MARGIN = 1e-9
 # Eigenvalue pairs summing below this are dropped from the two-qubit QFI.
@@ -109,52 +106,53 @@ class KappaMuTerms:
 class StateFamily:
     """A one-parameter family of states: theta -> density matrix.
 
-    ``evaluate`` must be side-effect free and twice differentiable on the
-    probed interval; ``param`` names the estimated parameter (p, q, x or r).
-    The engines call it with a float or an array of theta values and expect
-    a matrix of shape ``shape(theta) + (dim, dim)``.
+    ``evaluate`` must be side-effect free and real-analytic, and real symmetric
+    at real theta; ``param`` names the estimated parameter (p, q, x or r).  The
+    engines call it once, at the complex array theta + ih, and expect a matrix
+    of shape ``shape(theta) + (dim, dim)``.
     """
 
-    evaluate: Callable[[float], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     param: str
     dim: int = 4
     label: str = ""
 
 
-def _family_stencil(family: StateFamily, theta, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The family at theta - h, theta and theta + h, stacked on a new first
-    axis, and the mask of shape ``shape(theta)`` of its non-finite cells.
+def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho and drho/dtheta, both real, from one evaluation of the family at
+    theta + ih, and the mask of shape ``shape(theta)`` of its non-finite cells.
 
-    A cell is non-finite when any of its three matrices is, as where a stencil
-    steps past the domain (x > 1 under a square root).  A float theta raises
-    ``FamilyEvalError`` there; an array overwrites the cell's three matrices
-    with I/dim, so the batched eigensolve sees only finite input, and the
+    A float theta is evaluated as a one-element array, so it rounds as an array
+    entry does.  At a non-finite cell (where the step reaches a branch point) a
+    float theta raises ``FamilyEvalError``; an array sets rho = I/dim and
+    drho = 0 there, so the batched eigensolve sees only finite input, and the
     engines give NaN at the mask.  An exception or a wrong shape from
-    ``family.evaluate`` raises ``FamilyEvalError`` for either.
+    ``family.evaluate`` raises ``FamilyEvalError``; a matrix that is not
+    symmetric raises ``DomainError``, as Im/h of a complex family is no
+    derivative.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"h must be finite and positive, got {h}")
     shape = np.shape(theta) + (family.dim, family.dim)
     name = family.label or family.param
-    matrices = []
+    scalar = np.ndim(theta) == 0
+    t = (np.reshape(theta, 1) if scalar else theta) + 1j * COMPLEX_STEP
     with np.errstate(invalid="ignore"):
-        for t in (theta - h, theta, theta + h):
-            try:
-                m = np.asarray(family.evaluate(t), dtype=complex)
-            except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
-                raise FamilyEvalError(f"family {name} failed at {t}: {exc}") from exc
-            if m.shape != shape:
-                raise FamilyEvalError(f"family {name} returned shape {m.shape} at {t}, not {shape}")
-            matrices.append(m)
-    stencil = np.stack(matrices)
-    # One reduction over the whole stencil is the common case and the cheap one.
-    if np.isfinite(stencil).all():
-        return stencil, np.zeros(np.shape(theta), dtype=bool)
-    if np.ndim(theta) == 0:
-        raise FamilyEvalError(f"family {name} returned a non-finite matrix near {theta}")
-    bad = ~np.isfinite(stencil).all(axis=(0, -2, -1))
-    stencil[:, bad] = np.eye(family.dim) / family.dim
-    return stencil, bad
+        try:
+            m = np.asarray(family.evaluate(t), dtype=complex)
+        except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
+            raise FamilyEvalError(f"family {name} failed at {theta}: {exc}") from exc
+    if scalar and m.shape == (1,) + shape:  # else a theta-free (dim, dim) matrix
+        m = m[0]
+    if m.shape != shape:
+        raise FamilyEvalError(f"family {name} returned shape {m.shape} at {theta}, not {shape}")
+    # A NaN cell compares False, so it is left to the mask.
+    if (np.abs(m - m.swapaxes(-1, -2)) > HERMITICITY_TOL).any():
+        raise DomainError(f"family {name} is not real symmetric at {theta}")
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    if bad.any():
+        if scalar:
+            raise FamilyEvalError(f"family {name} returned a non-finite matrix near {theta}")
+        m = np.where(bad[..., None, None], np.eye(family.dim) / family.dim, m)
+    return m.real, m.imag / COMPLEX_STEP, bad
 
 
 def _as_result(value):
@@ -188,19 +186,18 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     return s
 
 
-def qfi_single_bloch(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
-    """Single-qubit QFI of a 2x2 family at ``theta`` via central differences.
+def qfi_single_bloch(family: StateFamily, theta) -> QfiValue:
+    """Single-qubit QFI of a 2x2 family at ``theta`` via its complex step.
 
     An array ``theta`` gives an array ``value`` of its shape, NaN at the cells
-    whose stencil is not finite.
+    where the family is not finite at theta + ih.
     """
-    stencil, bad = _family_stencil(family, theta, h)
-    s_minus, s_center, s_plus = bloch_vector(stencil)
-    ds = (s_plus - s_minus) / (2.0 * h)
+    rho, d_rho, bad = _family_stencil(family, theta)
+    s, ds = bloch_vector(rho), bloch_vector(d_rho)
     ds_sq = (ds * ds).sum(axis=-1)
-    norm_sq = (s_center * s_center).sum(axis=-1)
+    norm_sq = (s * s).sum(axis=-1)
     pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
-    mixed = (s_center * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
+    mixed = (s * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
     (value,) = _results(bad, np.maximum(0.0, np.where(pure, ds_sq, mixed)))
     return QfiValue(value=value, form=FORM_SINGLE_BLOCH)
 
@@ -216,7 +213,7 @@ def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
 
 def _reduced_state(x, p, q, r) -> np.ndarray:
     # top is the combined builder's d00 + d22, where q cancels.  Polynomial in
-    # x (no square root), so stencils may cross x = 0 or 1.
+    # x (no square root), so its complex step is finite at x = 0 and 1 too.
     a = 1.0 - 2.0 * x * x
     cr = np.cos(r)
     top = (1.0 - a * p) * (cr * cr) / 2.0
@@ -242,11 +239,11 @@ def state_family(
     """Family theta -> accelerated state with ``param`` freed and the rest fixed.
 
     The family evaluates the combined builder at the mapped strengths, without
-    domain checks, so finite-difference stencils may poke slightly past the
-    parameter boundaries.  ``reduced=True`` gives the 2x2 reduction of the
-    accelerated qubit instead of the full state.  Fixed parameters may be
-    arrays; they broadcast against theta, so the engines need a theta of the
-    broadcast shape.
+    domain checks, so the engines can evaluate it at complex theta + ih; it is
+    real symmetric and real-analytic, as ``StateFamily`` requires.
+    ``reduced=True`` gives the 2x2 reduction of the accelerated qubit instead
+    of the full state.  Fixed parameters may be arrays; they broadcast against
+    theta, so the engines need a theta of the broadcast shape.
     """
     channel = Channel(channel)
     if param not in CHANNEL_PARAMS[channel]:
@@ -317,25 +314,24 @@ def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(mask, values, 0.0).sum(axis=(-2, -1))
 
 
-def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
-    """SLD-form QFI of a 4x4 family at ``theta`` via a central difference.
+def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
+    """SLD-form QFI of a 4x4 family at ``theta`` via its complex step.
 
-    With rho = sum_i l_i |V_i><V_i| at ``theta`` and D = V^dagger (drho) V,
-    F = 2 sum_{i,j} |D_ij|^2/(l_i + l_j) over pairs whose eigenvalue sum is at
+    With rho = sum_i l_i |V_i><V_i| at ``theta`` and the real D = V^T (drho) V,
+    F = 2 sum_{i,j} D_ij^2/(l_i + l_j) over pairs whose eigenvalue sum is at
     least ``EIG_FLOOR``.  The decomposition splits the same sum into the
     classical term D_ii^2/l_i and the quantum and pair terms of the spectral
     form, with <V_i|dV_j> = D_ij/(l_j - l_i); an exactly tied pair, whose
-    eigenvectors are not defined, puts its whole share 4|D_ij|^2/(l_i + l_j)
+    eigenvectors are not defined, puts its whole share 4 D_ij^2/(l_i + l_j)
     into the quantum term, so value = classical + quantum - pairs throughout.
 
     An array ``theta`` gives arrays of its shape for the value and for each
-    term of the decomposition, NaN at the cells whose stencil is not finite.
+    term of the decomposition, NaN at the cells where the family is not
+    finite at theta + ih.
     """
-    stencil, bad = _family_stencil(family, theta, h)
-    minus, center, plus = (stencil + dagger(stencil)) / 2.0
-    lam, vc = np.linalg.eigh(center)
-    d_rho = (plus - minus) / (2.0 * h)
-    weight = np.abs(dagger(vc) @ d_rho @ vc) ** 2
+    rho, d_rho, bad = _family_stencil(family, theta)
+    lam, v = np.linalg.eigh(rho)
+    weight = (v.swapaxes(-1, -2) @ d_rho @ v) ** 2
 
     lam_i, lam_j = lam[..., :, None], lam[..., None, :]
     pair_sum = lam_i + lam_j
@@ -360,14 +356,14 @@ def qfi_two_qubit_spectral(family: StateFamily, theta, h: float = FD_STEP) -> Qf
     return QfiValue(value=value, form=FORM_TWO_SPECTRAL, decomposition=tuple(terms))
 
 
-def qfi_two_qubit_spectral_retry(family: StateFamily, theta, h: float = FD_STEP) -> QfiValue:
+def qfi_two_qubit_spectral_retry(family: StateFamily, theta) -> QfiValue:
     """Same as ``qfi_two_qubit_spectral``; the SLD form needs no retries.
 
     Kept under this name because the benchmark's tracer looks it up in
     ``fisher`` and ``verify`` and counts the engine calls made through it;
     sweep and verify call it for that reason.
     """
-    return qfi_two_qubit_spectral(family, theta, h)
+    return qfi_two_qubit_spectral(family, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .errors import (
     UnknownPresetError,
 )
 from .fisher import (
-    FD_STEP,
+    COMPLEX_STEP,
     qfi_single_bloch,
     qfi_single_white_closed,
     qfi_two_qubit_spectral_retry,
@@ -473,9 +473,9 @@ def _evaluate_column(
     Every column, numeric or closed, is computed in one call over the whole
     column.  The cells that call cannot give are evaluated one by one, so each
     empty cell is counted under its own reason in ``warnings``: its NaN cells
-    (a closed form's singular cells, an engine's cells whose stencil steps
-    past the domain), or all of them if it raises a cell error.  Every other
-    cell equals its one-cell call bit for bit.
+    (a closed form's singular cells, an engine's cells whose complex step
+    reaches a branch point), or all of them if it raises a cell error.  Every
+    other cell equals its one-cell call bit for bit.
     """
     point = dict(combo)
     point[spec.vary] = np.array(values)
@@ -542,7 +542,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.label != "sweep":
         provenance.append(f"preset: {spec.label}")
     provenance.append(_spec_echo(spec))
-    provenance.append(f"settings: fd-step={FD_STEP:g} csv-digits={CSV_DIGITS}")
+    provenance.append(f"settings: derivative=complex-step(h={COMPLEX_STEP:g}) csv-digits={CSV_DIGITS}")
     provenance.extend(f"note: {note}" for note in spec.notes)
     total_empty = sum(warnings.values())
     if total_empty:

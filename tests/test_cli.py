@@ -139,8 +139,9 @@ class TestVerifyCommand:
         assert "overall: FAIL" in capsys.readouterr().out
 
     def test_nan_tolerance_is_usage_error(self, capsys):
-        assert main(["verify", "--tol", "nan", "--grid", "5"]) == 1
-        assert "tolerance must be positive" in capsys.readouterr().err
+        for tol in ("nan", "inf"):
+            assert main(["verify", "--tol", tol, "--grid", "5"]) == 1
+            assert "tolerance must be positive" in capsys.readouterr().err
 
 
 class TestFamilyErrors:

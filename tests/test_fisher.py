@@ -31,6 +31,7 @@ from unruhkit import (
     white_coeffs,
 )
 from unruhkit.channels import CHANNEL_PARAMS
+from unruhkit import fisher as fisher_module
 from unruhkit.fisher import _kappa_bundle, _mu_bundle
 from oracles import central_difference
 
@@ -127,8 +128,8 @@ class TestStateFamily:
                             assert np.abs(got - want).max() < 1e-15
 
     def test_reduced_family_steps_past_x_one(self):
-        # The reduced family is polynomial in x, so the stencil at x=1 reaches
-        # x=1+h and the fig9a cells there stay filled.
+        # The reduced family is polynomial in x, so its complex step at x=1 is
+        # finite and the fig9a cells there stay filled.
         family = state_family(Channel.WHITE, "x", p=0.2, r=0.0, reduced=True)
         assert math.isfinite(qfi_single_bloch(family, 1.0).value)
         table = run_sweep(figure_preset("fig9a"))
@@ -205,20 +206,22 @@ class TestSpectralEngine:
         # Rank-1 oracle: 4(<d_psi|d_psi> - |<psi|d_psi>|^2) = 4/(1-x^2).
         family = state_family(Channel.WHITE, "x", p=1.0, r=0.0)
         got = qfi_two_qubit_spectral_retry(family, x)
-        assert got.value == pytest.approx(4.0 / (1.0 - x * x), rel=1e-5)
+        assert got.value == pytest.approx(4.0 / (1.0 - x * x), rel=1e-13)
 
     def test_diagonal_family_classical_information(self):
         # Two-outcome distribution (theta, 1-theta): classical Fisher
         # information 1/theta + 1/(1-theta).
-        family = StateFamily(
-            evaluate=lambda t: np.diag([t, 1 - t, 0.0, 0.0]).astype(complex),
-            param="p",
-        )
-        got = qfi_two_qubit_spectral(family, 0.3)
+        def evaluate(t):
+            m = np.zeros(np.shape(t) + (4, 4), dtype=complex)
+            m[..., 0, 0] = t
+            m[..., 1, 1] = 1 - t
+            return m
+
+        got = qfi_two_qubit_spectral(StateFamily(evaluate=evaluate, param="p"), 0.3)
         want = 1 / 0.3 + 1 / 0.7
-        assert got.value == pytest.approx(want, rel=1e-9)
+        assert got.value == pytest.approx(want, rel=1e-13)
         classical, quantum, pairs = got.decomposition
-        assert classical == pytest.approx(want, rel=1e-9)
+        assert classical == pytest.approx(want, rel=1e-13)
         assert quantum == pytest.approx(0.0, abs=1e-12)
         assert pairs == pytest.approx(0.0, abs=1e-12)
 
@@ -240,7 +243,7 @@ class TestSpectralEngine:
 
     def test_degenerate_crossing_detected(self):
         # A three-way-mixing perturbation of the maximally mixed state: no
-        # eigenbasis follows the stencil, but the SLD form needs none.  At
+        # eigenbasis follows the perturbation, but the SLD form needs none.  At
         # rho = I/4, F = 2 sum |drho_ij|^2/(1/2) = 4 * 6 = 24, all of it in
         # the tied-pair share of the quantum term.
         mix = np.zeros((4, 4), dtype=complex)
@@ -262,22 +265,27 @@ class TestSpectralEngine:
         near_tie = qfi_two_qubit_spectral(family_near, 0.5).value
         assert at_tie == pytest.approx(near_tie, rel=1e-3)
 
-    def test_step_halving_stability(self):
+    def test_step_halving_stability(self, monkeypatch):
+        # The complex step has no truncation error to halve: any step far
+        # below the parameters' scale gives the same derivative.
         points = [
             (Channel.WHITE, "p", dict(x=0.3, r=0.4), 0.55),
             (Channel.WHITE, "x", dict(p=0.7, r=0.2), 0.45),
             (Channel.COLOR, "q", dict(x=0.6, r=0.5), 0.35),
             (Channel.COLOR, "r", dict(x=0.4, q=0.8), 0.3),
         ]
+        assert fisher_module.COMPLEX_STEP == 1e-30
         for channel, param, fixed, theta in points:
             family = state_family(channel, param, **fixed)
-            coarse = qfi_two_qubit_spectral(family, theta, h=1e-5).value
-            fine = qfi_two_qubit_spectral(family, theta, h=5e-6).value
-            assert abs(coarse - fine) / max(coarse, 1e-12) < 1e-4
             reduced = state_family(channel, param, reduced=True, **fixed)
-            coarse_s = qfi_single_bloch(reduced, theta, h=1e-5).value
-            fine_s = qfi_single_bloch(reduced, theta, h=5e-6).value
-            assert abs(coarse_s - fine_s) / max(coarse_s, 1e-12) < 1e-4
+            with monkeypatch.context() as patch:
+                patch.setattr(fisher_module, "COMPLEX_STEP", 1e-20)
+                wide = qfi_two_qubit_spectral(family, theta).value
+                wide_s = qfi_single_bloch(reduced, theta).value
+            narrow = qfi_two_qubit_spectral(family, theta).value
+            narrow_s = qfi_single_bloch(reduced, theta).value
+            assert abs(wide - narrow) <= 1e-14 * narrow
+            assert abs(wide_s - narrow_s) <= 1e-14 * narrow_s
 
 
 class TestKappaMuTerms:
@@ -482,16 +490,18 @@ class TestArrayEngines:
                     assert np.float64(out[i]).tobytes() == np.float64(one).tobytes(), t
 
     def test_column_past_x_one_is_nan_only_at_x_one(self):
-        # The x=1 stencil steps past the domain: sqrt(1 - x^2) of x = 1 + h.
+        # At x=1 the complex step reaches the branch point of sqrt(1 - x^2).
         family = state_family(Channel.COLOR, "x", q=0.2, r=0.0)
         theta = np.array([0.5, 0.9, 1.0])
         self.assert_nan_only_at_bad_cells(qfi_two_qubit_spectral, family, theta, theta == 1.0)
 
     def test_bloch_column_is_nan_only_at_non_finite_cells(self):
         # The model's reduced families are polynomial in x and stay finite, so
-        # a caller-built one has the square root.
+        # a caller-built one has the square root.  It is NaN where its branch
+        # point is within reach of the step, as the model's builders are.
         def evaluate(t):
-            z = 0.5 * np.sqrt(1.0 - t * t)
+            radicand = 1.0 - t * t
+            z = 0.5 * np.where(radicand.real >= np.abs(radicand.imag), np.sqrt(radicand), np.nan)
             m = np.zeros(np.shape(t) + (2, 2), dtype=complex)
             m[..., 0, 0] = (1.0 + z) / 2.0
             m[..., 1, 1] = (1.0 - z) / 2.0
@@ -501,13 +511,23 @@ class TestArrayEngines:
         theta = np.array([0.5, 0.9, 1.0])
         self.assert_nan_only_at_bad_cells(qfi_single_bloch, family, theta, theta == 1.0)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("engine", [qfi_two_qubit_spectral, qfi_single_bloch])
-    def test_step_must_be_finite_and_positive(self, engine, h):
-        family = state_family(Channel.WHITE, "p", x=0.3, r=0.2, reduced=engine is qfi_single_bloch)
+    def test_complex_hermitian_family_is_rejected(self, engine):
+        # Im rho(theta + ih)/h is the derivative only for a real family; a
+        # complex Hermitian one would give a wrong QFI without this check.
+        dim = 2 if engine is qfi_single_bloch else 4
+
+        def evaluate(t):
+            m = np.zeros(np.shape(t) + (dim, dim), dtype=complex)
+            m[..., 0, 0] = t
+            m[..., 1, 1] = 1 - t
+            m[..., 0, 1], m[..., 1, 0] = 0.1j, -0.1j
+            return m
+
+        family = StateFamily(evaluate=evaluate, param="p", dim=dim, label="hermitian")
         for theta in (0.5, np.array([0.4, 0.5])):
-            with pytest.raises(DomainError, match="h must be finite and positive"):
-                engine(family, theta, h=h)
+            with pytest.raises(DomainError, match="not real symmetric"):
+                engine(family, theta)
 
     def test_failing_or_misshapen_family_raises_for_float_and_array(self):
         def evaluate(t):
@@ -529,10 +549,10 @@ class TestArrayEngines:
 
     @pytest.mark.parametrize("name", ["fig9b", "fig11b", "fig8b:closed", "fig9b:closed"])
     def test_fallback_column_keeps_per_cell_reasons(self, name):
-        # The x=1 stencil leaves the domain, so each numeric column falls back
-        # to cells; only its x=1 cell is empty, for its own reason.  A closed
-        # column is NaN at its singular cells (p=0, or x in {0, 1}) and falls
-        # back the same way.
+        # At x=1 the complex step reaches a branch point, so each numeric
+        # column falls back to cells; only its x=1 cell is empty, for its own
+        # reason.  A closed column is NaN at its singular cells (p=0, or x in
+        # {0, 1}) and falls back the same way.
         preset, _, variant = name.partition(":")
         table = run_sweep(figure_preset(preset))
         suffix = ":" + (variant or "numeric")

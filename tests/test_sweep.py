@@ -343,8 +343,9 @@ class TestRunSweep:
         ],
     )
     def test_x_one_cells_alone_are_rerun(self, name, want, monkeypatch):
-        # The x=1 stencil steps past the domain.  The column call gives NaN
-        # there, and only that cell is rerun, to learn its reason.
+        # At x=1 the complex step reaches the branch point of sqrt(1 - x^2).
+        # The column call gives NaN there, and only that cell is rerun, to
+        # learn its reason.
         shapes = []
         engine = sweep_module.qfi_two_qubit_spectral_retry
 
@@ -356,6 +357,14 @@ class TestRunSweep:
         table = run_sweep(figure_preset(name))
         assert shapes == [(101,), ()] * 3
         assert table.warnings == want
+
+    def test_numeric_qfi_meets_closed_form_next_to_x_one(self):
+        # The complex-step derivative has no truncation error to grow where
+        # d sqrt(1 - x^2)/dx does.
+        table = run_sweep(figure_preset("fig9b"))
+        (row,) = [row for row in table.rows if row[0] == 0.99]
+        for numeric, closed in zip(row[1::2], row[2::2]):
+            assert numeric == pytest.approx(closed, rel=1e-12, abs=0)
 
     def test_determinism(self):
         spec = figure_preset("fig3b")

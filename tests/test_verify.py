@@ -86,6 +86,14 @@ class TestReportContent:
         assert lines[-1].startswith("overall: PASS")
 
 
+def test_closed_qfi_checks_are_exact_to_round_off():
+    # The engines' complex-step derivatives carry no truncation error, so
+    # they meet the closed forms far inside the gate.
+    report = run_verification(grid_n=11)
+    for name in ("qfi-single-closed-vs-bloch-engine", "qfi-two-closed-vs-spectral-engine"):
+        assert record(report, name).max_residual <= 1e-11, name
+
+
 def test_every_check_reports_its_worst_point():
     report = run_verification(grid_n=5)
     for check in report.checks:
