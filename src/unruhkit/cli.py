@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -23,6 +24,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built on the first main() call and reused: argparse keeps no per-call
+# state on a parser, and --help, --version and usage errors look up
+# sys.stdout and sys.stderr when they print.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unruhkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"unruhkit {__version__}")

@@ -61,10 +61,12 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     sqrt(rho~) @ sqrt(rho), whose Gram matrix is exactly that Hermitian
     product.  Singular values carry absolute round-off ~1e-16 even at zero,
     unlike sqrt(eigenvalue) which amplifies noise at rank-deficient points.
+    sqrt(rho~) is taken as spin_flip(sqrt(rho)): the spin flip is complex
+    conjugation and a real orthogonal similarity, and the PSD square root
+    commutes with both, so one eigensolve per matrix serves both roots.
     """
     root = sqrt_psd(rho)
-    root_flipped = sqrt_psd(spin_flip(rho))
-    s = np.linalg.svd(root_flipped @ root, compute_uv=False)
+    s = np.linalg.svd(spin_flip(root) @ root, compute_uv=False)
     value = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
     return float(value) if value.ndim == 0 else value
 

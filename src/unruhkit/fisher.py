@@ -110,6 +110,12 @@ class StateFamily:
     at real theta; ``param`` names the estimated parameter (p, q, x or r).  The
     engines call it once, at the complex array theta + ih, and expect a matrix
     of shape ``shape(theta) + (dim, dim)``.
+
+    The engines do not enforce that the family is real.  Their symmetry test
+    catches only a family whose imaginary part is nonzero at theta itself.
+    For rho(theta) = I/2 + 0.1 theta sigma_y, the matrix at 0 + ih is
+    asymmetric by only 2e-31, so ``qfi_single_bloch`` at theta = 0 returns
+    0.0 where the true QFI is 0.04; at theta = 0.3 it raises ``DomainError``.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -129,7 +135,9 @@ def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray,
     engines give NaN at the mask.  An exception or a wrong shape from
     ``family.evaluate`` raises ``FamilyEvalError``; a matrix that is not
     symmetric raises ``DomainError``, as Im/h of a complex family is no
-    derivative.
+    derivative.  That test sees only the asymmetry at theta + ih, so a
+    complex Hermitian family whose imaginary part vanishes at theta passes it
+    with a wrong derivative (see ``StateFamily``): families must be real.
     """
     shape = np.shape(theta) + (family.dim, family.dim)
     name = family.label or family.param

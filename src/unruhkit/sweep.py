@@ -46,6 +46,7 @@ from .fisher import (
 )
 
 CSV_DIGITS = 12
+_CELL_FORMAT = f".{CSV_DIGITS}g"
 # Most grid rows a sweep may have; the figure presets have 101.
 MAX_GRID_ROWS = 1_000_000
 # Published figures draw acceleration series up to r=0.8, slightly past the
@@ -553,15 +554,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 def format_cell(value: Optional[float]) -> str:
     """CSV cell text: 12 significant digits, empty for singular cells."""
-    if value is None:
-        return ""
-    return f"{value:.{CSV_DIGITS}g}"
+    return "" if value is None else format(value, _CELL_FORMAT)
 
 
 def render_csv_body(table: SweepTable) -> str:
     """Header plus data lines; deterministic for identical specs."""
     lines = [",".join(table.columns)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in table.rows)
+    for row in table.rows:
+        lines.append(",".join(["" if c is None else format(c, _CELL_FORMAT) for c in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from unruhkit import FamilyEvalError, StateFamily, qfi_single_bloch, qfi_two_qubit_spectral
+from unruhkit import cli
 from unruhkit.cli import main
 from unruhkit.sweep import _FLAG_GRAMMAR
 
@@ -142,6 +148,63 @@ class TestVerifyCommand:
         for tol in ("nan", "inf"):
             assert main(["verify", "--tol", tol, "--grid", "5"]) == 1
             assert "tolerance must be positive" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_built_on_first_call_not_at_import(self):
+        script = (
+            "from unruhkit import cli\n"
+            "assert cli._build_parser.cache_info().currsize == 0\n"
+            "cli.main(['--version']); cli.main(['sweep', '--help'])\n"
+            "assert cli._build_parser.cache_info().misses == 1\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_reused_parser_gives_what_fresh_calls_give(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        sequence = [
+            ["figure", "fig1a", "--channel", "white"],
+            ["--version"],
+            ["sweep", "--help"],
+            ["sweep", *SWEEP_FLAGS, "--out", str(a)],
+            ["sweep", *SWEEP_FLAGS],
+            ["figure", "fig1a", "--out", str(b)],
+            ["verify", "--tol", "nan", "--grid", "5"],
+        ]
+
+        def call(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            files = tuple(body(path.read_text()) if path.exists() else None for path in (a, b))
+            return code, body(captured.out), captured.err, files
+
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(call(argv))
+        a.unlink()
+        b.unlink()
+
+        cli._build_parser.cache_clear()
+        reused = []
+        for argv in sequence:
+            reused.append(call(argv))
+            if argv[-1] == str(a):
+                written = a.read_text()
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [1, 0, 0, 0, 0, 0, 1]
+        # The sweep without --out went to stdout and left A as it was.
+        assert a.read_text() == written
+        assert reused[4][1] == reused[3][3][0]
 
 
 class TestFamilyErrors:

@@ -16,6 +16,7 @@ from unruhkit import (
     kron2,
     phi_ket,
     spin_flip,
+    sqrt_psd,
     whitecolor_surd_terms,
 )
 from unruhkit.entanglement import _sqrt_clamped
@@ -100,6 +101,17 @@ class TestConcurrenceEngine:
         for _ in range(200):
             rho = random_density(rng)
             assert concurrence(rho) == pytest.approx(oracle_concurrence(rho), abs=1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_one_root_equals_two_root_form(self, rng, rank):
+        # The engine takes sqrt(spin_flip(rho)) as spin_flip(sqrt(rho)); the
+        # reference takes the second PSD root directly.
+        g = rng.normal(size=(100, 4, rank)) + 1j * rng.normal(size=(100, 4, rank))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        s = np.linalg.svd(sqrt_psd(spin_flip(rho)) @ sqrt_psd(rho), compute_uv=False)
+        two_root = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+        np.testing.assert_allclose(concurrence(rho), two_root, rtol=0, atol=1e-13)
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(40):
