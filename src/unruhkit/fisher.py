@@ -18,26 +18,30 @@ needs one eigendecomposition of rho, so no eigenvector is differentiated and
 no eigenvector gauge has to be fixed (Braunstein & Caves, PRL 72, 3439
 (1994); Liu et al., J. Phys. A 53, 023001 (2020)).
 
-Both engines take a float or an array of parameter values.  An array theta
-evaluates the family once, as one ``shape(theta) + (dim, dim)`` stack, and
-gives arrays of the same shape; the SLD engine runs one batched ``eigh``.  A
-float theta runs as a one-element array and gives floats, so each entry of an
-array result equals, bit for bit, the value of its own float.  Where a float
-call raises ``FamilyEvalError`` because the family is not finite at theta +
-ih (at x = 1 the step reaches the branch point of sqrt(1 - x^2)), an array
-gives NaN for the value and for each term of the decomposition.
+Every function computes on arrays only.  An engine evaluates the family once,
+at the array theta + ih, as one stack that broadcasts to ``shape(theta) +
+(dim, dim)``, and gives arrays of theta's shape; the SLD engine runs one
+batched ``eigh``.  Where the family is not finite at theta + ih (at x = 1 the
+step reaches the branch point of sqrt(1 - x^2)), the value and each term of
+the decomposition are NaN.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
 are implemented with their primes read as partial derivatives with respect
 to the estimated parameter; the verification harness compares them against
-the engines and records residuals.  They take floats or broadcast arrays of
-(x, p, r) through one code path: each entry of an array result equals its own
-float call, and is NaN where that call raises ``SingularPointError``.
+the engines and records residuals.  They take broadcast arrays of (x, p, r)
+and give NaN where a term is undefined.
+
+Floats cross one boundary, ``_float_boundary``: a float call runs as a
+one-element array and returns floats, so it equals its array entry bit for
+bit, and where that entry is NaN it raises the exception ``NAN_ERRORS`` names
+for its form.  Sweeps read the same table to name each empty cell's reason.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,6 +71,14 @@ EIG_FLOOR = 1e-12
 FORM_SINGLE_BLOCH = "single-bloch"
 FORM_TWO_SPECTRAL = "two-spectral"
 FORM_CLOSED = "closed"
+
+# The exception a float call raises where its array call gives NaN, by form:
+# an engine's family is not finite at theta + ih, a closed form's term is undefined.
+NAN_ERRORS = {
+    FORM_SINGLE_BLOCH: FamilyEvalError,
+    FORM_TWO_SPECTRAL: FamilyEvalError,
+    FORM_CLOSED: SingularPointError,
+}
 
 _PARAM_INDEX = {"p": 0, "x": 1, "r": 2}
 _EYE4 = np.eye(4, dtype=bool)
@@ -109,7 +121,8 @@ class StateFamily:
     ``evaluate`` must be side-effect free and real-analytic, and real symmetric
     at real theta; ``param`` names the estimated parameter (p, q, x or r).  The
     engines call it once, at the complex array theta + ih, and expect a matrix
-    of shape ``shape(theta) + (dim, dim)``.
+    that broadcasts to ``shape(theta) + (dim, dim)``; a matrix free of theta
+    has zero derivative at every cell.
 
     The engines do not enforce that the family is real.  Their symmetry test
     catches only a family whose imaginary part is nonzero at theta itself.
@@ -126,53 +139,74 @@ class StateFamily:
 
 def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rho and drho/dtheta, both real, from one evaluation of the family at
-    theta + ih, and the mask of shape ``shape(theta)`` of its non-finite cells.
+    the array theta + ih, and the mask of shape ``shape(theta)`` of its
+    non-finite cells.
 
-    A float theta is evaluated as a one-element array, so it rounds as an array
-    entry does.  At a non-finite cell (where the step reaches a branch point) a
-    float theta raises ``FamilyEvalError``; an array sets rho = I/dim and
-    drho = 0 there, so the batched eigensolve sees only finite input, and the
-    engines give NaN at the mask.  An exception or a wrong shape from
-    ``family.evaluate`` raises ``FamilyEvalError``; a matrix that is not
-    symmetric raises ``DomainError``, as Im/h of a complex family is no
-    derivative.  That test sees only the asymmetry at theta + ih, so a
-    complex Hermitian family whose imaginary part vanishes at theta passes it
-    with a wrong derivative (see ``StateFamily``): families must be real.
+    The family's result must broadcast to ``shape(theta) + (dim, dim)``; any
+    other shape, or an exception from ``family.evaluate``, raises
+    ``FamilyEvalError``.  A matrix that is not symmetric raises
+    ``DomainError``, as Im/h of a complex family is no derivative.  That test
+    sees only the asymmetry at theta + ih, so a complex Hermitian family
+    whose imaginary part vanishes at theta passes it with a wrong derivative
+    (see ``StateFamily``): families must be real.  At a non-finite cell (where
+    the step reaches a branch point) rho = I/dim and drho = 0, so the batched
+    eigensolve sees only finite input, and the engines give NaN at the mask.
     """
     shape = np.shape(theta) + (family.dim, family.dim)
     name = family.label or family.param
-    scalar = np.ndim(theta) == 0
-    t = (np.reshape(theta, 1) if scalar else theta) + 1j * COMPLEX_STEP
     with np.errstate(invalid="ignore"):
         try:
-            m = np.asarray(family.evaluate(t), dtype=complex)
+            m = np.asarray(family.evaluate(theta + 1j * COMPLEX_STEP), dtype=complex)
         except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
             raise FamilyEvalError(f"family {name} failed at {theta}: {exc}") from exc
-    if scalar and m.shape == (1,) + shape:  # else a theta-free (dim, dim) matrix
-        m = m[0]
     if m.shape != shape:
-        raise FamilyEvalError(f"family {name} returned shape {m.shape} at {theta}, not {shape}")
+        try:
+            m = np.broadcast_to(m, shape)
+        except ValueError:
+            raise FamilyEvalError(f"family {name} returned shape {m.shape} at {theta}, not {shape}") from None
     # A NaN cell compares False, so it is left to the mask.
     if (np.abs(m - m.swapaxes(-1, -2)) > HERMITICITY_TOL).any():
         raise DomainError(f"family {name} is not real symmetric at {theta}")
     bad = ~np.isfinite(m).all(axis=(-2, -1))
     if bad.any():
-        if scalar:
-            raise FamilyEvalError(f"family {name} returned a non-finite matrix near {theta}")
         m = np.where(bad[..., None, None], np.eye(family.dim) / family.dim, m)
     return m.real, m.imag / COMPLEX_STEP, bad
 
 
-def _as_result(value):
-    """A float for a 0-d value, else the array."""
-    return float(value) if np.ndim(value) == 0 else value
+def _item(value):
+    """A one-element array as a float, and so through a tuple; else as is."""
+    if isinstance(value, tuple):
+        return tuple(map(_item, value))
+    return value.item() if isinstance(value, np.ndarray) else value
 
 
-def _results(bad: np.ndarray, *values) -> list:
-    """Each of ``values`` through ``_as_result``, NaN at the ``bad`` cells."""
-    if bad.any():
-        values = [np.where(bad, np.nan, value) for value in values]
-    return [_as_result(value) for value in values]
+def _float_boundary(form: str, *point: str):
+    """Decorate an array function of ``form`` so that it takes floats too: a
+    call whose ``point`` arguments are all 0-d runs them as one-element
+    arrays, returns its result with each array as a float, and raises
+    ``NAN_ERRORS[form]`` where one is NaN.  Other calls pass through."""
+
+    def decorate(compute):
+        signature = inspect.signature(compute)
+        slots = [(list(signature.parameters).index(name), name) for name in point]
+
+        @functools.wraps(compute)
+        def call(*args, **kwargs):
+            values = [args[i] if i < len(args) else kwargs[name] for i, name in slots]
+            if any(np.ndim(value) for value in values):
+                return compute(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.arguments.update((name, np.array([value])) for name, value in zip(point, values))
+            result = compute(*bound.args, **bound.kwargs)
+            floats = {name: _item(value) for name, value in vars(result).items()}
+            if any(np.isnan(v).any() for v in floats.values() if isinstance(v, (float, tuple))):
+                where = ", ".join(f"{name}={value}" for name, value in zip(point, values))
+                raise NAN_ERRORS[form](f"{compute.__name__} is undefined at {where}")
+            return type(result)(**floats)
+
+        return call
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +228,7 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     return s
 
 
+@_float_boundary(FORM_SINGLE_BLOCH, "theta")
 def qfi_single_bloch(family: StateFamily, theta) -> QfiValue:
     """Single-qubit QFI of a 2x2 family at ``theta`` via its complex step.
 
@@ -206,7 +241,7 @@ def qfi_single_bloch(family: StateFamily, theta) -> QfiValue:
     norm_sq = (s * s).sum(axis=-1)
     pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
     mixed = (s * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
-    (value,) = _results(bad, np.maximum(0.0, np.where(pure, ds_sq, mixed)))
+    value = np.where(bad, np.nan, np.maximum(0.0, np.where(pure, ds_sq, mixed)))
     return QfiValue(value=value, form=FORM_SINGLE_BLOCH)
 
 
@@ -276,12 +311,13 @@ def state_family(
 # Closed single-qubit forms (white channel)
 # ---------------------------------------------------------------------------
 
+@_float_boundary(FORM_CLOSED, "x", "p", "r")
 def qfi_single_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form single-qubit QFI of the accelerated white channel.
 
     The reduced qubit's Bloch vector is (0, 0, (1-a p) cos^2 r - 1) with
     a = 1 - 2 x^2; the mixed/pure branch is selected from |s| exactly as the
-    numerical engine does.  Singular where the mixed branch's denominator
+    numerical engine does.  NaN where the mixed branch's denominator
     vanishes.
     """
     if param not in ("p", "x", "r"):
@@ -296,8 +332,6 @@ def qfi_single_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -
     bracket = 3.0 + a * p - lin * np.cos(2.0 * r)
     denom = lin * bracket
     singular = ~pure & (np.abs(denom if param != "r" else bracket) < 1e-14)
-    if np.ndim(singular) == 0 and singular:
-        raise SingularPointError(f"mixed-branch denominator vanishes at x={x}, p={p}, r={r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         mixed = {
             "p": 2.0 * a * a * cr2 / denom,
@@ -322,6 +356,7 @@ def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(mask, values, 0.0).sum(axis=(-2, -1))
 
 
+@_float_boundary(FORM_TWO_SPECTRAL, "theta")
 def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
     """SLD-form QFI of a 4x4 family at ``theta`` via its complex step.
 
@@ -360,8 +395,10 @@ def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
         tied, weight / kept_sum
     )
     term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
-    value, *terms = _results(bad, value, term_classical, term_quantum, term_pairs)
-    return QfiValue(value=value, form=FORM_TWO_SPECTRAL, decomposition=tuple(terms))
+    outputs = (value, term_classical, term_quantum, term_pairs)
+    if bad.any():
+        outputs = tuple(np.where(bad, np.nan, t) for t in outputs)
+    return QfiValue(value=outputs[0], form=FORM_TWO_SPECTRAL, decomposition=outputs[1:])
 
 
 def qfi_two_qubit_spectral_retry(family: StateFamily, theta) -> QfiValue:
@@ -438,19 +475,21 @@ def _kappa_bundle(x, p, r):
     return (kappa1, d_kappa1), (kappa2, d_kappa2), (kappa3, d_kappa3), (b1, b2, b3)
 
 
-def kappa_mu_terms(x: float, p: float, r: float, require_mu: bool = True) -> KappaMuTerms:
+@_float_boundary(FORM_CLOSED, "x", "p", "r")
+def kappa_mu_terms(x, p, r, require_mu: bool = True) -> KappaMuTerms:
     """Evaluate the spectral closed form's building blocks at (x, p, r).
 
     mu1, mu2 require a nondegenerate block with a nonvanishing coherence
-    coefficient; where that is zero (p=0 or x in {0, 1}) this raises
-    ``SingularPointError`` unless ``require_mu=False``, which gives ``None``.
+    coefficient; where that is zero (p=0 or x in {0, 1}) they are NaN, so a
+    float call raises ``SingularPointError``.  ``require_mu=False`` gives
+    ``None`` for both instead where the coherence vanishes at every point.
     """
-    ModelParams(x=x, p=p, r=r, channel=Channel.WHITE).validate()
+    _validate_points(RINDLER_R_MAX, x, p, 0.0, r, Channel.WHITE)
     bundle = _kappa_bundle(x, p, r)
     (kappa1, _), (kappa2, _), (kappa3, _), (b1, b2, b3) = bundle
     mu1 = mu2 = None
-    if require_mu or white_coeffs(x, p).epsilon != 0.0:
-        mu1, mu2 = (float(mu) for mu in _mu_bundle(x, p, r, bundle)[::2])
+    if require_mu or np.any(white_coeffs(x, p).epsilon != 0.0):
+        mu1, mu2 = _mu_bundle(x, p, r, bundle)[::2]
     return KappaMuTerms(
         kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, b1=b1, b2=b2, b3=b3, mu1=mu1, mu2=mu2
     )
@@ -458,19 +497,11 @@ def kappa_mu_terms(x: float, p: float, r: float, require_mu: bool = True) -> Kap
 
 def _mu_bundle(x, p, r, bundle):
     """mu1, d mu1, mu2, d mu2 from ``bundle = _kappa_bundle(x, p, r)``, the
-    gradients d/d(p, x, r) on a trailing axis; singular (NaN, or
-    ``SingularPointError`` for a float call) where the block coherence
+    gradients d/d(p, x, r) on a trailing axis; NaN where the block coherence
     vanishes or the block is degenerate."""
     epsilon = white_coeffs(x, p).epsilon
     _, (kappa2, d_kappa2), (kappa3, d_kappa3), _ = bundle
-    incoherent = epsilon == 0.0
-    degenerate = np.isnan(d_kappa2[..., 0])
-    if np.ndim(kappa2) == 0:
-        if incoherent:
-            raise SingularPointError(f"coherence coefficient vanishes at x={x}, p={p}")
-        if degenerate:
-            raise SingularPointError(f"coherent block degenerate at x={x}, p={p}, r={r}")
-    singular = incoherent | degenerate
+    singular = (epsilon == 0.0) | np.isnan(d_kappa2[..., 0])
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(1.0 - x * x)
@@ -486,13 +517,14 @@ def _mu_bundle(x, p, r, bundle):
     return tuple(out)
 
 
+@_float_boundary(FORM_CLOSED, "x", "p", "r")
 def qfi_two_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form spectral QFI of the accelerated white channel.
 
     Assembled from the published building blocks with primes read as partial
     derivatives with respect to the estimated parameter and the pair-term
     eigenvalues taken as (kappa1 -+ kappa2)/16, i.e. the coherent block's
-    eigenvalue pair.  Singular where the block coherence vanishes (p=0,
+    eigenvalue pair.  NaN where the block coherence vanishes (p=0,
     x in {0, 1}) or the block is degenerate.
     """
     if param not in ("p", "x", "r"):
@@ -552,5 +584,5 @@ def qfi_two_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> Q
     return QfiValue(
         value=clip_at_zero(value),
         form=FORM_CLOSED,
-        decomposition=tuple(_as_result(t) for t in (term_classical, term_quantum, term_pairs)),
+        decomposition=(term_classical, term_quantum, term_pairs),
     )

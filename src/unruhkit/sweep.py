@@ -27,17 +27,10 @@ from .channels import (
     combined_strengths,
 )
 from .entanglement import concurrence, concurrence_closed
-from .errors import (
-    DomainError,
-    FamilyEvalError,
-    NegativeRadicandError,
-    NotPSDError,
-    ParseError,
-    SingularPointError,
-    UnknownPresetError,
-)
+from .errors import DomainError, ParseError, UnknownPresetError
 from .fisher import (
     COMPLEX_STEP,
+    NAN_ERRORS,
     qfi_single_bloch,
     qfi_single_white_closed,
     qfi_two_qubit_spectral_retry,
@@ -292,27 +285,16 @@ def validate_spec(spec: SweepSpec) -> None:
             raise ParseError(
                 "--method: closed QFI forms exist only for the white channel; use numeric"
             )
-    bounds = {"x": (0.0, 1.0), "p": (0.0, 1.0), "q": (0.0, 1.0), "r": (0.0, spec.r_limit)}
-
-    def check(name: str, value: float) -> None:
-        low, high = bounds[name]
-        if not low <= value <= high + 1e-12:
-            raise ParseError(f"--{name}: value {value:g} outside [{low:g}, {high:g}]")
-
-    for name, values in spec.fixed.items():
-        for value in values:
-            check(name, value)
-    check(spec.vary, spec.start)
-    check(spec.vary, spec.stop)
-    if spec.channel is Channel.WHITE_COLOR:
-        max_of = {
-            name: (spec.stop if name == spec.vary else max(spec.fixed.get(name, (0.0,))))
-            for name in ("p", "q")
-        }
-        if max_of["p"] + max_of["q"] > 1.0 + 1e-12:
-            raise ParseError(
-                f"--p/--q: combined-channel strengths reach p+q={max_of['p'] + max_of['q']:g} > 1"
-            )
+    # The model's own domain rule decides, at the lowest and at the highest
+    # value of every parameter; the keys rank NaN as both, so it is refused.
+    values = {**spec.fixed, spec.vary: (spec.start, spec.stop)}
+    lowest = {name: min(group, key=lambda v: (v == v, v)) for name, group in values.items()}
+    highest = {name: max(group, key=lambda v: (v != v, v)) for name, group in values.items()}
+    try:
+        for point in (lowest, highest):
+            ModelParams(**{"x": 0.0, **point}, channel=spec.channel).validate(spec.r_limit)
+    except DomainError as exc:
+        raise ParseError(f"sweep values leave the model's domain: {exc}") from exc
     rows = _row_count(spec.start, spec.stop, spec.step)
     if rows > MAX_GRID_ROWS:
         raise ParseError(f"--range: {grid} gives {rows} grid rows, more than {MAX_GRID_ROWS}")
@@ -407,15 +389,6 @@ def figure_preset(name: str) -> SweepSpec:
 # Running sweeps
 # ---------------------------------------------------------------------------
 
-_CELL_ERRORS = (
-    SingularPointError,
-    NegativeRadicandError,
-    NotPSDError,
-    FamilyEvalError,
-    DomainError,
-)
-
-
 def _series_combos(spec: SweepSpec) -> list[dict[str, float]]:
     names = [name for name in _CANONICAL_PARAM_ORDER if name in spec.fixed]
     return [
@@ -439,27 +412,28 @@ def _states(spec: SweepSpec, point: dict):
     return accelerated_whitecolor(point["x"], p, q, point["r"], r_max=spec.r_limit)
 
 
-def _evaluate_cell(spec: SweepSpec, point: dict, variant: str):
-    """One cell's value, or, with an array for the varied parameter, the
-    array of its cells; a closed form gives NaN where its cell is singular."""
+def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarray, Optional[str]]:
+    """The cells of one column, whose varied parameter is an array in
+    ``point``, and the QFI form whose ``NAN_ERRORS`` entry names the reason
+    of its NaN cells (None for concurrence, whose forms raise, never NaN)."""
     if spec.quantity is Quantity.CONCURRENCE:
         if variant == "numeric":
-            return concurrence(_states(spec, point))
-        return concurrence_closed(ModelParams(channel=spec.channel, **point), r_max=spec.r_limit)
+            return concurrence(_states(spec, point)), None
+        return concurrence_closed(ModelParams(channel=spec.channel, **point), r_max=spec.r_limit), None
 
     estimated = spec.quantity.estimated_param
     if variant == "numeric":
         # The engines need theta in the shape of the column.
         theta = np.broadcast_to(point[estimated], np.shape(point[spec.vary]))
         others = {k: v for k, v in point.items() if k != estimated}
-        if spec.qfi_form is QfiForm.SINGLE:
-            family = state_family(spec.channel, estimated, reduced=True, **others)
-            return qfi_single_bloch(family, theta).value
-        family = state_family(spec.channel, estimated, **others)
-        return qfi_two_qubit_spectral_retry(family, theta).value
-    # Closed QFI forms exist for the white channel only, over (x, p, r).
-    closed = qfi_single_white_closed if spec.qfi_form is QfiForm.SINGLE else qfi_two_white_closed
-    return closed(estimated, point["x"], point["p"], point["r"], r_max=spec.r_limit).value
+        reduced = spec.qfi_form is QfiForm.SINGLE
+        engine = qfi_single_bloch if reduced else qfi_two_qubit_spectral_retry
+        result = engine(state_family(spec.channel, estimated, reduced=reduced, **others), theta)
+    else:
+        # Closed QFI forms exist for the white channel only, over (x, p, r).
+        closed = qfi_single_white_closed if spec.qfi_form is QfiForm.SINGLE else qfi_two_white_closed
+        result = closed(estimated, point["x"], point["p"], point["r"], r_max=spec.r_limit)
+    return result.value, result.form
 
 
 def _evaluate_column(
@@ -469,32 +443,23 @@ def _evaluate_column(
     values: list[float],
     warnings: dict[str, int],
 ) -> list[Optional[float]]:
-    """One output column over the grid ``values``; empty cells come back as None.
+    """One output column over the grid ``values``, from one call over the
+    whole column; every cell equals its float call bit for bit.
 
-    Every column, numeric or closed, is computed in one call over the whole
-    column.  The cells that call cannot give are evaluated one by one, so each
-    empty cell is counted under its own reason in ``warnings``: its NaN cells
-    (a closed form's singular cells, an engine's cells whose complex step
-    reaches a branch point), or all of them if it raises a cell error.  Every
-    other cell equals its one-cell call bit for bit.
+    A NaN cell (a closed form's singular cell, an engine's cell whose complex
+    step reaches a branch point) comes back as None, counted in ``warnings``
+    under the exception its float call raises: ``NAN_ERRORS`` of the
+    column's form.  An exception the call raises propagates.
     """
     point = dict(combo)
     point[spec.vary] = np.array(values)
-    try:
-        column: list[Optional[float]] = _evaluate_cell(spec, point, variant).tolist()
-    except _CELL_ERRORS:
-        column = [math.nan] * len(values)
-    for i, value in enumerate(values):
-        if not math.isnan(column[i]):
-            continue
-        point[spec.vary] = value
-        try:
-            column[i] = _evaluate_cell(spec, point, variant)
-        except _CELL_ERRORS as exc:
-            kind = type(exc).__name__
-            warnings[kind] = warnings.get(kind, 0) + 1
-            column[i] = None
-    return column
+    column, form = _column_values(spec, point, variant)
+    cells = [None if math.isnan(cell) else cell for cell in column.tolist()]
+    empty = cells.count(None)
+    if empty:
+        kind = NAN_ERRORS[form].__name__
+        warnings[kind] = warnings.get(kind, 0) + empty
+    return cells
 
 
 def _quantity_base(spec: SweepSpec) -> str:

@@ -121,20 +121,27 @@ def test_criterion_4_single_qubit_closed_forms():
 
     with criterion(4, "single-qubit closed QFI matches the Bloch engine at rel 1e-6", 10.0):
         worst = 0.0
+        comparisons = 0
+        # Each x slice is one array call per form and parameter over the
+        # (p, r) plane; every 40th of its points is checked against float calls.
+        p_plane, r_plane = np.meshgrid(GRID, R_GRID, indexing="ij")
         for x in GRID:
-            for p in GRID:
-                for r in R_GRID:
-                    a = 1.0 - 2.0 * x * x
-                    sz = (1.0 - a * p) * math.cos(r) ** 2 - 1.0
-                    if abs(sz) >= 1.0 - 1e-6:
-                        continue  # pure-reduction locus, excluded by margin
-                    for param, theta in (("p", p), ("x", x), ("r", r)):
-                        family = state_family(
-                            Channel.WHITE, param, x=x, p=p, r=r, reduced=True
-                        )
-                        engine = qfi_single_bloch(family, theta).value
-                        closed = qfi_single_white_closed(param, x, p, r).value
-                        worst = max(worst, abs(closed - engine) / max(abs(closed), 1e-12))
+            a = 1.0 - 2.0 * x * x
+            sz = (1.0 - a * p_plane) * np.cos(r_plane) ** 2 - 1.0
+            mixed = np.abs(sz) < 1.0 - 1e-6  # pure-reduction locus, excluded by margin
+            p, r = p_plane[mixed], r_plane[mixed]
+            for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
+                family = state_family(Channel.WHITE, param, x=x, p=p, r=r, reduced=True)
+                engine = qfi_single_bloch(family, theta).value
+                closed = qfi_single_white_closed(param, x, p, r).value
+                rel = np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12)
+                worst = max(worst, float(np.max(rel, initial=0.0)))
+                comparisons += theta.size
+                for i in range(0, theta.size, 40):
+                    one = state_family(Channel.WHITE, param, x=x, p=p[i], r=r[i], reduced=True)
+                    assert qfi_single_bloch(one, theta[i]).value == engine[i]
+                    assert qfi_single_white_closed(param, x, p[i], r[i]).value == closed[i]
+        assert comparisons == 27717
         assert worst <= 1e-6
 
 

@@ -534,12 +534,18 @@ class TestArrayEngines:
             raise ValueError("broken")
 
         failing = StateFamily(evaluate=evaluate, param="p")
-        one_state = constant_family(accelerated_white(0.3, 0.4, 0.2))
+        state = accelerated_white(0.3, 0.4, 0.2)
+        two_states = constant_family(np.stack([state, state]))
         for theta in (0.5, np.array([0.4, 0.5])):
             with pytest.raises(FamilyEvalError, match="broken"):
                 qfi_two_qubit_spectral(failing, theta)
-        with pytest.raises(FamilyEvalError, match="returned shape"):
-            qfi_two_qubit_spectral(one_state, np.array([0.4, 0.5]))
+            # A theta-free matrix broadcasts over theta: zero information.
+            got = qfi_two_qubit_spectral(constant_family(state), theta)
+            assert np.array_equal(got.value, np.zeros(np.shape(theta)))
+        # A stack of two states broadcasts to no other number of cells.
+        for theta in (0.5, np.array([0.5]), np.full(3, 0.5)):
+            with pytest.raises(FamilyEvalError, match="returned shape"):
+                qfi_two_qubit_spectral(two_states, theta)
 
     def test_theta_must_have_the_broadcast_shape(self):
         family = state_family(Channel.WHITE, "p", x=np.array([0.2, 0.4]), r=0.3)
@@ -550,9 +556,10 @@ class TestArrayEngines:
     @pytest.mark.parametrize("name", ["fig9b", "fig11b", "fig8b:closed", "fig9b:closed"])
     def test_fallback_column_keeps_per_cell_reasons(self, name):
         # At x=1 the complex step reaches a branch point, so each numeric
-        # column falls back to cells; only its x=1 cell is empty, for its own
-        # reason.  A closed column is NaN at its singular cells (p=0, or x in
-        # {0, 1}) and falls back the same way.
+        # column is NaN there and only its x=1 cell is empty.  A closed column
+        # is NaN at its singular cells (p=0, or x in {0, 1}).  Each empty
+        # cell's reason is the one its float call raises, read from the
+        # NaN mask and the column's form.
         preset, _, variant = name.partition(":")
         table = run_sweep(figure_preset(preset))
         suffix = ":" + (variant or "numeric")

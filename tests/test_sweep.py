@@ -22,6 +22,7 @@ from unruhkit import (
     run_sweep,
 )
 from unruhkit import sweep as sweep_module
+from unruhkit.cli import main
 from unruhkit.sweep import FIGURE_PRESETS, SweepSpec, format_cell
 from oracles import pure_ket_concurrence, werner_concurrence
 
@@ -125,6 +126,24 @@ class TestParseSpec:
                 "--channel white --vary p --range 0:1:0.1 --x 0.2 --r 0.9 "
                 "--quantity concurrence".split()
             )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--channel white --vary x --range 0:1:0.5 --p 1.0000000000005 --r 0",
+            "--channel white --vary p --range 0:1:0.5 --x 1.0000000000005 --r 0",
+            "--channel white --vary p --range 0:1.0000000000005:0.5 --x 0.3 --r 0",
+        ],
+    )
+    def test_values_past_the_model_domain_rejected(self, flags, capsys):
+        # The model's own rule decides: a value above 1 by any amount is
+        # refused, as every state builder refuses it.
+        argv = f"{flags} --quantity concurrence".split()
+        with pytest.raises(ParseError, match=r"=1\.0000000000005 outside \[0, 1\]"):
+            parse_spec(argv)
+        assert main(["sweep", *argv]) == 1
+        assert "outside [0, 1]" in capsys.readouterr().err
+        parse_spec([token.replace("1.0000000000005", "1") for token in argv])
 
     def test_grid_row_cap(self):
         # Refused before any row is built: grid_values would list 1e12 rows.
@@ -305,6 +324,8 @@ class TestRunSweep:
         assert any("empty-cells: 1" in line for line in table.provenance)
 
     def test_stacked_column_fallback_keeps_per_cell_reasons(self, monkeypatch):
+        # A column is one call with no per-cell fallback: a cell error the
+        # column call raises propagates out of run_sweep.
         spec = SweepSpec(
             channel=Channel.WHITE,
             vary="p",
@@ -315,25 +336,16 @@ class TestRunSweep:
             quantity=Quantity.CONCURRENCE,
             method=Method.NUMERIC,
         )
-        reference = run_sweep(spec)
-        engine = sweep_module.concurrence
-        # At r=0 the white state's rho_00 is (1 - p)/4: p=0.25 and p=0.5 fail.
-        failing = {0.1875: NotPSDError, 0.125: SingularPointError}
+        shapes = []
 
-        def flaky(rho):
-            if np.ndim(rho) > 2:
-                raise NotPSDError("stacked call refused")
-            kind = failing.get(rho[0, 0].real)
-            if kind is not None:
-                raise kind("injected")
-            return engine(rho)
+        def refusing(rho):
+            shapes.append(np.shape(rho))
+            raise NotPSDError("stacked call refused")
 
-        monkeypatch.setattr(sweep_module, "concurrence", flaky)
-        table = run_sweep(spec)
-        want = [None if row[0] in (0.25, 0.5) else row[1] for row in reference.rows]
-        assert [row[1] for row in table.rows] == want
-        assert table.warnings == {"NotPSDError": 1, "SingularPointError": 1}
-        assert any("empty-cells: 2" in line for line in table.provenance)
+        monkeypatch.setattr(sweep_module, "concurrence", refusing)
+        with pytest.raises(NotPSDError, match="stacked call refused"):
+            run_sweep(spec)
+        assert shapes == [(5, 4, 4)]
 
     @pytest.mark.parametrize(
         "name, want",
@@ -344,8 +356,8 @@ class TestRunSweep:
     )
     def test_x_one_cells_alone_are_rerun(self, name, want, monkeypatch):
         # At x=1 the complex step reaches the branch point of sqrt(1 - x^2).
-        # The column call gives NaN there, and only that cell is rerun, to
-        # learn its reason.
+        # The column call gives NaN there, and the cell takes its reason from
+        # the NaN mask: no cell is rerun.
         shapes = []
         engine = sweep_module.qfi_two_qubit_spectral_retry
 
@@ -355,8 +367,28 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_module, "qfi_two_qubit_spectral_retry", counting)
         table = run_sweep(figure_preset(name))
-        assert shapes == [(101,), ()] * 3
+        assert shapes == [(101,)] * 3
         assert table.warnings == want
+
+    def test_theta_free_reduced_family_column_is_zero(self, monkeypatch, capsys):
+        # The combined channel's reduced state does not depend on q, so its
+        # family returns one 2x2 matrix; it broadcasts over the column.
+        shapes = []
+        engine = sweep_module.qfi_single_bloch
+
+        def counting(family, theta):
+            shapes.append(np.shape(theta))
+            return engine(family, theta)
+
+        monkeypatch.setattr(sweep_module, "qfi_single_bloch", counting)
+        argv = (
+            "--channel whitecolor --vary q --range 0:0.5:0.25 --x 0.3 --p 0.2 --r 0.1 "
+            "--quantity qfi-q --qfi-form single --method numeric"
+        ).split()
+        assert main(["sweep", *argv]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert rows == ["q,qfi-q-single:numeric", "0,0", "0.25,0", "0.5,0"]
+        assert shapes == [(3,)]
 
     def test_numeric_qfi_meets_closed_form_next_to_x_one(self):
         # The complex-step derivative has no truncation error to grow where
