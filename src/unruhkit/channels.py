@@ -138,14 +138,15 @@ def _validate_points(r_max: float, x, p, q, r, channel: Channel = Channel.WHITE_
     or array values."""
     values = (x, p, q, r)
     # An exact type test keeps the one-state path cheap.  Of an array, each
-    # rule is tested at once; then the first failing point (the first point
-    # if none fails) is validated alone.  An empty broadcast has no point.
+    # rule is tested at once; these are ``validate``'s rules, so an array that
+    # passes them all (an empty one too) is valid, and otherwise the first
+    # failing point is validated alone for its message.
     if np.ndarray in map(type, values):
         ok = (0.0 <= x) & (x <= 1.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)
         ok = ok & (0.0 <= r) & (r <= r_max + 1e-12)
         if channel is Channel.WHITE_COLOR:
             ok = ok & (p + q <= 1.0 + 1e-12)
-        if ok.size == 0:
+        if ok.all():
             return
         values = next(itertools.islice(np.broadcast(*values), int(np.argmin(ok)), None))
     ModelParams(*values, channel=channel).validate(r_max)

@@ -18,12 +18,20 @@ needs one eigendecomposition of rho, so no eigenvector is differentiated and
 no eigenvector gauge has to be fixed (Braunstein & Caves, PRL 72, 3439
 (1994); Liu et al., J. Phys. A 53, 023001 (2020)).
 
-Every function computes on arrays only.  An engine evaluates the family once,
-at the array theta + ih, as one stack that broadcasts to ``shape(theta) +
-(dim, dim)``, and gives arrays of theta's shape; the SLD engine runs one
-batched ``eigh``.  Where the family is not finite at theta + ih (at x = 1 the
-step reaches the branch point of sqrt(1 - x^2)), the value and each term of
-the decomposition are NaN.
+Every function computes on arrays only.  An engine evaluates the family once
+per estimated parameter, at the array theta + ih, as one stack that broadcasts
+to ``shape(theta) + (dim, dim)``, and gives arrays of theta's shape; the SLD
+engine runs one batched ``eigh``.  Where the family is not finite at theta + ih
+(at x = 1 the step reaches the branch point of sqrt(1 - x^2)), the value and
+each term of the decomposition are NaN.
+
+A family may free several parameters at once (``state_family`` with a tuple
+of names).  The engines then take one theta per parameter, step each in turn,
+and give every parameter's QFI from the one state rho: one eigendecomposition
+serves every direction of the SLD form (Liu et al., sec. 3).  The closed
+forms take a tuple of names likewise and give every parameter from one set of
+building blocks.  Each output then has a leading axis over the parameters, and
+each of its entries equals the one-parameter call bit for bit.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
@@ -116,13 +124,15 @@ class KappaMuTerms:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A one-parameter family of states: theta -> density matrix.
+    """A family of states: theta -> density matrix.
 
-    ``evaluate`` must be side-effect free and real-analytic, and real symmetric
-    at real theta; ``param`` names the estimated parameter (p, q, x or r).  The
-    engines call it once, at the complex array theta + ih, and expect a matrix
-    that broadcasts to ``shape(theta) + (dim, dim)``; a matrix free of theta
-    has zero derivative at every cell.
+    ``param`` names the estimated parameter (p, q, x or r), or is a tuple of
+    names, one per positional argument of ``evaluate``.  ``evaluate`` must be
+    side-effect free and real-analytic, and real symmetric at real theta.  The
+    engines call it once per parameter, with that parameter's argument at the
+    complex array theta + ih and the others real, and expect a matrix that
+    broadcasts to the thetas' broadcast shape + (dim, dim); a matrix free of
+    theta has zero derivative at every cell.
 
     The engines do not enforce that the family is real.  Their symmetry test
     catches only a family whose imaginary part is nonzero at theta itself.
@@ -131,60 +141,111 @@ class StateFamily:
     0.0 where the true QFI is 0.04; at theta = 0.3 it raises ``DomainError``.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    param: str
+    evaluate: Callable[..., np.ndarray]
+    param: str | tuple[str, ...]
     dim: int = 4
     label: str = ""
 
 
 def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rho and drho/dtheta, both real, from one evaluation of the family at
-    the array theta + ih, and the mask of shape ``shape(theta)`` of its
-    non-finite cells.
+    """rho, drho/dtheta_k for each parameter k, all real, and the mask of the
+    cells where direction k is not finite, of ``shape``, the broadcast shape
+    of the thetas.  For a tuple of parameters, drho and the mask have a
+    leading axis over them, which the engines' outputs keep.
 
-    The family's result must broadcast to ``shape(theta) + (dim, dim)``; any
-    other shape, or an exception from ``family.evaluate``, raises
-    ``FamilyEvalError``.  A matrix that is not symmetric raises
-    ``DomainError``, as Im/h of a complex family is no derivative.  That test
-    sees only the asymmetry at theta + ih, so a complex Hermitian family
-    whose imaginary part vanishes at theta passes it with a wrong derivative
-    (see ``StateFamily``): families must be real.  At a non-finite cell (where
-    the step reaches a branch point) rho = I/dim and drho = 0, so the batched
-    eigensolve sees only finite input, and the engines give NaN at the mask.
+    Direction k is one evaluation of the family with theta_k + ih in its slot:
+    Im/h is drho/dtheta_k and Re is rho.  The family's result must broadcast
+    to ``shape + (dim, dim)``; any other shape, or an exception from
+    ``family.evaluate``, raises ``FamilyEvalError``.  A matrix that is not
+    symmetric raises ``DomainError``, as Im/h of a complex family is no
+    derivative.  That test sees only the asymmetry at theta + ih, so a complex
+    Hermitian family whose imaginary part vanishes at theta passes it with a
+    wrong derivative (see ``StateFamily``): families must be real.  At a cell
+    where direction k is not finite (its step reaches a branch point) it holds
+    rho = I/dim and drho = 0, so the batched eigensolve sees only finite
+    input, and the engines give NaN at the mask.  So rho is taken, cell by
+    cell, from the first direction finite there: at x = 1 the x direction is
+    NaN and the others are not.
     """
-    shape = np.shape(theta) + (family.dim, family.dim)
+    thetas = theta if isinstance(family.param, tuple) else (theta,)
+    shape = np.broadcast(*thetas).shape + (family.dim, family.dim)
     name = family.label or family.param
-    with np.errstate(invalid="ignore"):
-        try:
-            m = np.asarray(family.evaluate(theta + 1j * COMPLEX_STEP), dtype=complex)
-        except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
-            raise FamilyEvalError(f"family {name} failed at {theta}: {exc}") from exc
-    if m.shape != shape:
-        try:
-            m = np.broadcast_to(m, shape)
-        except ValueError:
-            raise FamilyEvalError(f"family {name} returned shape {m.shape} at {theta}, not {shape}") from None
-    # A NaN cell compares False, so it is left to the mask.
-    if (np.abs(m - m.swapaxes(-1, -2)) > HERMITICITY_TOL).any():
-        raise DomainError(f"family {name} is not real symmetric at {theta}")
-    bad = ~np.isfinite(m).all(axis=(-2, -1))
-    if bad.any():
-        m = np.where(bad[..., None, None], np.eye(family.dim) / family.dim, m)
-    return m.real, m.imag / COMPLEX_STEP, bad
+    rho = unset = None
+    d_rho, bad = [], []
+    for k, theta_k in enumerate(thetas):
+        step = thetas[:k] + (theta_k + 1j * COMPLEX_STEP,) + thetas[k + 1 :]
+        with np.errstate(invalid="ignore"):
+            try:
+                m = np.asarray(family.evaluate(*step), dtype=complex)
+            except Exception as exc:  # noqa: BLE001 - family code is caller-supplied
+                raise FamilyEvalError(f"family {name} failed at {theta}: {exc}") from exc
+        if m.shape != shape:
+            try:
+                m = np.broadcast_to(m, shape)
+            except ValueError:
+                raise FamilyEvalError(f"family {name} returned shape {m.shape} at {theta}, not {shape}") from None
+        # A NaN cell compares False, so it is left to the mask.
+        if (np.abs(m - m.swapaxes(-1, -2)) > HERMITICITY_TOL).any():
+            raise DomainError(f"family {name} is not real symmetric at {theta}")
+        bad_k = ~np.isfinite(m).all(axis=(-2, -1))
+        if bad_k.any():
+            m = np.where(bad_k[..., None, None], np.eye(family.dim) / family.dim, m)
+        if rho is None:
+            rho, unset = m.real, bad_k
+        elif unset.any():
+            rho, unset = np.where(unset[..., None, None], m.real, rho), unset & bad_k
+        d_rho.append(m.imag / COMPLEX_STEP)
+        bad.append(bad_k)
+    if isinstance(family.param, tuple):
+        return rho, np.stack(d_rho), np.stack(bad)
+    return rho, d_rho[0], bad[0]
+
+
+def _param_index(param: str | tuple[str, ...]):
+    """The slot of ``param`` on a gradient's (p, x, r) axis, or the list of
+    slots of a tuple of names."""
+    names = param if isinstance(param, tuple) else (param,)
+    if not all(name in _PARAM_INDEX for name in names):
+        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
+    return [_PARAM_INDEX[name] for name in param] if isinstance(param, tuple) else _PARAM_INDEX[param]
+
+
+def _pick(grad: np.ndarray, idx):
+    """The components ``idx`` (from ``_param_index``) of a gradient whose
+    (p, x, r) lie on its trailing axis: one, or a list of them on a leading
+    axis."""
+    picked = grad[..., idx]
+    return picked if isinstance(idx, int) else np.moveaxis(picked, -1, 0)
+
+
+def _leaves(value) -> tuple:
+    """A point argument's values: the entries of a tuple (one theta per
+    parameter), or the value itself."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _one_element(value):
+    """A point argument as one-element arrays, and so through a tuple."""
+    return tuple(map(_one_element, value)) if isinstance(value, tuple) else np.array([value])
 
 
 def _item(value):
-    """A one-element array as a float, and so through a tuple; else as is."""
+    """A result computed at one-element points, with the point axis dropped: a
+    float, or an array over the parameters; and so through a tuple."""
     if isinstance(value, tuple):
         return tuple(map(_item, value))
-    return value.item() if isinstance(value, np.ndarray) else value
+    if not isinstance(value, np.ndarray):
+        return value
+    value = value[..., 0]
+    return value if value.ndim else value.item()
 
 
 def _float_boundary(form: str, *point: str):
     """Decorate an array function of ``form`` so that it takes floats too: a
-    call whose ``point`` arguments are all 0-d runs them as one-element
-    arrays, returns its result with each array as a float, and raises
-    ``NAN_ERRORS[form]`` where one is NaN.  Other calls pass through."""
+    call whose ``point`` arguments are all 0-d (a tuple of thetas counts by
+    its entries) runs them as one-element arrays, returns its result with each
+    array as a float (an array over the parameters for a tuple of them), and
+    raises ``NAN_ERRORS[form]`` where one is NaN.  Other calls pass through."""
 
     def decorate(compute):
         signature = inspect.signature(compute)
@@ -193,13 +254,13 @@ def _float_boundary(form: str, *point: str):
         @functools.wraps(compute)
         def call(*args, **kwargs):
             values = [args[i] if i < len(args) else kwargs[name] for i, name in slots]
-            if any(np.ndim(value) for value in values):
+            if any(np.ndim(leaf) for value in values for leaf in _leaves(value)):
                 return compute(*args, **kwargs)
             bound = signature.bind(*args, **kwargs)
-            bound.arguments.update((name, np.array([value])) for name, value in zip(point, values))
+            bound.arguments.update((name, _one_element(value)) for name, value in zip(point, values))
             result = compute(*bound.args, **bound.kwargs)
             floats = {name: _item(value) for name, value in vars(result).items()}
-            if any(np.isnan(v).any() for v in floats.values() if isinstance(v, (float, tuple))):
+            if any(np.isnan(v).any() for v in floats.values() if isinstance(v, (float, tuple, np.ndarray))):
                 where = ", ".join(f"{name}={value}" for name, value in zip(point, values))
                 raise NAN_ERRORS[form](f"{compute.__name__} is undefined at {where}")
             return type(result)(**floats)
@@ -233,7 +294,9 @@ def qfi_single_bloch(family: StateFamily, theta) -> QfiValue:
     """Single-qubit QFI of a 2x2 family at ``theta`` via its complex step.
 
     An array ``theta`` gives an array ``value`` of its shape, NaN at the cells
-    where the family is not finite at theta + ih.
+    where the family is not finite at theta + ih.  For a family of several
+    parameters ``theta`` is a tuple, one theta per parameter, and ``value``
+    has a leading axis over the parameters.
     """
     rho, d_rho, bad = _family_stencil(family, theta)
     s, ds = bloch_vector(rho), bloch_vector(d_rho)
@@ -272,7 +335,7 @@ def _reduced_state(x, p, q, r) -> np.ndarray:
 
 def state_family(
     channel: Channel,
-    param: str,
+    param: str | tuple[str, ...],
     x: float = 0.0,
     p: float = 0.0,
     q: float = 0.0,
@@ -281,29 +344,31 @@ def state_family(
 ) -> StateFamily:
     """Family theta -> accelerated state with ``param`` freed and the rest fixed.
 
-    The family evaluates the combined builder at the mapped strengths, without
-    domain checks, so the engines can evaluate it at complex theta + ih; it is
-    real symmetric and real-analytic, as ``StateFamily`` requires.
-    ``reduced=True`` gives the 2x2 reduction of the accelerated qubit instead
-    of the full state.  Fixed parameters may be arrays; they broadcast against
-    theta, so the engines need a theta of the broadcast shape.
+    ``param`` is one parameter of the channel or a tuple of them; the family's
+    ``evaluate`` takes one theta per name, in that order.  It evaluates the
+    combined builder at the mapped strengths, without domain checks, so the
+    engines can evaluate it at complex theta + ih; it is real symmetric and
+    real-analytic, as ``StateFamily`` requires.  ``reduced=True`` gives the
+    2x2 reduction of the accelerated qubit instead of the full state.  Fixed
+    parameters may be arrays; they broadcast against theta, so the engines
+    need a theta of the broadcast shape.
     """
     channel = Channel(channel)
-    if param not in CHANNEL_PARAMS[channel]:
-        raise DomainError(f"parameter {param!r} is not part of the {channel.value} channel")
+    names = param if isinstance(param, tuple) else (param,)
+    for name in names:
+        if name not in CHANNEL_PARAMS[channel]:
+            raise DomainError(f"parameter {name!r} is not part of the {channel.value} channel")
 
     build = _reduced_state if reduced else _whitecolor_state
-    cp, cq = combined_strengths(channel, p, q)
-    evaluate = {
-        "x": lambda t: build(t, cp, cq, r),
-        "p": lambda t: build(x, t, cq, r),
-        "q": lambda t: build(x, cp, t, r),
-        "r": lambda t: build(x, cp, cq, t),
-    }[param]
-    if channel is Channel.COLOR and param == "q":  # a color q moves both: (q, 1 - q)
-        evaluate = lambda t: build(x, t, 1.0 - t, r)
+    fixed = {"x": x, "p": p, "q": q, "r": r}
 
-    label = f"{channel.value}:{param}" + (":reduced" if reduced else "")
+    def evaluate(*thetas):
+        point = {**fixed, **dict(zip(names, thetas))}
+        # A color q moves both combined strengths: (q, 1 - q).
+        cp, cq = combined_strengths(channel, point["p"], point["q"])
+        return build(point["x"], cp, cq, point["r"])
+
+    label = f"{channel.value}:{','.join(names)}" + (":reduced" if reduced else "")
     return StateFamily(evaluate=evaluate, param=param, dim=2 if reduced else 4, label=label)
 
 
@@ -312,17 +377,18 @@ def state_family(
 # ---------------------------------------------------------------------------
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
-def qfi_single_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
+def qfi_single_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form single-qubit QFI of the accelerated white channel.
 
     The reduced qubit's Bloch vector is (0, 0, (1-a p) cos^2 r - 1) with
     a = 1 - 2 x^2; the mixed/pure branch is selected from |s| exactly as the
     numerical engine does.  NaN where the mixed branch's denominator
-    vanishes.
+    vanishes.  A tuple ``param`` gives a leading axis over its names.
     """
-    if param not in ("p", "x", "r"):
-        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
+    idx = _param_index(param)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
+    if isinstance(param, tuple):  # each name's terms stack in the points' one shape
+        x, p, r = np.broadcast_arrays(x, p, r)
     a = 1.0 - 2.0 * x * x
     lin = 1.0 - a * p
     cr, sr, s2r = np.cos(r), np.sin(r), np.sin(2.0 * r)
@@ -331,19 +397,16 @@ def qfi_single_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -
     pure = np.abs(sz) >= 1.0 - PURE_MARGIN
     bracket = 3.0 + a * p - lin * np.cos(2.0 * r)
     denom = lin * bracket
-    singular = ~pure & (np.abs(denom if param != "r" else bracket) < 1e-14)
+    # Each (p, x, r) triple is laid out as a gradient and picked alike.
+    singular = ~pure & (np.abs(_pick(_grad(denom, denom, bracket), idx)) < 1e-14)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mixed = {
-            "p": 2.0 * a * a * cr2 / denom,
-            "x": 32.0 * p * p * x * x * cr2 / denom,
-            "r": 8.0 * lin * (sr * sr) / bracket,
-        }[param]
-    value = {
-        "p": a * a * cr2 * cr2,
-        "x": 16.0 * p * p * x * x * cr2 * cr2,
-        "r": lin * lin * (s2r * s2r),
-    }[param]
-    value = np.where(singular, np.nan, np.where(pure, value, mixed))
+        mixed = _grad(
+            2.0 * a * a * cr2 / denom,
+            32.0 * p * p * x * x * cr2 / denom,
+            8.0 * lin * (sr * sr) / bracket,
+        )
+    value = _grad(a * a * cr2 * cr2, 16.0 * p * p * x * x * cr2 * cr2, lin * lin * (s2r * s2r))
+    value = np.where(singular, np.nan, np.where(pure, _pick(value, idx), _pick(mixed, idx)))
     return QfiValue(value=clip_at_zero(value), form=FORM_CLOSED)
 
 
@@ -370,7 +433,9 @@ def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
 
     An array ``theta`` gives arrays of its shape for the value and for each
     term of the decomposition, NaN at the cells where the family is not
-    finite at theta + ih.
+    finite at theta + ih.  For a family of several parameters ``theta`` is a
+    tuple, one theta per parameter; one ``eigh`` of rho serves them all, and
+    each output has a leading axis over the parameters.
     """
     rho, d_rho, bad = _family_stencil(family, theta)
     lam, v = np.linalg.eigh(rho)
@@ -518,38 +583,38 @@ def _mu_bundle(x, p, r, bundle):
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
-def qfi_two_white_closed(param: str, x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
+def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form spectral QFI of the accelerated white channel.
 
     Assembled from the published building blocks with primes read as partial
     derivatives with respect to the estimated parameter and the pair-term
     eigenvalues taken as (kappa1 -+ kappa2)/16, i.e. the coherent block's
     eigenvalue pair.  NaN where the block coherence vanishes (p=0,
-    x in {0, 1}) or the block is degenerate.
+    x in {0, 1}) or the block is degenerate.  A tuple ``param`` gives a
+    leading axis over its names, all from one set of building blocks.
     """
-    if param not in ("p", "x", "r"):
-        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
+    idx = _param_index(param)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    idx = _PARAM_INDEX[param]
+    if isinstance(param, tuple):  # each name's terms stack in the points' one shape
+        x, p, r = np.broadcast_arrays(x, p, r)
 
     coeffs = white_coeffs(x, p)
     bundle = _kappa_bundle(x, p, r)
     (kappa1, d_kappa1), (kappa2, d_kappa2), _, _ = bundle
     mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r, bundle)
-    # Only the estimated parameter's component of each gradient is needed.
-    d_kappa1, d_kappa2, d_mu1, d_mu2 = (g[..., idx] for g in (d_kappa1, d_kappa2, d_mu1, d_mu2))
+    # Only the estimated parameters' components of each gradient are needed.
+    d_kappa1, d_kappa2, d_mu1, d_mu2 = (_pick(g, idx) for g in (d_kappa1, d_kappa2, d_mu1, d_mu2))
 
     gamma, beta = coeffs.gamma, coeffs.beta
-    d_gamma = (-0.25, 0.0, 0.0)[idx]
-    d_beta = ((-1.0 + 4.0 * x * x) / 4.0, 2.0 * p * x, 0.0)[idx]
     cr, sr = np.cos(r), np.sin(r)
     cr2, sr2 = cr * cr, sr * sr
     s2r = np.sin(2.0 * r)
 
+    # d gamma = (-1/4, 0, 0) and d beta = ((4 x^2 - 1)/4, 2 p x, 0).
     eig_low = gamma * cr2
-    d_eig_low = d_gamma * cr2 + (0.0, 0.0, -gamma * s2r)[idx]
+    d_eig_low = _pick(_grad(-0.25 * cr2, 0.0, -gamma * s2r), idx)
     eig_high = gamma + beta * sr2
-    d_eig_high = d_gamma + d_beta * sr2 + (0.0, 0.0, beta * s2r)[idx]
+    d_eig_high = _pick(_grad(-0.25 + (-1.0 + 4.0 * x * x) / 4.0 * sr2, 2.0 * p * x * sr2, beta * s2r), idx)
     lam2 = (kappa1 - kappa2) / 16.0
     lam3 = (kappa1 + kappa2) / 16.0
     d_lam2 = (d_kappa1 - d_kappa2) / 16.0

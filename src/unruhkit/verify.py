@@ -7,14 +7,17 @@ printed, where the cos(r)-weighted reading is the one that holds); their
 residuals are reported but they never fail the run.  Every other check,
 including the interpreted readings that pass with margin, gates the run.
 
-Each check loops over x and evaluates the rest of its grid, an (s, r) plane
-or the (p, q, r) block with p+q <= 1, as one array: one stack of states, one
-concurrence call, one engine call and one closed-form call per estimated
-parameter.  Slicing by x keeps the arrays, and the memory they take, at the
-size of one plane.  Singular loci are masks: a closed form gives NaN where
-its float call would raise ``SingularPointError``, and those points are the
-check's gaps.  The worst point is the first maximum in the loop order x,
-then the slice's axes, then the parameter.
+Each check's grid is x by the rest of it, an (s, r) plane or the (p, q, r)
+block with p+q <= 1, and the check evaluates it in blocks of consecutive x
+values: per block one stack of states, one concurrence call, one engine call
+and one closed-form call, each for every estimated parameter at once.  A
+block holds at most ``BLOCK_CELLS`` cells (one x value's, where that is
+more), so the arrays, and the memory they take, stay the same size as the
+grid grows; one pass over the whole grid would grow them as n^3.  Singular
+loci are masks: a closed form gives NaN where its float call would raise
+``SingularPointError``, and those points are the check's gaps.  The worst
+point is the first maximum in the order x, then the slice's axes, then the
+parameter, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ SINGULAR_MARGIN = 1e-6
 STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
 DPI_SLACK = 1e-6
+# Cells per array pass of a check.  It bounds the arrays of a block, so memory
+# stays flat in the grid size; at grid 11 it halves the time of one pass per
+# x value, and larger blocks add memory for little more speed.
+BLOCK_CELLS = 512
+# The white channel's estimated parameters, in the order of each cell's residuals.
+WHITE_QFI_PARAMS = ("p", "x", "r")
 
 
 @dataclass
@@ -143,16 +152,22 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[1:-1] if len(values) > 2 else values
 
 
-def _plane(strengths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (strength, r) plane of one x slice, strength on the first axis."""
-    return np.meshgrid(strengths, _grid(n, 0.0, RINDLER_R_MAX), indexing="ij")
+def _blocks(xs: np.ndarray, *axes: np.ndarray):
+    """The grid xs by ``axes``, x-major, as ``meshgrid`` arrays of blocks of
+    consecutive x values, each of at most ``BLOCK_CELLS`` cells or one x."""
+    step = max(1, BLOCK_CELLS // math.prod(map(len, axes)))
+    for start in range(0, len(xs), step):
+        yield np.meshgrid(xs[start : start + step], *axes, indexing="ij")
 
 
-def _whitecolor_block(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (p, q, r) points of an m^3 grid with p+q <= 1, flat, in loop order."""
+def _whitecolor_blocks(m: int):
+    """The (x, p, q, r) points of an m^4 grid with p+q <= 1, by ``_blocks`` of
+    x with the (p, q, r) points on the second axis, flat, in loop order."""
     p, q, r = np.meshgrid(_grid(m), _grid(m), _grid(m, 0.0, RINDLER_R_MAX), indexing="ij")
     inside = p + q <= 1.0
-    return p[inside], q[inside], r[inside]
+    p, q, r = p[inside], q[inside], r[inside]
+    for x, i in _blocks(_grid(m), np.arange(p.size)):
+        yield x, p[i], q[i], r[i]
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,7 +177,7 @@ def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_channel_consistency(report: VerificationReport) -> None:
     n = report.grid_n
-    s, r = _plane(_grid(n), n)
+    r_grid = _grid(n, 0.0, RINDLER_R_MAX)
     grids = {
         "white": (accelerated_white, Channel.WHITE),
         "color": (accelerated_color, Channel.COLOR),
@@ -170,7 +185,7 @@ def _check_channel_consistency(report: VerificationReport) -> None:
     for label, (closed, channel) in grids.items():
         tracker = _Tracker()
         validity = _Tracker()
-        for x in _grid(n):
+        for x, s, r in _blocks(_grid(n), _grid(n), r_grid):
             params = ModelParams(
                 x=x,
                 p=s if channel is Channel.WHITE else 0.0,
@@ -219,12 +234,13 @@ def _check_channel_consistency(report: VerificationReport) -> None:
     # reductions.  The white edge is q=0; the color edge is p+q=1 (the
     # combined state loses its isotropic component there).
     tracker = _Tracker()
-    for x in _grid(n):
+    for x, s, r in _blocks(_grid(n), _grid(n), r_grid):
         white = accelerated_white(x, s, r)
         color = accelerated_color(x, s, r)
         white_edge = _entry_gap(accelerated_whitecolor(x, s, 0.0, r), white)
         color_edge = _entry_gap(accelerated_whitecolor(x, s, 1.0 - s, r), color)
-        tracker.update(np.stack([white_edge, color_edge], axis=-1), x, s[..., None], r[..., None])
+        edges = np.stack([white_edge, color_edge], axis=-1)
+        tracker.update(edges, x[..., None], s[..., None], r[..., None])
     report.checks.append(
         CheckRecord(
             name="whitecolor-boundary-reductions",
@@ -239,9 +255,8 @@ def _check_channel_consistency(report: VerificationReport) -> None:
 
     # Its interior: the builder every engine uses against the channel route.
     m = max(5, n // 2 + 1)
-    p, q, r = _whitecolor_block(m)
     tracker = _Tracker()
-    for x in _grid(m):
+    for x, p, q, r in _whitecolor_blocks(m):
         params = ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR)
         image = unruh_second_qubit(initial_state(params), r)
         tracker.update(_entry_gap(accelerated_whitecolor(x, p, q, r), image), x, p, q, r)
@@ -260,12 +275,11 @@ def _check_channel_consistency(report: VerificationReport) -> None:
 
 def _check_concurrence_closed(report: VerificationReport) -> None:
     n, tol = report.grid_n, report.tolerance
-    s, r = _plane(_grid(n), n)
     printed_form = functools.partial(concurrence_white_closed, w4_coefficient=4.0)
     corrected = _Tracker()
     printed = _Tracker()
     color = _Tracker()
-    for x in _grid(n):
+    for x, s, r in _blocks(_grid(n), _grid(n), _grid(n, 0.0, RINDLER_R_MAX)):
         engine_w, engine_c = concurrence(
             np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
         )
@@ -316,11 +330,10 @@ def _check_concurrence_closed(report: VerificationReport) -> None:
 
 def _check_concurrence_whitecolor(report: VerificationReport) -> None:
     n = max(5, report.grid_n // 2 + 1)
-    p, q, r = _whitecolor_block(n)
     weighted_form = functools.partial(concurrence_whitecolor_closed, cos_r_weighted=True)
     printed = _Tracker()
     weighted = _Tracker()
-    for x in _grid(n):
+    for x, p, q, r in _whitecolor_blocks(n):
         engine = concurrence(accelerated_whitecolor(x, p, q, r))
         printed.update(np.abs(concurrence_whitecolor_closed(x, p, q, r) - engine), x, p, q, r)
         weighted.update(np.abs(weighted_form(x, p, q, r) - engine), x, p, q, r)
@@ -356,22 +369,19 @@ def _check_concurrence_whitecolor(report: VerificationReport) -> None:
 
 def _check_qfi_single_closed(report: VerificationReport) -> None:
     n = report.grid_n
-    p_plane, r_plane = _plane(_grid(n), n)
+    family = state_family(Channel.WHITE, WHITE_QFI_PARAMS, reduced=True)
     tracker = _Tracker()
     gaps = 0
-    for x in _grid(n):
+    for x, p, r in _blocks(_grid(n), _grid(n), _grid(n, 0.0, RINDLER_R_MAX)):
         a = 1.0 - 2.0 * x * x
-        sz = (1.0 - a * p_plane) * np.cos(r_plane) ** 2 - 1.0
+        sz = (1.0 - a * p) * np.cos(r) ** 2 - 1.0
         mixed = np.abs(sz) < 1.0 - SINGULAR_MARGIN
         gaps += int(np.count_nonzero(~mixed))
-        p, r = p_plane[mixed], r_plane[mixed]
-        residuals = []
-        for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
-            family = state_family(Channel.WHITE, param, x=x, p=p, r=r, reduced=True)
-            engine = qfi_single_bloch(family, theta).value
-            closed = qfi_single_white_closed(param, x, p, r).value
-            residuals.append(np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12))
-        tracker.update(np.stack(residuals, axis=-1), x, p[:, None], r[:, None])
+        x, p, r = x[mixed], p[mixed], r[mixed]
+        engine = qfi_single_bloch(family, (p, x, r)).value
+        closed = qfi_single_white_closed(WHITE_QFI_PARAMS, x, p, r).value
+        residuals = np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12)
+        tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
     report.checks.append(
         CheckRecord(
             name="qfi-single-closed-vs-bloch-engine",
@@ -387,24 +397,21 @@ def _check_qfi_single_closed(report: VerificationReport) -> None:
 
 def _check_qfi_two_closed(report: VerificationReport) -> None:
     n = report.grid_n
-    p_plane, r_plane = _plane(_interior(_grid(n)), n)
+    interior = _interior(_grid(n))
+    family = state_family(Channel.WHITE, WHITE_QFI_PARAMS)
     tracker = _Tracker()
     gaps = 0
-    for x in _interior(_grid(n)):
-        coherent = p_plane * x * math.sqrt(1.0 - x * x) > SINGULAR_MARGIN
+    for x, p, r in _blocks(interior, interior, _grid(n, 0.0, RINDLER_R_MAX)):
+        coherent = p * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
         gaps += int(np.count_nonzero(~coherent))
-        p, r = p_plane[coherent], r_plane[coherent]
-        residuals = []
-        for param, theta in (("p", p), ("x", np.full(p.shape, x)), ("r", r)):
-            closed = qfi_two_white_closed(param, x, p, r).value
-            singular = np.isnan(closed)
-            gaps += int(np.count_nonzero(singular))
-            family = state_family(Channel.WHITE, param, x=x, p=p, r=r)
-            engine = qfi_two_qubit_spectral_retry(family, theta).value
-            scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
-            rel = np.abs(closed - engine) / scale
-            residuals.append(np.where(singular, -math.inf, rel))
-        tracker.update(np.stack(residuals, axis=-1), x, p[:, None], r[:, None])
+        x, p, r = x[coherent], p[coherent], r[coherent]
+        closed = qfi_two_white_closed(WHITE_QFI_PARAMS, x, p, r).value
+        singular = np.isnan(closed)
+        gaps += int(np.count_nonzero(singular))
+        engine = qfi_two_qubit_spectral_retry(family, (p, x, r)).value
+        scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
+        residuals = np.where(singular, -math.inf, np.abs(closed - engine) / scale)
+        tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
     report.checks.append(
         CheckRecord(
             name="qfi-two-closed-vs-spectral-engine",
@@ -423,23 +430,18 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
 
 def _check_data_processing(report: VerificationReport) -> None:
     n = report.grid_n
-    s, r = _plane(_interior(_grid(n)), n)
+    interior = _interior(_grid(n))
     worst = _Tracker()
     count = 0
     for channel in (Channel.WHITE, Channel.COLOR):
-        strength_name = "p" if channel is Channel.WHITE else "q"
-        for x in _interior(_grid(n)):
-            point = {"x": np.full(s.shape, x), strength_name: s, "r": r}
-            residuals = []
-            for param in (strength_name, "x", "r"):
-                others = {k: v for k, v in point.items() if k != param}
-                full = state_family(channel, param, **others)
-                reduced = state_family(channel, param, reduced=True, **others)
-                two = qfi_two_qubit_spectral_retry(full, point[param]).value
-                single = qfi_single_bloch(reduced, point[param]).value
-                residuals.append(single - two)
-            count += 3 * s.size
-            worst.update(np.stack(residuals, axis=-1), x, s[..., None], r[..., None])
+        params = ("p" if channel is Channel.WHITE else "q", "x", "r")
+        full = state_family(channel, params)
+        reduced = state_family(channel, params, reduced=True)
+        for x, s, r in _blocks(interior, interior, _grid(n, 0.0, RINDLER_R_MAX)):
+            two = qfi_two_qubit_spectral_retry(full, (s, x, r)).value
+            single = qfi_single_bloch(reduced, (s, x, r)).value
+            count += single.size
+            worst.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
     report.checks.append(
         CheckRecord(
             name="qfi-data-processing-inequality",

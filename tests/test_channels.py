@@ -285,6 +285,22 @@ class TestStackedStates:
             accelerated_white(0.5, np.array([0.2, np.nan]), 0.1)
         assert accelerated_color(0.5, 0.2, np.array([0.0, 0.8]), r_max=0.8).shape == (2, 4, 4)
 
+    def test_valid_array_skips_the_per_point_validation(self, monkeypatch):
+        # The array rules are validate's rules, so an array that passes them
+        # all needs no point validated alone; a failing array still raises
+        # the first failing point's message.
+        calls = []
+        validate = ModelParams.validate
+        monkeypatch.setattr(
+            ModelParams, "validate", lambda self, *a: calls.append(self) or validate(self, *a)
+        )
+        accelerated_white(self.GRID, 0.3, self.R_GRID[:, None])
+        accelerated_whitecolor(0.5, np.array([0.2]), 0.8, 0.1)
+        assert calls == []
+        with pytest.raises(DomainError, match="q=1.5"):
+            accelerated_color(0.5, np.array([0.2, 1.5, -1.0]), 0.1)
+        assert len(calls) == 1
+
 
 class TestRFromAcceleration:
     def test_reference_value(self):

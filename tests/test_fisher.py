@@ -575,3 +575,78 @@ class TestArrayEngines:
             "fig11b": {"FamilyEvalError": 3},
         }
         assert table.warnings == want[preset]
+
+
+class TestMultiParameter:
+    """A tuple of parameters gives each one's QFI, bit for bit its own call."""
+
+    @staticmethod
+    def edge_grid(channel):
+        """A channel's points on x in {0, 1/sqrt(2), 1}, zero noise and r=0,
+        with x first among the estimated parameters."""
+        x, s, r = np.meshgrid(
+            [0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0],
+            [0.0, 0.5, 1.0],
+            [0.0, 0.4, RINDLER_R_MAX],
+            indexing="ij",
+        )
+        point = {Channel.WHITE: {"p": s}, Channel.COLOR: {"q": s}}.get(
+            channel, {"p": s / 2, "q": (1 - s) / 3}
+        )
+        return {"x": x, **point, "r": r}
+
+    @staticmethod
+    def assert_entry_bitwise(got, k, want):
+        """Entry k of a tuple call's value and decomposition is ``want``'s."""
+        outputs = (got.value, *(got.decomposition or ()))
+        ones = (want.value, *(want.decomposition or ()))
+        assert len(outputs) == len(ones)
+        for out, one in zip(outputs, ones):
+            assert out[k].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_engine_equals_one_parameter_calls(self, channel, reduced):
+        # rho must come from a direction finite at the cell: at x=1 the x
+        # direction, first here, is NaN, and the others are not.
+        engine = qfi_single_bloch if reduced else qfi_two_qubit_spectral
+        point = self.edge_grid(channel)
+        names = tuple(point)
+        assert names[0] == "x"
+        got = engine(state_family(channel, names, reduced=reduced), tuple(point.values()))
+        for k, name in enumerate(names):
+            others = {n: v for n, v in point.items() if n != name}
+            want = engine(state_family(channel, name, reduced=reduced, **others), point[name])
+            self.assert_entry_bitwise(got, k, want)
+        # Only the x step of the full state reaches a branch point, at x=1.
+        nan_at = np.isnan(got.value)
+        assert np.array_equal(nan_at[0], (point["x"] == 1.0) & (not reduced))
+        assert not nan_at[1:].any()
+
+    @pytest.mark.parametrize("closed", [qfi_two_white_closed, qfi_single_white_closed])
+    def test_closed_form_equals_one_parameter_calls(self, closed):
+        point = self.edge_grid(Channel.WHITE)
+        names = ("x", "p", "r")
+        got = closed(names, point["x"], point["p"], point["r"])
+        for k, name in enumerate(names):
+            self.assert_entry_bitwise(got, k, closed(name, point["x"], point["p"], point["r"]))
+        if closed is qfi_two_white_closed:
+            assert np.isnan(got.value).any()
+
+    def test_float_call_gives_an_array_over_the_parameters(self):
+        family = state_family(Channel.WHITE, ("x", "r"), p=0.4)
+        got = qfi_two_qubit_spectral(family, (0.3, 0.2))
+        want = [
+            qfi_two_qubit_spectral(state_family(Channel.WHITE, "x", p=0.4, r=0.2), 0.3),
+            qfi_two_qubit_spectral(state_family(Channel.WHITE, "r", x=0.3, p=0.4), 0.2),
+        ]
+        assert got.value.tolist() == [one.value for one in want]
+        assert [t.tolist() for t in got.decomposition] == [list(ts) for ts in zip(*(one.decomposition for one in want))]
+        with pytest.raises(FamilyEvalError):
+            qfi_two_qubit_spectral(family, (1.0, 0.2))
+        closed = qfi_two_white_closed(("p", "r"), 0.3, 0.4, 0.2)
+        assert closed.value.tolist() == [qfi_two_white_closed(n, 0.3, 0.4, 0.2).value for n in "pr"]
+        with pytest.raises(SingularPointError):
+            qfi_two_white_closed(("p", "r"), 0.3, 0.0, 0.2)
+        with pytest.raises(DomainError):
+            state_family(Channel.COLOR, ("x", "p"))

@@ -24,6 +24,7 @@ from unruhkit import (
     state_family,
     unruh_second_qubit,
 )
+from unruhkit import verify as verify_module
 from unruhkit.cli import main
 from unruhkit.qlinalg import hermitian_defect
 
@@ -102,6 +103,15 @@ def test_every_check_reports_its_worst_point():
     # The DPI residual is single - two, never positive: its worst is 0 at r=0.
     dpi = record(report, "qfi-data-processing-inequality")
     assert "max-residual=0.000e+00 at (0.25, 0.25, 0)" in dpi.line()
+
+
+@pytest.mark.parametrize("block_cells", [1, 10**9])
+def test_block_size_does_not_change_the_report(monkeypatch, block_cells):
+    # One x value per block, as a loop over x would do, and the whole grid in
+    # one block give the default's report: blocks keep x-major order.
+    default = run_verification(grid_n=11).render()
+    monkeypatch.setattr(verify_module, "BLOCK_CELLS", block_cells)
+    assert run_verification(grid_n=11).render() == default
 
 
 class TestCliVerify:
