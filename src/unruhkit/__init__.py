@@ -2,8 +2,9 @@
 
 Library layout:
 
-* ``qlinalg``     -- small dense complex linear algebra (kron, partial trace,
-                     Hermitian eigendecomposition, PSD square root)
+* ``qlinalg``     -- small dense real or complex linear algebra (kron,
+                     partial trace, Hermitian eigendecomposition, PSD
+                     square root)
 * ``channels``    -- noisy initial states and the Unruh acceleration channel,
                      plus closed-form accelerated states
 * ``entanglement``-- Wootters concurrence engine and closed-form evaluators

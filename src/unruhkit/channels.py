@@ -18,6 +18,11 @@ The closed-form builders and the channel route (``initial_state``,
 Arrays broadcast together into a stack of states of shape ``(..., 4, 4)``,
 each equal, bit for bit, to the state built from its own floats, and every
 point of an array is validated with the message its float would raise.
+Every state of the model is real symmetric, and real parameters give float64
+states: the builders, ``phi_ket``, ``initial_state`` and
+``unruh_second_qubit`` (of a real ``rho``) never upcast to complex.  A
+builder gives complex128 only for complex entries, as a family evaluated at
+theta + ih has.
 """
 
 from __future__ import annotations
@@ -153,13 +158,14 @@ def _validate_points(r_max: float, x, p, q, r, channel: Channel = Channel.WHITE_
 
 
 def phi_ket(x) -> np.ndarray:
-    """The initial ket sqrt(1-x^2)|01> + x|10> as a length-4 amplitude vector.
+    """The initial ket sqrt(1-x^2)|01> + x|10> as a real length-4 amplitude
+    vector.
 
     An array of x gives a ``(..., 4)`` stack of kets.
     """
     _validate_points(RINDLER_R_MAX, x, 0.0, 0.0, 0.0)
     x = np.asarray(x, dtype=float)
-    v = np.zeros(x.shape + (4,), dtype=complex)
+    v = np.zeros(x.shape + (4,))
     v[..., KET_01] = np.sqrt(1.0 - x * x)
     v[..., KET_10] = x
     return v
@@ -176,7 +182,8 @@ def initial_state(params: ModelParams) -> np.ndarray:
     ``p*P_phi + (q/2)(|01><01| + |10><10|) + ((1-p-q)/4) I``.  White is its
     q=0 line and color its p+q=1 edge (``combined_strengths``).
 
-    Array-valued fields broadcast into a ``(..., 4, 4)`` stack.
+    Array-valued fields broadcast into a ``(..., 4, 4)`` stack, real (float64)
+    like the ket.
     """
     _validate_points(RINDLER_R_MAX, params.x, params.p, params.q, params.r, params.channel)
     ket = phi_ket(params.x)
@@ -201,7 +208,8 @@ def unruh_second_qubit(rho: np.ndarray, r, r_max: float = RINDLER_R_MAX) -> np.n
     against its leading axes.  The Kraus pair acts entrywise: K0 rho K0^dagger
     scales entry (i, j) by k_i k_j with k = (cos r, 1, cos r, 1), and
     K1 rho K1^dagger moves sin^2 r times the second-qubit |0><0| block into
-    the |1><1| block.
+    the |1><1| block.  A real ``rho`` gives a real image; a complex one a
+    complex image.
     """
     rho = as_stack(rho, "rho")
     if hermitian_defect(rho) > HERMITICITY_TOL:
@@ -247,16 +255,19 @@ def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
     """Real X-shaped state: diagonal (d00, d11, d22, d33) plus the |01>,|10> coherence.
 
     Float entries give one (4, 4) matrix; entries that broadcast to shape S
-    give an S + (4, 4) stack.
+    give an S + (4, 4) stack.  The matrix has the entries' result type, at
+    least float64: real for real entries, complex only when an entry is
+    complex (a family evaluated at theta + ih).
     """
-    # The sum has the broadcast shape of the entries.
-    shape = getattr(d00 + d11 + d22 + d33 + coherence, "shape", ())
+    # The sum has the broadcast shape and the result type of the entries.
+    total = d00 + d11 + d22 + d33 + coherence
+    shape = getattr(total, "shape", ())
     # Matrix axes lead while filling, so a single state is written through
     # numpy's fast integer indexing; literal indices spare the KET_* lookups
     # on this hot path (|00>, |01>, |10>, |11> are 0, 1, 2, 3).  A stack is
     # then laid out matrix by matrix, so a reduction over one matrix (a trace)
     # adds in the order it does for that matrix alone.
-    m = np.zeros((4, 4) + shape, dtype=complex)
+    m = np.zeros((4, 4) + shape, dtype=np.result_type(float, total))
     m[0, 0] = d00
     m[1, 1] = d11
     m[2, 2] = d22

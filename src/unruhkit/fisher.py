@@ -323,7 +323,7 @@ def _reduced_state(x, p, q, r) -> np.ndarray:
     a = 1.0 - 2.0 * x * x
     cr = np.cos(r)
     top = (1.0 - a * p) * (cr * cr) / 2.0
-    m = np.zeros(np.shape(top) + (2, 2), dtype=complex)
+    m = np.zeros(np.shape(top) + (2, 2), dtype=np.result_type(float, top))
     m[..., 0, 0] = top
     m[..., 1, 1] = 1.0 - top
     return m

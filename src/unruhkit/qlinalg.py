@@ -1,10 +1,12 @@
-"""Dense complex linear algebra for 2x2 and 4x4 Hermitian problems.
+"""Dense linear algebra for 2x2 and 4x4 Hermitian problems.
 
 Everything a two-qubit density-matrix calculation needs and nothing more:
 Kronecker products, partial traces, a Hermitian eigendecomposition with
 descending eigenvalues and LAPACK's eigenvector layout, and the PSD matrix
-square root.  All functions are pure and operate on plain ``numpy`` arrays
-(``complex`` dtype).
+square root.  All functions are pure and operate on plain ``numpy`` arrays.
+A real input stays real: float64 in gives float64 out, so a real symmetric
+state goes through LAPACK's real drivers (``dsyevd``, ``dgesdd``), and only a
+complex input is computed in complex128.  Integer input becomes float64.
 
 ``hermitian_defect``, ``eig_hermitian`` and ``sqrt_psd`` take one ``(4, 4)``
 matrix or a stack of shape ``(..., 4, 4)`` and treat every matrix of a stack
@@ -29,16 +31,23 @@ EIG_CLAMP = 1e-12
 PSD_REJECT = 1e-8
 
 
+def _as_inexact(m) -> np.ndarray:
+    """``m`` as a float64 array, or as complex128 if it is complex."""
+    m = np.asarray(m)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
 def _as_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = _as_inexact(m)
     if m.shape != (dim, dim):
         raise DomainError(f"{name} must be {dim}x{dim}, got shape {m.shape}")
     return m
 
 
 def as_stack(m: np.ndarray, name: str = "m") -> np.ndarray:
-    """``m`` as a complex array of shape ``(..., 4, 4)``; raises ``DomainError`` otherwise."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a float64 (complex128 if complex) array of shape ``(..., 4, 4)``;
+    raises ``DomainError`` otherwise."""
+    m = _as_inexact(m)
     if m.shape[-2:] != (4, 4):
         raise DomainError(f"{name} must be 4x4 or a stack of 4x4 matrices, got shape {m.shape}")
     return m
@@ -52,7 +61,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hermitian_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m``, or of any matrix of a stack, from
     its conjugate transpose."""
-    m = np.asarray(m, dtype=complex)
+    m = _as_inexact(m)
     return float(np.abs(m - dagger(m)).max(initial=0.0))
 
 
@@ -153,7 +162,7 @@ def clip_at_zero(value):
 def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
     """True when ``rho`` is one square matrix that is Hermitian, unit-trace
     and PSD within ``tol``; False for anything else, stacks included."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_inexact(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
     if hermitian_defect(rho) > tol:

@@ -5,6 +5,13 @@ at scalar values (or small value lists, each producing one output series),
 and evaluates one quantity per cell: concurrence or the QFI of an estimated
 parameter, numerically and/or from the closed forms.  Presets regenerate the
 data behind each published figure panel.
+
+Each method of a sweep is one evaluator call over all of its series: the
+series are stacked into ``(series, rows)`` arrays and the result is split
+back into columns.  A call holds as many whole series as fit in
+``verify.BLOCK_CELLS`` cells, and at least one, so a long grid keeps one
+series per call; a single series is a plain ``(rows,)`` call with float
+parameters.  Every cell equals its single-series call bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import verify
 from .version import __version__ as _version
 from .channels import (
     CHANNEL_PARAMS,
@@ -82,7 +90,11 @@ class QfiForm(str, Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated grid job: what to vary, what to hold, what to compute."""
+    """A validated grid job: what to vary, what to hold, what to compute.
+
+    A spec is valid by construction: ``validate_spec`` runs when it is built
+    (``dataclasses.replace`` included) and raises ``ParseError``.
+    """
 
     channel: Channel
     vary: str
@@ -96,6 +108,9 @@ class SweepSpec:
     r_limit: float = RINDLER_R_MAX
     label: str = "sweep"
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        validate_spec(self)
 
 
 @dataclass
@@ -250,7 +265,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     if r_limit > R_CAPTION_MAX + 1e-12:
         raise ParseError(f"--r: value {r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
 
-    spec = SweepSpec(
+    return SweepSpec(
         channel=channel,
         vary=vary,
         start=start,
@@ -263,8 +278,6 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
         r_limit=r_limit,
         notes=notes,
     )
-    validate_spec(spec)
-    return spec
 
 
 def validate_spec(spec: SweepSpec) -> None:
@@ -397,13 +410,20 @@ def _series_combos(spec: SweepSpec) -> list[dict[str, float]]:
     ]
 
 
-def _series_label(spec: SweepSpec, combo: dict[str, float]) -> str:
-    parts = [
-        f"{name}={combo[name]:g}"
-        for name in _CANONICAL_PARAM_ORDER
-        if name in combo and len(spec.fixed[name]) > 1
-    ]
-    return "|".join(parts)
+def _label_format(values: Sequence[float]):
+    """How a series label prints a parameter with these values: ``:g``, unless
+    two distinct values print alike that way; then the shortest round-trip
+    ``repr``."""
+    if len({f"{v:g}" for v in values}) >= len(set(values)):
+        return lambda v: f"{v:g}"
+    return repr
+
+
+def _echo_value(value: float) -> str:
+    """``value`` as ``:g`` where that reads back as the same float, else as its
+    shortest round-trip ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def _states(spec: SweepSpec, point: dict):
@@ -413,9 +433,10 @@ def _states(spec: SweepSpec, point: dict):
 
 
 def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarray, Optional[str]]:
-    """The cells of one column, whose varied parameter is an array in
-    ``point``, and the QFI form whose ``NAN_ERRORS`` entry names the reason
-    of its NaN cells (None for concurrence, whose forms raise, never NaN)."""
+    """The cells of one block of ``_series_blocks``, whose varied parameter is
+    an array in ``point``, and the QFI form whose ``NAN_ERRORS`` entry names
+    the reason of its NaN cells (None for concurrence, whose forms raise,
+    never NaN)."""
     if spec.quantity is Quantity.CONCURRENCE:
         if variant == "numeric":
             return concurrence(_states(spec, point)), None
@@ -436,30 +457,49 @@ def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarr
     return result.value, result.form
 
 
-def _evaluate_column(
-    spec: SweepSpec,
-    combo: dict[str, float],
-    variant: str,
-    values: list[float],
-    warnings: dict[str, int],
-) -> list[Optional[float]]:
-    """One output column over the grid ``values``, from one call over the
-    whole column; every cell equals its float call bit for bit.
+def _series_blocks(spec: SweepSpec, combos: list[dict[str, float]], values: list[float]):
+    """The series in calls of at most ``verify.BLOCK_CELLS`` cells, and at
+    least one series each, as (first series, number of series, point).
+
+    One series is the point of its floats with the grid as a ``(rows,)``
+    array.  Several are ``(series, rows)`` arrays: the grid repeated per
+    series, and each parameter with several values a ``(series, 1)`` column
+    of them; a parameter with one value stays a float.
+    """
+    grid = np.array(values)
+    series_params = [name for name, group in spec.fixed.items() if len(group) > 1]
+    step = max(1, verify.BLOCK_CELLS // len(values))
+    for first in range(0, len(combos), step):
+        block = combos[first : first + step]
+        if len(block) == 1:
+            point = {**block[0], spec.vary: grid}
+        else:
+            stacked = {name: np.array([combo[name] for combo in block])[:, None] for name in series_params}
+            point = {**block[0], **stacked, spec.vary: np.tile(grid, (len(block), 1))}
+        yield first, len(block), point
+
+
+def _evaluate_block(
+    spec: SweepSpec, point: dict, count: int, variant: str, warnings: dict[str, int]
+) -> list[list[Optional[float]]]:
+    """The ``count`` output columns of one call over ``point``, a block of
+    ``_series_blocks``; every cell equals its float call bit for bit.
 
     A NaN cell (a closed form's singular cell, an engine's cell whose complex
     step reaches a branch point) comes back as None, counted in ``warnings``
     under the exception its float call raises: ``NAN_ERRORS`` of the
     column's form.  An exception the call raises propagates.
     """
-    point = dict(combo)
-    point[spec.vary] = np.array(values)
-    column, form = _column_values(spec, point, variant)
-    cells = [None if math.isnan(cell) else cell for cell in column.tolist()]
-    empty = cells.count(None)
+    block, form = _column_values(spec, point, variant)
+    columns = [
+        [None if math.isnan(cell) else cell for cell in column]
+        for column in np.reshape(block, (count, -1)).tolist()
+    ]
+    empty = sum(column.count(None) for column in columns)
     if empty:
         kind = NAN_ERRORS[form].__name__
         warnings[kind] = warnings.get(kind, 0) + empty
-    return cells
+    return columns
 
 
 def _quantity_base(spec: SweepSpec) -> str:
@@ -469,40 +509,48 @@ def _quantity_base(spec: SweepSpec) -> str:
 
 
 def _spec_echo(spec: SweepSpec) -> str:
+    """The spec as sweep flags that parse back to it."""
     fixed = " ".join(
-        f"{name}={','.join(f'{v:g}' for v in spec.fixed[name])}"
+        f"{name}={','.join(map(_echo_value, spec.fixed[name]))}"
         for name in _CANONICAL_PARAM_ORDER
         if name in spec.fixed
     )
+    grid = ":".join(map(_echo_value, (spec.start, spec.stop, spec.step)))
     return (
         f"spec: channel={spec.channel.value} vary={spec.vary} "
-        f"range={spec.start:g}:{spec.stop:g}:{spec.step:g} {fixed} "
+        f"range={grid} {fixed} "
         f"quantity={spec.quantity.value} method={spec.method.value} "
         f"qfi-form={spec.qfi_form.value}"
     )
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the sweep grid; singular cells come back as None."""
-    validate_spec(spec)
+    """Evaluate the sweep grid, one call per method and block of series;
+    singular cells come back as None.  Columns run series-major, then method."""
     values = grid_values(spec.start, spec.stop, spec.step)
     combos = _series_combos(spec)
     base = _quantity_base(spec)
+    variants = spec.method.variants
+    formats = {
+        name: _label_format(spec.fixed[name]) for name in combos[0] if len(spec.fixed[name]) > 1
+    }
 
     columns = [spec.vary]
-    cells: list[tuple[dict[str, float], str]] = []
     for combo in combos:
-        label = _series_label(spec, combo)
-        for variant in spec.method.variants:
-            name = f"{base}[{label}]:{variant}" if label else f"{base}:{variant}"
-            columns.append(name)
-            cells.append((combo, variant))
+        label = "|".join(f"{name}={fmt(combo[name])}" for name, fmt in formats.items())
+        columns.extend(
+            f"{base}[{label}]:{variant}" if label else f"{base}:{variant}" for variant in variants
+        )
 
     warnings: dict[str, int] = {}
-    rows: list[list[Optional[float]]] = [[value] for value in values]
-    for combo, variant in cells:
-        for row, cell in zip(rows, _evaluate_column(spec, combo, variant, values, warnings)):
-            row.append(cell)
+    # Cells by column: a block's columns are every len(variants)-th from its
+    # first series' column of that variant.
+    cells: list = [None] * (len(combos) * len(variants))
+    for first, count, point in _series_blocks(spec, combos, values):
+        for v, variant in enumerate(variants):
+            block = _evaluate_block(spec, point, count, variant, warnings)
+            cells[first * len(variants) + v : (first + count) * len(variants) : len(variants)] = block
+    rows = [list(row) for row in zip(values, *cells)]
 
     provenance = [f"tool: unruhkit {_version}"]
     if spec.label != "sweep":

@@ -13,7 +13,8 @@ values: per block one stack of states, one concurrence call, one engine call
 and one closed-form call, each for every estimated parameter at once.  A
 block holds at most ``BLOCK_CELLS`` cells (one x value's, where that is
 more), so the arrays, and the memory they take, stay the same size as the
-grid grows; one pass over the whole grid would grow them as n^3.  Singular
+grid grows; one pass over the whole grid would grow them as n^3.  Sweeps
+take the same budget for their calls over stacked series.  Singular
 loci are masks: a closed form gives NaN where its float call would raise
 ``SingularPointError``, and those points are the check's gaps.  The worst
 point is the first maximum in the order x, then the slice's axes, then the
@@ -60,9 +61,10 @@ SINGULAR_MARGIN = 1e-6
 STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
 DPI_SLACK = 1e-6
-# Cells per array pass of a check.  It bounds the arrays of a block, so memory
-# stays flat in the grid size; at grid 11 it halves the time of one pass per
-# x value, and larger blocks add memory for little more speed.
+# Cells per array pass of a check, and per call of a sweep (``sweep`` reads
+# it here, so one constant bounds both).  It bounds the arrays of a block, so
+# memory stays flat in the grid size; at grid 11 it halves the time of one
+# pass per x value, and larger blocks add memory for little more speed.
 BLOCK_CELLS = 512
 # The white channel's estimated parameters, in the order of each cell's residuals.
 WHITE_QFI_PARAMS = ("p", "x", "r")

@@ -65,24 +65,21 @@ def test_criterion_1_werner_line_exactness():
 
 def test_criterion_2_closed_vs_numeric_concurrence():
     with criterion(2, "closed concurrence forms match the engine at 1e-8", 10.0):
-        worst_white = worst_color = 0.0
-        for x in GRID:
-            for s in GRID:
-                for r in R_GRID:
-                    worst_white = max(
-                        worst_white,
-                        abs(
-                            concurrence_white_closed(x, s, r)
-                            - concurrence(accelerated_white(x, s, r))
-                        ),
-                    )
-                    worst_color = max(
-                        worst_color,
-                        abs(
-                            concurrence_color_closed(x, s, r)
-                            - concurrence(accelerated_color(x, s, r))
-                        ),
-                    )
+        # The whole (x, s, r) grid is one array call per form and one stack
+        # per channel; every 97th point is checked against float calls.
+        x, s, r = (a.ravel() for a in np.meshgrid(GRID, GRID, R_GRID, indexing="ij"))
+        white_closed = concurrence_white_closed(x, s, r)
+        color_closed = concurrence_color_closed(x, s, r)
+        white = concurrence(accelerated_white(x, s, r))
+        color = concurrence(accelerated_color(x, s, r))
+        assert x.size == 21**3
+        worst_white = float(np.abs(white_closed - white).max())
+        worst_color = float(np.abs(color_closed - color).max())
+        for i in range(0, x.size, 97):
+            assert concurrence_white_closed(x[i], s[i], r[i]) == white_closed[i]
+            assert concurrence_color_closed(x[i], s[i], r[i]) == color_closed[i]
+            assert concurrence(accelerated_white(x[i], s[i], r[i])) == white[i]
+            assert concurrence(accelerated_color(x[i], s[i], r[i])) == color[i]
         assert worst_white <= 1e-8
         assert worst_color <= 1e-8
         printed_gap = abs(
@@ -94,26 +91,33 @@ def test_criterion_2_closed_vs_numeric_concurrence():
 
 def test_criterion_3_channel_consistency():
     with criterion(3, "closed accelerated states equal the channel route at 1e-12", 5.0):
-        for x in GRID:
-            for s in GRID:
-                for r in R_GRID:
-                    for channel, closed in (
-                        (Channel.WHITE, accelerated_white),
-                        (Channel.COLOR, accelerated_color),
-                    ):
-                        params = ModelParams(
-                            x=x,
-                            p=s if channel is Channel.WHITE else 0.0,
-                            q=s if channel is Channel.COLOR else 0.0,
-                            r=r,
-                            channel=channel,
-                        )
-                        state = closed(x, s, r)
-                        image = unruh_second_qubit(initial_state(params), r)
-                        assert np.abs(state - image).max() <= 1e-12
-                        assert hermitian_defect(state) <= 1e-12
-                        assert abs(np.trace(state).real - 1.0) <= 1e-12
-                        assert np.linalg.eigvalsh(state).min() >= -1e-12
+        # Each channel's whole (x, s, r) grid is one stack per route; every
+        # 97th point is checked against float calls.
+        x, s, r = (a.ravel() for a in np.meshgrid(GRID, GRID, R_GRID, indexing="ij"))
+        assert x.size == 21**3
+        for channel, closed in (
+            (Channel.WHITE, accelerated_white),
+            (Channel.COLOR, accelerated_color),
+        ):
+            def params(x, s, r):
+                return ModelParams(
+                    x=x,
+                    p=s if channel is Channel.WHITE else 0.0,
+                    q=s if channel is Channel.COLOR else 0.0,
+                    r=r,
+                    channel=channel,
+                )
+
+            state = closed(x, s, r)
+            image = unruh_second_qubit(initial_state(params(x, s, r)), r)
+            assert np.abs(state - image).max() <= 1e-12
+            assert hermitian_defect(state) <= 1e-12
+            assert np.abs(np.trace(state, axis1=-2, axis2=-1).real - 1.0).max() <= 1e-12
+            assert np.linalg.eigvalsh(state).min() >= -1e-12
+            for i in range(0, x.size, 97):
+                one = params(x[i], s[i], r[i])
+                assert np.array_equal(closed(x[i], s[i], r[i]), state[i])
+                assert np.array_equal(unruh_second_qubit(initial_state(one), r[i]), image[i])
 
 
 def test_criterion_4_single_qubit_closed_forms():

@@ -302,6 +302,46 @@ class TestStackedStates:
         assert len(calls) == 1
 
 
+class TestRealStates:
+    """Real parameters give float64 states on every route; only a complex
+    entry, as a family evaluated at theta + ih has, gives complex128."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_builders_and_route_stay_real(self, shape):
+        x, s, r = (np.full(shape, v) if shape else v for v in (0.4, 0.3, 0.5))
+        assert phi_ket(x).dtype == np.float64
+        for state in (
+            accelerated_white(x, s, r),
+            accelerated_color(x, s, r),
+            accelerated_whitecolor(x, s / 2, s, r),
+            accelerated_state(ModelParams(x=x, p=s, r=r)),
+        ):
+            assert state.dtype == np.float64 and state.shape == shape + (4, 4)
+        for channel in Channel:
+            params = ModelParams(x=x, p=s, q=s / 2, r=r, channel=channel)
+            assert initial_state(params).dtype == np.float64
+            assert unruh_second_qubit(initial_state(params), r).dtype == np.float64
+        # An integer state is read as float64, a complex one stays complex.
+        assert unruh_second_qubit(np.diag([1, 0, 0, 0]), 0.2).dtype == np.float64
+        assert unruh_second_qubit(basis_state(0), 0.2).dtype == np.complex128
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_family_is_complex_only_at_a_complex_step(self, reduced):
+        from unruhkit import state_family
+
+        names = ("x", "p", "q", "r")
+        family = state_family(Channel.WHITE_COLOR, names, reduced=reduced)
+        thetas = [np.array([0.4, 0.6]), np.array([0.3, 0.1]), np.array([0.2, 0.5]), np.array([0.5, 0.1])]
+        real = family.evaluate(*thetas)
+        assert real.dtype == np.float64
+        for k, name in enumerate(names):
+            step = family.evaluate(*thetas[:k], thetas[k] + 1e-30j, *thetas[k + 1 :])
+            # The reduced state does not depend on q, so its q step stays real.
+            free = reduced and name == "q"
+            assert step.dtype == (np.float64 if free else np.complex128)
+            assert np.array_equal(step.real, real)
+
+
 class TestRFromAcceleration:
     def test_reference_value(self):
         # Oracle: direct evaluation of arctan(exp(-pi * omega_c / a)) at

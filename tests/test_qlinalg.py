@@ -240,3 +240,79 @@ def test_is_density_matrix_rejects_traceless():
     assert not is_density_matrix(np.zeros(4))
     for count in (2, 4):
         assert not is_density_matrix(np.stack([np.eye(4) / 4] * count))
+
+
+class TestRealArithmetic:
+    """A real input stays real from the builder to LAPACK, and the real route
+    agrees with the complex one."""
+
+    @staticmethod
+    def _real_states(rng, rank: int) -> np.ndarray:
+        g = rng.normal(size=(200, 4, rank))
+        rho = g @ g.swapaxes(-1, -2)
+        return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+    def test_dtypes(self):
+        from unruhkit.qlinalg import as_stack, hermitian_defect
+
+        real, complex_ = np.eye(4) / 4.0, np.eye(4, dtype=complex) / 4.0
+        assert as_stack(real).dtype == np.float64
+        assert as_stack(np.eye(4, dtype=int)).dtype == np.float64
+        assert as_stack(np.eye(4, dtype=np.float32)).dtype == np.float64
+        assert as_stack(complex_).dtype == np.complex128
+        assert as_stack(np.eye(4, dtype=np.complex64)).dtype == np.complex128
+        assert hermitian_defect(np.eye(4, dtype=int)) == 0.0
+        assert is_density_matrix(real) and is_density_matrix(complex_)
+        for m, kind in ((real, np.float64), (complex_, np.complex128)):
+            dec = eig_hermitian(m)
+            assert dec.eigenvalues.dtype == np.float64
+            assert dec.eigenvectors.dtype == kind
+            assert sqrt_psd(m).dtype == kind
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_real_route_matches_complex_route(self, rng, rank):
+        from unruhkit import concurrence
+
+        rho = self._real_states(rng, rank)
+        assert rho.dtype == np.float64
+        as_complex = rho.astype(complex)
+        real_dec, complex_dec = eig_hermitian(rho), eig_hermitian(as_complex)
+        assert np.abs(real_dec.eigenvalues - complex_dec.eigenvalues).max() <= 1e-14
+        assert np.abs(real_dec.reconstruct() - complex_dec.reconstruct()).max() <= 1e-14
+        # Below full rank each route's root carries the square root of its own
+        # round-off in the null space (about 1e-8), so the roots are compared
+        # by their squares, and the concurrence, which takes singular values
+        # of a product of roots, to 1e-12 (7.7e-13 at most over 5,000 states
+        # per rank).
+        real_root, complex_root = sqrt_psd(rho), sqrt_psd(as_complex)
+        assert np.abs(real_root @ real_root - complex_root @ complex_root).max() <= 1e-14
+        assert np.abs(concurrence(rho) - concurrence(as_complex)).max() <= 1e-12
+
+    def test_real_route_matches_complex_route_on_model_states(self):
+        # The model's X states, pure (rank 1) to full rank, agree to 1e-14
+        # on every route, roots included.
+        from unruhkit import accelerated_color, accelerated_white, concurrence
+
+        x, s, r = np.meshgrid(*(np.linspace(0.0, 1.0, 21),) * 2, np.linspace(0.0, np.pi / 4, 21))
+        rho = np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
+        assert rho.dtype == np.float64
+        ranks = np.linalg.matrix_rank(rho.reshape(-1, 4, 4), tol=1e-12)
+        assert set(ranks.tolist()) == {1, 2, 3, 4}
+        as_complex = rho.astype(complex)
+        real_dec, complex_dec = eig_hermitian(rho), eig_hermitian(as_complex)
+        assert np.abs(real_dec.eigenvalues - complex_dec.eigenvalues).max() <= 1e-14
+        assert np.abs(real_dec.reconstruct() - complex_dec.reconstruct()).max() <= 1e-14
+        assert np.abs(sqrt_psd(rho) - sqrt_psd(as_complex)).max() <= 1e-14
+        assert np.abs(concurrence(rho) - concurrence(as_complex)).max() <= 1e-14
+
+    def test_non_real_state_matches_its_oracle(self, rng):
+        from unruhkit import concurrence
+        from oracles import oracle_concurrence
+
+        for _ in range(50):
+            rho = random_density(rng)
+            assert np.abs(rho.imag).max() > 0.01
+            assert sqrt_psd(rho).dtype == np.complex128
+            assert concurrence(rho) == pytest.approx(oracle_concurrence(rho), abs=1e-10)
+            for keep in ("first", "second"):
+                assert np.allclose(partial_trace(rho, keep), manual_partial_trace(rho, keep), atol=1e-15)

@@ -152,22 +152,21 @@ class TestParseSpec:
                 "--channel white --vary p --range 0:1:1e-12 --x 0.2 --r 0 "
                 "--quantity concurrence".split()
             )
+        # A spec is validated when it is built, so one past the cap is never made.
         spec = SweepSpec(
             channel=Channel.WHITE,
             vary="p",
             start=0.0,
             stop=1.0,
-            step=1.0 / sweep_module.MAX_GRID_ROWS,
+            step=1.0 / (sweep_module.MAX_GRID_ROWS - 1),
             fixed={"x": (0.2,), "r": (0.0,)},
             quantity=Quantity.CONCURRENCE,
         )
+        sweep_module.validate_spec(spec)
         with pytest.raises(ParseError, match=f"gives {sweep_module.MAX_GRID_ROWS + 1} grid rows"):
-            sweep_module.validate_spec(spec)
+            dataclasses.replace(spec, step=1.0 / sweep_module.MAX_GRID_ROWS)
         with pytest.raises(ParseError, match="gives inf grid rows"):
-            sweep_module.validate_spec(dataclasses.replace(spec, step=5e-324))
-        sweep_module.validate_spec(
-            dataclasses.replace(spec, step=1.0 / (sweep_module.MAX_GRID_ROWS - 1))
-        )
+            dataclasses.replace(spec, step=5e-324)
 
     def test_config_provides_defaults_and_flags_win(self):
         config = "\n".join(
@@ -356,8 +355,8 @@ class TestRunSweep:
     )
     def test_x_one_cells_alone_are_rerun(self, name, want, monkeypatch):
         # At x=1 the complex step reaches the branch point of sqrt(1 - x^2).
-        # The column call gives NaN there, and the cell takes its reason from
-        # the NaN mask: no cell is rerun.
+        # The one call over the three series gives NaN there, and the cell
+        # takes its reason from the NaN mask: no cell is rerun.
         shapes = []
         engine = sweep_module.qfi_two_qubit_spectral_retry
 
@@ -367,7 +366,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_module, "qfi_two_qubit_spectral_retry", counting)
         table = run_sweep(figure_preset(name))
-        assert shapes == [(101,)] * 3
+        assert shapes == [(3, 101)]
         assert table.warnings == want
 
     def test_theta_free_reduced_family_column_is_zero(self, monkeypatch, capsys):
@@ -469,3 +468,47 @@ class TestCsvEmission:
             line for line in path.read_text().splitlines() if not line.startswith("# generated")
         ]
         assert strip(first) == strip(second)
+
+
+class TestLabelsAndEcho:
+    CLOSE_X = (
+        "--channel white --vary p --range 0:1:0.5 --x 0.1234567,0.1234568 --r 0 "
+        "--quantity concurrence --method numeric"
+    ).split()
+
+    @staticmethod
+    def _echo_flags(spec) -> list[str]:
+        """The ``spec:`` provenance line of ``spec``'s run as sweep flags."""
+        (line,) = [line for line in run_sweep(spec).provenance if line.startswith("spec: ")]
+        pairs = (pair.split("=") for pair in line.split()[1:])
+        return [token for key, value in pairs for token in (f"--{key}", value)]
+
+    def test_series_that_print_alike_get_distinct_names(self, capsys):
+        assert main(["sweep", *self.CLOSE_X]) == 0
+        header = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][0]
+        assert header == "p,concurrence[x=0.1234567]:numeric,concurrence[x=0.1234568]:numeric"
+
+    @pytest.mark.parametrize("name", [None, *FIGURE_PRESETS])
+    def test_echo_reads_back_as_the_spec(self, name):
+        spec = parse_spec(self.CLOSE_X) if name is None else FIGURE_PRESETS[name]
+        flags = self._echo_flags(spec)
+        for flag, text in zip(flags[::2], flags[1::2]):
+            if flag in ("--x", "--p", "--q", "--r"):
+                assert tuple(map(float, text.split(","))) == spec.fixed[flag[2:]]
+            if flag == "--range":
+                assert tuple(map(float, text.split(":"))) == (spec.start, spec.stop, spec.step)
+        again = parse_spec(flags)
+        fields = ("channel", "vary", "start", "stop", "step", "fixed", "quantity", "method", "qfi_form", "r_limit")
+        for field in fields:
+            assert getattr(again, field) == getattr(spec, field), (name, field)
+
+    def test_preset_headers_keep_the_g_format(self):
+        # Every preset's series print apart under :g, so its header is the
+        # one the :g labels give.
+        for name, spec in FIGURE_PRESETS.items():
+            multi = [k for k in ("x", "p", "q", "r") if len(spec.fixed.get(k, ())) > 1]
+            want = [spec.vary]
+            for value in spec.fixed[multi[0]]:
+                base = sweep_module._quantity_base(spec)
+                want += [f"{base}[{multi[0]}={value:g}]:{variant}" for variant in spec.method.variants]
+            assert run_sweep(spec).columns == want, name
