@@ -70,6 +70,7 @@ from .fisher import (
     qfi_single_white_closed,
     qfi_two_qubit_spectral,
     qfi_two_qubit_spectral_retry,
+    qfi_two_qubit_terms,
     qfi_two_white_closed,
     reduced_accelerated_qubit,
     state_family,

@@ -2,8 +2,11 @@
 
 The general engine is ground truth; the closed forms for the three noise
 channels are treated as hypotheses and cross-checked against it (see
-``unruhkit.verify``).  Two corrections to the published expressions are
-carried here:
+``unruhkit.verify``).  For a real state, every state of the model, the engine
+is one PSD square root and one real symmetric eigenvalue solve per matrix; a
+complex state takes an SVD in place of the eigenvalue solve.
+
+Two corrections to the published expressions are carried here:
 
 * the white-noise form's final surd coefficient is 1/2, not the printed 4
   (the printed value contradicts the exactly known isotropic-mixing line
@@ -31,9 +34,11 @@ from .qlinalg import as_stack, clip_at_zero, sqrt_psd
 # Surd arguments in [-RADICAND_CLAMP, 0) are round-off and are clamped to 0.
 RADICAND_CLAMP = 1e-10
 
-# (sigma_y x sigma_y) is the real antidiagonal (-1, 1, 1, -1), so conjugating
-# by it reverses both indices and multiplies entry (i, j) by s_i s_j.
-_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# (sigma_y x sigma_y) is the real antidiagonal s = (-1, 1, 1, -1): multiplying
+# by it reverses the rows and multiplies row i by s_i, and conjugating by it
+# reverses both indices and multiplies entry (i, j) by s_i s_j.
+_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS = np.outer(_FLIP, _FLIP)
 
 _LD = np.longdouble
 
@@ -55,19 +60,28 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     entry equals, bit for bit, the value of its matrix alone.
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
-    descending eigenvalues of rho @ spin_flip(rho).  Those eigenvalues equal
-    the eigenvalues of the Hermitian product sqrt(rho) rho~ sqrt(rho); their
-    square roots are computed here as the singular values of
-    sqrt(rho~) @ sqrt(rho), whose Gram matrix is exactly that Hermitian
-    product.  Singular values carry absolute round-off ~1e-16 even at zero,
-    unlike sqrt(eigenvalue) which amplifies noise at rank-deficient points.
-    sqrt(rho~) is taken as spin_flip(sqrt(rho)): the spin flip is complex
-    conjugation and a real orthogonal similarity, and the PSD square root
-    commutes with both, so one eigensolve per matrix serves both roots.
+    descending eigenvalues of rho @ spin_flip(rho).  Their square roots are
+    the singular values of spin_flip(R) @ R with R = sqrt(rho), whose Gram
+    matrix R rho~ R has the l_i as eigenvalues; spin_flip(R) stands for
+    sqrt(rho~), as the spin flip is complex conjugation and a real orthogonal
+    similarity, and the PSD square root commutes with both, so one eigensolve
+    per matrix serves both roots.
+
+    A real R makes this one symmetric eigenvalue solve: with F = sigma_y x
+    sigma_y, spin_flip(R) @ R = F S for the real symmetric S = R F R, and F is
+    orthogonal, so the singular values are the |mu_i| of S's eigenvalues and
+    C = max(0, 2 max|mu| - sum|mu|).  A complex R keeps the SVD.  Either way
+    the values carry absolute round-off ~1e-16 even at zero (Weyl's bound for
+    the eigenvalues), unlike sqrt(eigenvalue), which amplifies noise at
+    rank-deficient points.
     """
     root = sqrt_psd(rho)
-    s = np.linalg.svd(spin_flip(root) @ root, compute_uv=False)
-    value = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    if np.iscomplexobj(root):
+        s = np.linalg.svd(spin_flip(root) @ root, compute_uv=False)
+        value = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    else:
+        mu = np.abs(np.linalg.eigvalsh(root @ (_FLIP[:, None] * root[..., ::-1, :])))
+        value = np.maximum(0.0, 2.0 * mu.max(axis=-1) - mu.sum(axis=-1))
     return float(value) if value.ndim == 0 else value
 
 

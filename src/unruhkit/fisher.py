@@ -7,9 +7,11 @@ parameter:
   a 2x2 state family, F = (s . ds)^2/(1-|s|^2) + |ds|^2 for mixed states and
   |ds|^2 for pure ones;
 * ``qfi_two_qubit_spectral``: the symmetric-logarithmic-derivative (SLD)
-  form on a 4x4 family, F = 2 sum_{i,j} |<V_i|drho|V_j>|^2/(l_i+l_j), also
-  reported as the spectral-form decomposition F = term_classical +
-  term_quantum - term_pairs.
+  form on a 4x4 family, F = 2 sum_{i,j} |<V_i|drho|V_j>|^2/(l_i+l_j).
+
+The spectral-form decomposition F = term_classical + term_quantum -
+term_pairs costs as much again, so only ``qfi_two_qubit_terms`` computes it;
+its value is the SLD engine's, bit for bit, from the same arithmetic.
 
 Derivatives are taken by complex step: every family is real-analytic in its
 parameter, so one evaluation at theta + ih gives rho = Re and drho = Im/h,
@@ -94,8 +96,9 @@ _EYE4 = np.eye(4, dtype=bool)
 
 @dataclass(frozen=True)
 class QfiValue:
-    """A Fisher information value, its originating form, and (for the
-    spectral form) the classical/quantum/pair-term decomposition."""
+    """A Fisher information value, its originating form, and (from
+    ``qfi_two_qubit_terms`` and ``qfi_two_white_closed``) the
+    classical/quantum/pair-term decomposition."""
 
     value: float
     form: str
@@ -419,35 +422,55 @@ def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(mask, values, 0.0).sum(axis=(-2, -1))
 
 
+def _sld(family: StateFamily, theta):
+    """The SLD sum's parts at ``theta``: the eigenvalues lam of rho, the
+    squared entries weight = D_ij^2 of D = V^T (drho) V, the mask ``keep`` of
+    the pairs whose eigenvalue sum is at least ``EIG_FLOOR``, those sums with
+    1 outside the mask, the value F = 2 sum_{keep} D_ij^2/(l_i + l_j), and the
+    mask of the cells where the family is not finite at theta + ih."""
+    rho, d_rho, bad = _family_stencil(family, theta)
+    lam, v = np.linalg.eigh(rho)
+    weight = (v.swapaxes(-1, -2) @ d_rho @ v) ** 2
+    pair_sum = lam[..., :, None] + lam[..., None, :]
+    keep = pair_sum >= EIG_FLOOR
+    # Divisors are swapped for 1 outside their masks, so nothing divides by 0.
+    kept_sum = np.where(keep, pair_sum, 1.0)
+    value = 2.0 * _masked_sum(keep, weight / kept_sum)
+    return lam, weight, keep, kept_sum, value, bad
+
+
 @_float_boundary(FORM_TWO_SPECTRAL, "theta")
 def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
     """SLD-form QFI of a 4x4 family at ``theta`` via its complex step.
 
     With rho = sum_i l_i |V_i><V_i| at ``theta`` and the real D = V^T (drho) V,
     F = 2 sum_{i,j} D_ij^2/(l_i + l_j) over pairs whose eigenvalue sum is at
-    least ``EIG_FLOOR``.  The decomposition splits the same sum into the
-    classical term D_ii^2/l_i and the quantum and pair terms of the spectral
-    form, with <V_i|dV_j> = D_ij/(l_j - l_i); an exactly tied pair, whose
-    eigenvectors are not defined, puts its whole share 4 D_ij^2/(l_i + l_j)
-    into the quantum term, so value = classical + quantum - pairs throughout.
+    least ``EIG_FLOOR``.  The decomposition is None: ``qfi_two_qubit_terms``
+    gives the same value with it.
 
-    An array ``theta`` gives arrays of its shape for the value and for each
-    term of the decomposition, NaN at the cells where the family is not
-    finite at theta + ih.  For a family of several parameters ``theta`` is a
-    tuple, one theta per parameter; one ``eigh`` of rho serves them all, and
-    each output has a leading axis over the parameters.
+    An array ``theta`` gives a value of its shape, NaN at the cells where the
+    family is not finite at theta + ih.  For a family of several parameters
+    ``theta`` is a tuple, one theta per parameter; one ``eigh`` of rho serves
+    them all, and the value has a leading axis over the parameters.
     """
-    rho, d_rho, bad = _family_stencil(family, theta)
-    lam, v = np.linalg.eigh(rho)
-    weight = (v.swapaxes(-1, -2) @ d_rho @ v) ** 2
+    *_, value, bad = _sld(family, theta)
+    return QfiValue(value=np.where(bad, np.nan, value), form=FORM_TWO_SPECTRAL)
 
+
+@_float_boundary(FORM_TWO_SPECTRAL, "theta")
+def qfi_two_qubit_terms(family: StateFamily, theta) -> QfiValue:
+    """``qfi_two_qubit_spectral``'s value, bit for bit, with its spectral-form
+    decomposition (term_classical, term_quantum, term_pairs).
+
+    The classical term is sum_i D_ii^2/l_i, and the quantum and pair terms
+    are those of the spectral form, with <V_i|dV_j> = D_ij/(l_j - l_i).  An
+    exactly tied pair, whose eigenvectors are not defined, puts its whole
+    share 4 D_ij^2/(l_i + l_j) into the quantum term, so value = classical +
+    quantum - pairs throughout.  Each term has the value's shape and its NaN
+    cells.
+    """
+    lam, weight, keep, kept_sum, value, bad = _sld(family, theta)
     lam_i, lam_j = lam[..., :, None], lam[..., None, :]
-    pair_sum = lam_i + lam_j
-    keep = pair_sum >= EIG_FLOOR
-    # Divisors are swapped for 1 outside their masks, so nothing divides by 0.
-    kept_sum = np.where(keep, pair_sum, 1.0)
-    value = 2.0 * _masked_sum(keep, weight / kept_sum)
-
     # The diagonal of ``keep``: l_i + l_i >= EIG_FLOOR.
     classical = _EYE4 & (lam_i >= EIG_FLOOR / 2.0)
     term_classical = _masked_sum(classical, weight / np.where(classical, lam_i, 1.0))
@@ -456,14 +479,12 @@ def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
     tied = off_diagonal & (gap_sq == 0.0)
     split = off_diagonal & ~tied
     mixing = weight / np.where(split, gap_sq, 1.0)  # |<V_i|dV_j>|^2 where split
-    term_quantum = 2.0 * _masked_sum(split, pair_sum * mixing) + 2.0 * _masked_sum(
+    term_quantum = 2.0 * _masked_sum(split, (lam_i + lam_j) * mixing) + 2.0 * _masked_sum(
         tied, weight / kept_sum
     )
     term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
-    outputs = (value, term_classical, term_quantum, term_pairs)
-    if bad.any():
-        outputs = tuple(np.where(bad, np.nan, t) for t in outputs)
-    return QfiValue(value=outputs[0], form=FORM_TWO_SPECTRAL, decomposition=outputs[1:])
+    value, *terms = (np.where(bad, np.nan, t) for t in (value, term_classical, term_quantum, term_pairs))
+    return QfiValue(value=value, form=FORM_TWO_SPECTRAL, decomposition=tuple(terms))
 
 
 def qfi_two_qubit_spectral_retry(family: StateFamily, theta) -> QfiValue:

@@ -5,7 +5,7 @@ Kronecker products, partial traces, a Hermitian eigendecomposition with
 descending eigenvalues and LAPACK's eigenvector layout, and the PSD matrix
 square root.  All functions are pure and operate on plain ``numpy`` arrays.
 A real input stays real: float64 in gives float64 out, so a real symmetric
-state goes through LAPACK's real drivers (``dsyevd``, ``dgesdd``), and only a
+state goes through LAPACK's real symmetric driver (``dsyevd``), and only a
 complex input is computed in complex128.  Integer input becomes float64.
 
 ``hermitian_defect``, ``eig_hermitian`` and ``sqrt_psd`` take one ``(4, 4)``
@@ -25,8 +25,6 @@ from .errors import DomainError, NotHermitianError, NotPSDError
 
 # Tolerances used throughout the package.
 HERMITICITY_TOL = 1e-10
-# Eigenvalues in [-EIG_CLAMP, 0) are floating-point drift and are clamped to 0.
-EIG_CLAMP = 1e-12
 # Eigenvalues below -PSD_REJECT mean the input is genuinely not PSD.
 PSD_REJECT = 1e-8
 
@@ -140,7 +138,10 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-PSD_REJECT, 0) are treated as round-off and clamped to
     zero; anything more negative, in any matrix of a stack, raises
-    ``NotPSDError``.
+    ``NotPSDError``.  Positive round-off eigenvalues are kept, so the root of
+    a rank-deficient matrix carries null-space entries of about 1e-8 (the
+    square root of ~1e-16); two routes to such a root agree in its square,
+    not entrywise.
     """
     dec = eig_hermitian(m)
     w = dec.eigenvalues

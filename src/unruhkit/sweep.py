@@ -491,15 +491,15 @@ def _evaluate_block(
     column's form.  An exception the call raises propagates.
     """
     block, form = _column_values(spec, point, variant)
-    columns = [
-        [None if math.isnan(cell) else cell for cell in column]
-        for column in np.reshape(block, (count, -1)).tolist()
-    ]
-    empty = sum(column.count(None) for column in columns)
+    block = np.reshape(block, (count, -1))
+    nan = np.isnan(block)
+    empty = int(np.count_nonzero(nan))
+    cells = block.astype(object)  # Python floats, bit for bit
     if empty:
+        cells[nan] = None
         kind = NAN_ERRORS[form].__name__
         warnings[kind] = warnings.get(kind, 0) + empty
-    return columns
+    return cells.tolist()
 
 
 def _quantity_base(spec: SweepSpec) -> str:
@@ -572,9 +572,15 @@ def format_cell(value: Optional[float]) -> str:
 
 def render_csv_body(table: SweepTable) -> str:
     """Header plus data lines; deterministic for identical specs."""
+    # A row without an empty cell is one % of a whole-row template: the same
+    # text as format(c, _CELL_FORMAT) per cell.
+    template = ",".join(["%" + _CELL_FORMAT] * len(table.columns))
     lines = [",".join(table.columns)]
     for row in table.rows:
-        lines.append(",".join(["" if c is None else format(c, _CELL_FORMAT) for c in row]))
+        if None in row:
+            lines.append(",".join(map(format_cell, row)))
+        else:
+            lines.append(template % tuple(row))
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from unruhkit import (
     qfi_single_bloch,
     qfi_single_white_closed,
     qfi_two_qubit_spectral,
+    qfi_two_qubit_terms,
     qfi_two_white_closed,
     state_family,
     unruh_second_qubit,
@@ -144,6 +145,7 @@ EMPTY_CASES = {
     "concurrence": (lambda: (concurrence(np.zeros((2, 0, 4, 4), complex)),), ()),
     **{name: (lambda f=f: f(EMPTY, 0.3, 0.2, 0.1), ()) for name, f in VARIANTS.items()},
     "qfi_two_qubit_spectral": (_engine(qfi_two_qubit_spectral, False), ()),
+    "qfi_two_qubit_terms": (_engine(qfi_two_qubit_terms, False), ()),
     "qfi_single_bloch": (_engine(qfi_single_bloch, True), ()),
 }
 

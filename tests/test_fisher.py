@@ -24,6 +24,7 @@ from unruhkit import (
     qfi_single_white_closed,
     qfi_two_qubit_spectral,
     qfi_two_qubit_spectral_retry,
+    qfi_two_qubit_terms,
     qfi_two_white_closed,
     reduced_accelerated_qubit,
     run_sweep,
@@ -199,7 +200,10 @@ class TestSpectralEngine:
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         got = qfi_two_qubit_spectral(constant_family(rho), 0.5)
         assert got.value == 0.0
-        assert got.decomposition == (0.0, 0.0, 0.0)
+        assert got.decomposition is None
+        terms = qfi_two_qubit_terms(constant_family(rho), 0.5)
+        assert terms.value == 0.0
+        assert terms.decomposition == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("x", [0.3, 0.5, 1 / math.sqrt(2)])
     def test_pure_family(self, x):
@@ -217,7 +221,7 @@ class TestSpectralEngine:
             m[..., 1, 1] = 1 - t
             return m
 
-        got = qfi_two_qubit_spectral(StateFamily(evaluate=evaluate, param="p"), 0.3)
+        got = qfi_two_qubit_terms(StateFamily(evaluate=evaluate, param="p"), 0.3)
         want = 1 / 0.3 + 1 / 0.7
         assert got.value == pytest.approx(want, rel=1e-13)
         classical, quantum, pairs = got.decomposition
@@ -229,7 +233,7 @@ class TestSpectralEngine:
         # At r=0 three eigenvalues tie exactly, exercising the tied-pair branch.
         for fixed, theta in ((dict(x=0.3, r=0.4), 0.6), (dict(x=0.2, r=0.0), 0.5)):
             family = state_family(Channel.WHITE, "p", **fixed)
-            got = qfi_two_qubit_spectral(family, theta)
+            got = qfi_two_qubit_terms(family, theta)
             classical, quantum, pairs = got.decomposition
             assert got.value == pytest.approx(classical + quantum - pairs, abs=1e-10)
 
@@ -253,7 +257,8 @@ class TestSpectralEngine:
         )
         got = qfi_two_qubit_spectral_retry(family, 0.0)
         assert got.value == pytest.approx(24.0, rel=1e-12)
-        assert got.decomposition == pytest.approx((0.0, 24.0, 0.0), rel=1e-12, abs=1e-12)
+        terms = qfi_two_qubit_terms(family, 0.0)
+        assert terms.decomposition == pytest.approx((0.0, 24.0, 0.0), rel=1e-12, abs=1e-12)
 
     def test_exact_outer_degeneracy_is_handled(self):
         # At r=0 the two wedge-free populations tie exactly for every p; the
@@ -433,16 +438,32 @@ class TestArrayEngines:
     @pytest.mark.parametrize("channel", list(Channel))
     def test_spectral_engine_equals_scalar_calls_bitwise(self, channel):
         point = self.grid_points(channel)
-        for param in CHANNEL_PARAMS[channel]:
+        for engine in (qfi_two_qubit_spectral, qfi_two_qubit_terms):
+            for param in CHANNEL_PARAMS[channel]:
+                others = {k: v for k, v in point.items() if k != param}
+                got = engine(state_family(channel, param, **others), point[param])
+                assert got.value.shape == point[param].shape
+                for index in np.ndindex(point[param].shape):
+                    family = self.scalar_family(channel, param, point, index)
+                    want = engine(family, float(point[param][index]))
+                    assert isinstance(want.value, float)
+                    assert got.value[index] == want.value, (param, index)
+                    terms = tuple(term[index] for term in got.decomposition or ())
+                    assert terms == (want.decomposition or ())
+
+    def test_terms_value_is_the_engine_value_bitwise(self):
+        # The split is computed only on request, from the engine's own
+        # arithmetic, so its value is the engine's to the bit; the engine
+        # itself gives no split.
+        point = self.grid_points(Channel.WHITE_COLOR)
+        for param in CHANNEL_PARAMS[Channel.WHITE_COLOR]:
             others = {k: v for k, v in point.items() if k != param}
-            got = qfi_two_qubit_spectral(state_family(channel, param, **others), point[param])
-            assert got.value.shape == point[param].shape
-            for index in np.ndindex(point[param].shape):
-                family = self.scalar_family(channel, param, point, index)
-                want = qfi_two_qubit_spectral(family, float(point[param][index]))
-                assert isinstance(want.value, float)
-                assert got.value[index] == want.value, (param, index)
-                assert tuple(term[index] for term in got.decomposition) == want.decomposition
+            family = state_family(Channel.WHITE_COLOR, param, **others)
+            engine = qfi_two_qubit_spectral(family, point[param])
+            terms = qfi_two_qubit_terms(family, point[param])
+            assert engine.decomposition is None
+            assert engine.value.tobytes() == terms.value.tobytes(), param
+            assert len(terms.decomposition) == 3
 
     @pytest.mark.parametrize("channel", list(Channel))
     def test_bloch_engine_agrees_with_scalar_calls(self, channel):
@@ -493,7 +514,8 @@ class TestArrayEngines:
         # At x=1 the complex step reaches the branch point of sqrt(1 - x^2).
         family = state_family(Channel.COLOR, "x", q=0.2, r=0.0)
         theta = np.array([0.5, 0.9, 1.0])
-        self.assert_nan_only_at_bad_cells(qfi_two_qubit_spectral, family, theta, theta == 1.0)
+        for engine in (qfi_two_qubit_spectral, qfi_two_qubit_terms):
+            self.assert_nan_only_at_bad_cells(engine, family, theta, theta == 1.0)
 
     def test_bloch_column_is_nan_only_at_non_finite_cells(self):
         # The model's reduced families are polynomial in x and stay finite, so
@@ -609,19 +631,20 @@ class TestMultiParameter:
     def test_engine_equals_one_parameter_calls(self, channel, reduced):
         # rho must come from a direction finite at the cell: at x=1 the x
         # direction, first here, is NaN, and the others are not.
-        engine = qfi_single_bloch if reduced else qfi_two_qubit_spectral
+        engines = [qfi_single_bloch] if reduced else [qfi_two_qubit_spectral, qfi_two_qubit_terms]
         point = self.edge_grid(channel)
         names = tuple(point)
         assert names[0] == "x"
-        got = engine(state_family(channel, names, reduced=reduced), tuple(point.values()))
-        for k, name in enumerate(names):
-            others = {n: v for n, v in point.items() if n != name}
-            want = engine(state_family(channel, name, reduced=reduced, **others), point[name])
-            self.assert_entry_bitwise(got, k, want)
-        # Only the x step of the full state reaches a branch point, at x=1.
-        nan_at = np.isnan(got.value)
-        assert np.array_equal(nan_at[0], (point["x"] == 1.0) & (not reduced))
-        assert not nan_at[1:].any()
+        for engine in engines:
+            got = engine(state_family(channel, names, reduced=reduced), tuple(point.values()))
+            for k, name in enumerate(names):
+                others = {n: v for n, v in point.items() if n != name}
+                want = engine(state_family(channel, name, reduced=reduced, **others), point[name])
+                self.assert_entry_bitwise(got, k, want)
+            # Only the x step of the full state reaches a branch point, at x=1.
+            nan_at = np.isnan(got.value)
+            assert np.array_equal(nan_at[0], (point["x"] == 1.0) & (not reduced))
+            assert not nan_at[1:].any()
 
     @pytest.mark.parametrize("closed", [qfi_two_white_closed, qfi_single_white_closed])
     def test_closed_form_equals_one_parameter_calls(self, closed):
@@ -635,15 +658,16 @@ class TestMultiParameter:
 
     def test_float_call_gives_an_array_over_the_parameters(self):
         family = state_family(Channel.WHITE, ("x", "r"), p=0.4)
-        got = qfi_two_qubit_spectral(family, (0.3, 0.2))
-        want = [
-            qfi_two_qubit_spectral(state_family(Channel.WHITE, "x", p=0.4, r=0.2), 0.3),
-            qfi_two_qubit_spectral(state_family(Channel.WHITE, "r", x=0.3, p=0.4), 0.2),
-        ]
-        assert got.value.tolist() == [one.value for one in want]
+        for engine in (qfi_two_qubit_spectral, qfi_two_qubit_terms):
+            got = engine(family, (0.3, 0.2))
+            want = [
+                engine(state_family(Channel.WHITE, "x", p=0.4, r=0.2), 0.3),
+                engine(state_family(Channel.WHITE, "r", x=0.3, p=0.4), 0.2),
+            ]
+            assert got.value.tolist() == [one.value for one in want]
+            with pytest.raises(FamilyEvalError):
+                engine(family, (1.0, 0.2))
         assert [t.tolist() for t in got.decomposition] == [list(ts) for ts in zip(*(one.decomposition for one in want))]
-        with pytest.raises(FamilyEvalError):
-            qfi_two_qubit_spectral(family, (1.0, 0.2))
         closed = qfi_two_white_closed(("p", "r"), 0.3, 0.4, 0.2)
         assert closed.value.tolist() == [qfi_two_white_closed(n, 0.3, 0.4, 0.2).value for n in "pr"]
         with pytest.raises(SingularPointError):

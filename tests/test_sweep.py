@@ -459,6 +459,25 @@ class TestCsvEmission:
         assert data_lines[1].endswith(",")
         assert "nan" not in stream.getvalue().lower()
 
+    @staticmethod
+    def per_cell_body(table):
+        rows = [",".join("" if c is None else format(c, ".12g") for c in row) for row in table.rows]
+        return "\n".join([",".join(table.columns), *rows]) + "\n"
+
+    def test_body_is_the_per_cell_format(self):
+        # Full rows go through one whole-row template, rows with an empty cell
+        # cell by cell; both must give format(c, ".12g") per cell exactly.
+        cells = [0.0, -0.0, 1 / 3, math.pi * 1e-300, 5e-324, 1.5e300, -2.5e-7, 123456789012.5, 0.85, 7]
+        rows = [cells, [None, *cells[1:]], [*cells[:-1], None], [None] * len(cells), cells[::-1]]
+        table = sweep_module.SweepTable(
+            columns=[f"c{i}" for i in range(len(cells))], rows=rows, provenance=[]
+        )
+        assert render_csv_body(table) == self.per_cell_body(table)
+        for name in ("fig1a", "fig9b"):  # fig9b has empty cells
+            table = run_sweep(figure_preset(name))
+            assert render_csv_body(table) == self.per_cell_body(table)
+        assert any(None in row for row in table.rows)
+
     def test_reemission_identical_up_to_timestamp(self, tmp_path):
         table = run_sweep(figure_preset("fig4a"))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
