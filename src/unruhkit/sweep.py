@@ -199,6 +199,15 @@ def _config_to_mapping(text: str) -> dict[str, str]:
     return mapping
 
 
+def _parse_choice(flags: dict[str, str], name: str, kind, default: Optional[str] = None):
+    """The member of the enum ``kind`` that flag ``name`` (or ``default``) names."""
+    token = flags.get(name, default)
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ParseError(f"--{name}: {token!r} not in {_FLAG_GRAMMAR[name]}") from exc
+
+
 def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepSpec:
     """Build a validated SweepSpec from sweep flags and an optional config.
 
@@ -216,22 +225,10 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
         if required not in flags:
             raise ParseError(f"--{required} is required ({_FLAG_GRAMMAR[required]})")
 
-    try:
-        channel = Channel(flags["channel"])
-    except ValueError as exc:
-        raise ParseError(f"--channel: {flags['channel']!r} not in {_FLAG_GRAMMAR['channel']}") from exc
-    try:
-        quantity = Quantity(flags["quantity"])
-    except ValueError as exc:
-        raise ParseError(f"--quantity: {flags['quantity']!r} not in {_FLAG_GRAMMAR['quantity']}") from exc
-    try:
-        method = Method(flags.get("method", "both"))
-    except ValueError as exc:
-        raise ParseError(f"--method: {flags['method']!r} not in {_FLAG_GRAMMAR['method']}") from exc
-    try:
-        qfi_form = QfiForm(flags.get("qfi-form", "two"))
-    except ValueError as exc:
-        raise ParseError(f"--qfi-form: {flags['qfi-form']!r} not in {_FLAG_GRAMMAR['qfi-form']}") from exc
+    channel = _parse_choice(flags, "channel", Channel)
+    quantity = _parse_choice(flags, "quantity", Quantity)
+    method = _parse_choice(flags, "method", Method, default="both")
+    qfi_form = _parse_choice(flags, "qfi-form", QfiForm, default="two")
 
     vary = flags["vary"]
     params = CHANNEL_PARAMS[channel]

@@ -1,11 +1,13 @@
 """Cross-validation of every closed form against its numerical oracle.
 
-Each check scans a parameter grid and records the worst residual.  Checks
-marked ``ledgered`` document known defects of the published closed forms
-(the printed white-noise surd coefficient, and the combined-channel form as
-printed, where the cos(r)-weighted reading is the one that holds); their
-residuals are reported but they never fail the run.  Every other check,
-including the interpreted readings that pass with margin, gates the run.
+Each check scans a parameter grid and records the worst residual.  A check
+passes when its worst residual is at most its threshold; a NaN residual
+fails it.  Checks marked ``ledgered`` document known defects of the
+published closed forms (the printed white-noise surd coefficient, and the
+combined-channel form as printed, where the cos(r)-weighted reading is the
+one that holds); their residuals are reported but they never fail the run.
+Every other check, including the interpreted readings that pass with margin,
+gates the run.
 
 Each check's grid is x by the rest of it, an (s, r) plane or the (p, q, r)
 block with p+q <= 1, and the check evaluates it in blocks of consecutive x
@@ -119,17 +121,22 @@ class VerificationReport:
 
 
 class _Tracker:
-    """Running maximum of a residual and where it happened.
+    """One check: its identity, and the running maximum of its residual.
 
     It starts at -inf, so the first point sets it: a check reports its worst
     point and its signed worst value even when no residual is positive.
     ``update`` takes one residual or an array of them, with each coordinate
     as a float or an array broadcasting to the residuals' shape.  Of tied
     maxima the first in C order wins, as in a loop; a NaN residual wins
-    outright, so the check fails where it cannot vouch.
+    outright, so the check fails where it cannot vouch.  ``record`` applies
+    the pass rule, the one place it lives.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, name: str, grid: str, threshold: float, ledgered: bool = False, notes: str = ""
+    ) -> None:
+        self.name, self.grid, self.threshold = name, grid, threshold
+        self.ledgered, self.notes = ledgered, notes
         self.max = -math.inf
         self.point: Optional[tuple[float, ...]] = None
 
@@ -145,9 +152,25 @@ class _Tracker:
                 float(np.broadcast_to(c, residuals.shape).flat[i]) for c in coords
             )
 
+    def record(self) -> CheckRecord:
+        return CheckRecord(
+            name=self.name,
+            grid=self.grid,
+            max_residual=self.max,
+            threshold=self.threshold,
+            passed=self.max <= self.threshold,
+            ledgered=self.ledgered,
+            notes=self.notes,
+            worst_point=self.point,
+        )
 
-def _grid(n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    return np.linspace(low, high, n)
+
+def _grid(n: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, n)
+
+
+def _r_grid(n: int) -> np.ndarray:
+    return np.linspace(0.0, RINDLER_R_MAX, n)
 
 
 def _interior(values: np.ndarray) -> np.ndarray:
@@ -165,7 +188,7 @@ def _blocks(xs: np.ndarray, *axes: np.ndarray):
 def _whitecolor_blocks(m: int):
     """The (x, p, q, r) points of an m^4 grid with p+q <= 1, by ``_blocks`` of
     x with the (p, q, r) points on the second axis, flat, in loop order."""
-    p, q, r = np.meshgrid(_grid(m), _grid(m), _grid(m, 0.0, RINDLER_R_MAX), indexing="ij")
+    p, q, r = np.meshgrid(_grid(m), _grid(m), _r_grid(m), indexing="ij")
     inside = p + q <= 1.0
     p, q, r = p[inside], q[inside], r[inside]
     for x, i in _blocks(_grid(m), np.arange(p.size)):
@@ -179,15 +202,14 @@ def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_channel_consistency(report: VerificationReport) -> None:
     n = report.grid_n
-    r_grid = _grid(n, 0.0, RINDLER_R_MAX)
     grids = {
-        "white": (accelerated_white, Channel.WHITE),
-        "color": (accelerated_color, Channel.COLOR),
+        "white": (accelerated_white, Channel.WHITE, ""),
+        "color": (accelerated_color, Channel.COLOR, "strength symbol read as the color strength q"),
     }
-    for label, (closed, channel) in grids.items():
-        tracker = _Tracker()
-        validity = _Tracker()
-        for x, s, r in _blocks(_grid(n), _grid(n), r_grid):
+    for label, (closed, channel, notes) in grids.items():
+        route = _Tracker(f"{label}-closed-state-vs-channel", f"{n}^3", STATE_TOL, notes=notes)
+        validity = _Tracker(f"{label}-state-validity", f"{n}^3", STATE_TOL)
+        for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
             params = ModelParams(
                 x=x,
                 p=s if channel is Channel.WHITE else 0.0,
@@ -197,7 +219,7 @@ def _check_channel_consistency(report: VerificationReport) -> None:
             )
             direct = closed(x, s, r)
             image = unruh_second_qubit(initial_state(params), r)
-            tracker.update(_entry_gap(direct, image), x, s, r)
+            route.update(_entry_gap(direct, image), x, s, r)
             bad = np.maximum(
                 np.maximum(
                     _entry_gap(direct, dagger(direct)),
@@ -206,82 +228,42 @@ def _check_channel_consistency(report: VerificationReport) -> None:
                 np.maximum(0.0, -np.linalg.eigvalsh(direct).min(axis=-1)),
             )
             validity.update(bad, x, s, r)
-        report.checks.append(
-            CheckRecord(
-                name=f"{label}-closed-state-vs-channel",
-                grid=f"{n}^3",
-                max_residual=tracker.max,
-                threshold=STATE_TOL,
-                passed=tracker.max <= STATE_TOL,
-                worst_point=tracker.point,
-                notes=(
-                    "strength symbol read as the color strength q"
-                    if label == "color"
-                    else ""
-                ),
-            )
-        )
-        report.checks.append(
-            CheckRecord(
-                name=f"{label}-state-validity",
-                grid=f"{n}^3",
-                max_residual=validity.max,
-                threshold=STATE_TOL,
-                passed=validity.max <= STATE_TOL,
-                worst_point=validity.point,
-            )
-        )
+        report.checks.extend([route.record(), validity.record()])
 
     # Combined channel: no printed closed state; check its boundary
     # reductions.  The white edge is q=0; the color edge is p+q=1 (the
     # combined state loses its isotropic component there).
-    tracker = _Tracker()
-    for x, s, r in _blocks(_grid(n), _grid(n), r_grid):
+    edges = _Tracker(
+        "whitecolor-boundary-reductions", f"2x{n}^3", STATE_TOL, notes="white edge q=0; color edge p+q=1"
+    )
+    for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
         white = accelerated_white(x, s, r)
         color = accelerated_color(x, s, r)
         white_edge = _entry_gap(accelerated_whitecolor(x, s, 0.0, r), white)
         color_edge = _entry_gap(accelerated_whitecolor(x, s, 1.0 - s, r), color)
-        edges = np.stack([white_edge, color_edge], axis=-1)
-        tracker.update(edges, x[..., None], s[..., None], r[..., None])
-    report.checks.append(
-        CheckRecord(
-            name="whitecolor-boundary-reductions",
-            grid=f"2x{n}^3",
-            max_residual=tracker.max,
-            threshold=STATE_TOL,
-            passed=tracker.max <= STATE_TOL,
-            worst_point=tracker.point,
-            notes="white edge q=0; color edge p+q=1",
-        )
-    )
+        both = np.stack([white_edge, color_edge], axis=-1)
+        edges.update(both, x[..., None], s[..., None], r[..., None])
+    report.checks.append(edges.record())
 
     # Its interior: the builder every engine uses against the channel route.
     m = max(5, n // 2 + 1)
-    tracker = _Tracker()
+    interior = _Tracker("whitecolor-closed-state-vs-channel", f"{m}^4", STATE_TOL, notes="p+q <= 1")
     for x, p, q, r in _whitecolor_blocks(m):
         params = ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR)
         image = unruh_second_qubit(initial_state(params), r)
-        tracker.update(_entry_gap(accelerated_whitecolor(x, p, q, r), image), x, p, q, r)
-    report.checks.append(
-        CheckRecord(
-            name="whitecolor-closed-state-vs-channel",
-            grid=f"{m}^4",
-            max_residual=tracker.max,
-            threshold=STATE_TOL,
-            passed=tracker.max <= STATE_TOL,
-            worst_point=tracker.point,
-            notes="p+q <= 1",
-        )
-    )
+        interior.update(_entry_gap(accelerated_whitecolor(x, p, q, r), image), x, p, q, r)
+    report.checks.append(interior.record())
 
 
 def _check_concurrence_closed(report: VerificationReport) -> None:
     n, tol = report.grid_n, report.tolerance
     printed_form = functools.partial(concurrence_white_closed, w4_coefficient=4.0)
-    corrected = _Tracker()
-    printed = _Tracker()
-    color = _Tracker()
-    for x, s, r in _blocks(_grid(n), _grid(n), _grid(n, 0.0, RINDLER_R_MAX)):
+    corrected = _Tracker(
+        "concurrence-white-closed(corrected)", f"{n}^3", tol, notes="final surd coefficient corrected 4 -> 1/2"
+    )
+    printed = _Tracker("concurrence-white-closed(printed-coef-4)", f"{n}^3+probe", tol, ledgered=True)
+    color = _Tracker("concurrence-color-closed", f"{n}^3", tol)
+    for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
         engine_w, engine_c = concurrence(
             np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
         )
@@ -294,87 +276,35 @@ def _check_concurrence_closed(report: VerificationReport) -> None:
         printed_form(x_w, p_w, 0.0) - concurrence(accelerated_white(x_w, p_w, 0.0))
     )
     printed.update(werner_residual, x_w, p_w, 0.0)
-
-    report.checks.append(
-        CheckRecord(
-            name="concurrence-white-closed(corrected)",
-            grid=f"{n}^3",
-            max_residual=corrected.max,
-            threshold=tol,
-            passed=corrected.max <= tol,
-            worst_point=corrected.point,
-            notes="final surd coefficient corrected 4 -> 1/2",
-        )
+    printed.notes = (
+        f"printed coefficient fails; residual {werner_residual:.3f} on the exact mixing line"
     )
-    report.checks.append(
-        CheckRecord(
-            name="concurrence-white-closed(printed-coef-4)",
-            grid=f"{n}^3+probe",
-            max_residual=printed.max,
-            threshold=tol,
-            passed=printed.max <= tol,
-            ledgered=True,
-            worst_point=printed.point,
-            notes=f"printed coefficient fails; residual {werner_residual:.3f} on the exact mixing line",
-        )
-    )
-    report.checks.append(
-        CheckRecord(
-            name="concurrence-color-closed",
-            grid=f"{n}^3",
-            max_residual=color.max,
-            threshold=tol,
-            passed=color.max <= tol,
-            worst_point=color.point,
-        )
-    )
+    report.checks.extend([corrected.record(), printed.record(), color.record()])
 
 
 def _check_concurrence_whitecolor(report: VerificationReport) -> None:
-    n = max(5, report.grid_n // 2 + 1)
+    n, tol = max(5, report.grid_n // 2 + 1), report.tolerance
     weighted_form = functools.partial(concurrence_whitecolor_closed, cos_r_weighted=True)
-    printed = _Tracker()
-    weighted = _Tracker()
+    printed = _Tracker("concurrence-whitecolor-closed(printed)", f"{n}^4", tol, ledgered=True)
+    weighted = _Tracker("concurrence-whitecolor-closed(cos-r)", f"{n}^4", tol)
     for x, p, q, r in _whitecolor_blocks(n):
         engine = concurrence(accelerated_whitecolor(x, p, q, r))
         printed.update(np.abs(concurrence_whitecolor_closed(x, p, q, r) - engine), x, p, q, r)
         weighted.update(np.abs(weighted_form(x, p, q, r) - engine), x, p, q, r)
     match = "cos-r-weighted" if weighted.max < printed.max else "printed"
-    verdict = (
+    printed.notes = weighted.notes = (
         f"{match} reading matches the engine "
         f"(printed {printed.max:.2e}, cos-r-weighted {weighted.max:.2e})"
     )
-    report.checks.append(
-        CheckRecord(
-            name="concurrence-whitecolor-closed(printed)",
-            grid=f"{n}^4",
-            max_residual=printed.max,
-            threshold=report.tolerance,
-            passed=printed.max <= report.tolerance,
-            ledgered=True,
-            worst_point=printed.point,
-            notes=verdict,
-        )
-    )
-    report.checks.append(
-        CheckRecord(
-            name="concurrence-whitecolor-closed(cos-r)",
-            grid=f"{n}^4",
-            max_residual=weighted.max,
-            threshold=report.tolerance,
-            passed=weighted.max <= report.tolerance,
-            worst_point=weighted.point,
-            notes=verdict,
-        )
-    )
+    report.checks.extend([printed.record(), weighted.record()])
 
 
 def _check_qfi_single_closed(report: VerificationReport) -> None:
     n = report.grid_n
     family = state_family(Channel.WHITE, WHITE_QFI_PARAMS, reduced=True)
-    tracker = _Tracker()
+    tracker = _Tracker("qfi-single-closed-vs-bloch-engine", f"{n}^3x3", QFI_REL_TOL)
     gaps = 0
-    for x, p, r in _blocks(_grid(n), _grid(n), _grid(n, 0.0, RINDLER_R_MAX)):
+    for x, p, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
         a = 1.0 - 2.0 * x * x
         sz = (1.0 - a * p) * np.cos(r) ** 2 - 1.0
         mixed = np.abs(sz) < 1.0 - SINGULAR_MARGIN
@@ -384,26 +314,17 @@ def _check_qfi_single_closed(report: VerificationReport) -> None:
         closed = qfi_single_white_closed(WHITE_QFI_PARAMS, x, p, r).value
         residuals = np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12)
         tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
-    report.checks.append(
-        CheckRecord(
-            name="qfi-single-closed-vs-bloch-engine",
-            grid=f"{n}^3x3",
-            max_residual=tracker.max,
-            threshold=QFI_REL_TOL,
-            passed=tracker.max <= QFI_REL_TOL,
-            worst_point=tracker.point,
-            notes=f"{gaps} pure-reduction grid points skipped" if gaps else "",
-        )
-    )
+    tracker.notes = f"{gaps} pure-reduction grid points skipped" if gaps else ""
+    report.checks.append(tracker.record())
 
 
 def _check_qfi_two_closed(report: VerificationReport) -> None:
     n = report.grid_n
     interior = _interior(_grid(n))
     family = state_family(Channel.WHITE, WHITE_QFI_PARAMS)
-    tracker = _Tracker()
+    tracker = _Tracker("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
     gaps = 0
-    for x, p, r in _blocks(interior, interior, _grid(n, 0.0, RINDLER_R_MAX)):
+    for x, p, r in _blocks(interior, interior, _r_grid(n)):
         coherent = p * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
         gaps += int(np.count_nonzero(~coherent))
         x, p, r = x[coherent], p[coherent], r[coherent]
@@ -414,47 +335,29 @@ def _check_qfi_two_closed(report: VerificationReport) -> None:
         scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
         residuals = np.where(singular, -math.inf, np.abs(closed - engine) / scale)
         tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
-    report.checks.append(
-        CheckRecord(
-            name="qfi-two-closed-vs-spectral-engine",
-            grid=f"int({n})^3x3",
-            max_residual=tracker.max,
-            threshold=QFI_REL_TOL,
-            passed=tracker.max <= QFI_REL_TOL,
-            worst_point=tracker.point,
-            notes=(
-                "primes read as partial derivatives; pair eigenvalues read as the "
-                f"coherent block pair; {gaps} singular points skipped"
-            ),
-        )
+    tracker.notes = (
+        "primes read as partial derivatives; pair eigenvalues read as the "
+        f"coherent block pair; {gaps} singular points skipped"
     )
+    report.checks.append(tracker.record())
 
 
 def _check_data_processing(report: VerificationReport) -> None:
     n = report.grid_n
     interior = _interior(_grid(n))
-    worst = _Tracker()
+    worst = _Tracker("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
     count = 0
     for channel in (Channel.WHITE, Channel.COLOR):
         params = ("p" if channel is Channel.WHITE else "q", "x", "r")
         full = state_family(channel, params)
         reduced = state_family(channel, params, reduced=True)
-        for x, s, r in _blocks(interior, interior, _grid(n, 0.0, RINDLER_R_MAX)):
+        for x, s, r in _blocks(interior, interior, _r_grid(n)):
             two = qfi_two_qubit_spectral_retry(full, (s, x, r)).value
             single = qfi_single_bloch(reduced, (s, x, r)).value
             count += single.size
             worst.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
-    report.checks.append(
-        CheckRecord(
-            name="qfi-data-processing-inequality",
-            grid=f"2 ch x int({n})^2 x {n} x 3",
-            max_residual=worst.max,
-            threshold=DPI_SLACK,
-            passed=worst.max <= DPI_SLACK,
-            worst_point=worst.point,
-            notes=f"{count} comparisons",
-        )
-    )
+    worst.notes = f"{count} comparisons"
+    report.checks.append(worst.record())
 
 
 def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationReport:

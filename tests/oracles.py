@@ -6,6 +6,7 @@ the package code it checks, so agreement is evidence rather than tautology.
 
 import math
 
+import mpmath
 import numpy as np
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -24,6 +25,26 @@ def oracle_concurrence(rho: np.ndarray) -> float:
     lam = np.sort(np.abs(lam.real))[::-1]
     roots = np.sqrt(lam)
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def oracle_concurrence_mp(rho: np.ndarray, dps: int = 40) -> float:
+    """Concurrence of a real state from rho @ rho~ eigenvalues at ``dps`` digits.
+
+    The double-precision oracle's square roots turn round-off in the
+    eigenvalues near zero into errors of about 1e-8 at rank-deficient states.
+    Here the float entries are taken exactly and the general eigensolve runs
+    in mpmath at 40 digits, so the result is the float matrix's concurrence
+    to far below double precision.
+    """
+    rho = np.asarray(rho)
+    if np.iscomplexobj(rho):
+        raise ValueError("oracle_concurrence_mp takes real states")
+    with mpmath.workdps(dps):
+        m = mpmath.matrix(rho.tolist())
+        flip = mpmath.matrix(_FLIP.tolist())
+        lam = mpmath.eig(m * flip * m * flip, left=False, right=False)
+        roots = sorted((mpmath.sqrt(max(mpmath.re(v), 0)) for v in lam), reverse=True)
+        return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def werner_concurrence(p: float) -> float:

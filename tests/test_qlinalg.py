@@ -15,7 +15,7 @@ from unruhkit import (
     partial_trace,
     sqrt_psd,
 )
-from oracles import manual_partial_trace, oracle_concurrence, random_density
+from oracles import manual_partial_trace, oracle_concurrence, oracle_concurrence_mp, random_density
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -287,12 +287,13 @@ class TestRealArithmetic:
         real_root, complex_root = sqrt_psd(rho), sqrt_psd(as_complex)
         assert np.abs(real_root @ real_root - complex_root @ complex_root).max() <= 1e-14
         assert np.abs(concurrence(rho) - concurrence(as_complex)).max() <= 1e-12
-        # The real route's symmetric eigenvalue solve against the oracle's
-        # general eigensolver.  The oracle takes square roots of eigenvalues,
-        # which turn round-off near zero into errors of about 1e-8 (2.6e-7 at
-        # most over 2,000 states per rank), so this bound is the oracle's.
-        want = np.array([oracle_concurrence(m) for m in rho])
-        assert np.abs(concurrence(rho) - want).max() <= 1e-6
+        # The real route's symmetric eigenvalue solve against a 40-digit
+        # general eigensolve of rho @ rho~, which keeps the square roots of
+        # eigenvalues near zero exact (a double-precision oracle errs there by
+        # about 1e-8).  The largest gap is 2.7e-15 over ranks 1-4; 25 states
+        # per rank, as each solve takes about 8 ms.
+        want = np.array([oracle_concurrence_mp(m) for m in rho[:25]])
+        assert np.abs(concurrence(rho[:25]) - want).max() <= 1e-12
         assert (want > 0.01).any()
 
     def test_real_route_matches_complex_route_on_model_states(self):

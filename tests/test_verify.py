@@ -284,3 +284,53 @@ def test_batched_checks_equal_per_cell_oracle():
         want = oracle[check.name]
         assert check.max_residual == want.max, check.name
         assert check.worst_point == tuple(float(v) for v in want.point), check.name
+
+
+# Every check's identity at grid 5, in report order: the name, grid label,
+# threshold and ledger flag a check reports, and its verdict.
+CHECK_IDENTITIES_GRID5 = [
+    ("white-closed-state-vs-channel", "5^3", 1e-12, False, True),
+    ("white-state-validity", "5^3", 1e-12, False, True),
+    ("color-closed-state-vs-channel", "5^3", 1e-12, False, True),
+    ("color-state-validity", "5^3", 1e-12, False, True),
+    ("whitecolor-boundary-reductions", "2x5^3", 1e-12, False, True),
+    ("whitecolor-closed-state-vs-channel", "5^4", 1e-12, False, True),
+    ("concurrence-white-closed(corrected)", "5^3", 1e-08, False, True),
+    ("concurrence-white-closed(printed-coef-4)", "5^3+probe", 1e-08, True, False),
+    ("concurrence-color-closed", "5^3", 1e-08, False, True),
+    ("concurrence-whitecolor-closed(printed)", "5^4", 1e-08, True, False),
+    ("concurrence-whitecolor-closed(cos-r)", "5^4", 1e-08, False, True),
+    ("qfi-single-closed-vs-bloch-engine", "5^3x3", 1e-06, False, True),
+    ("qfi-two-closed-vs-spectral-engine", "int(5)^3x3", 1e-06, False, True),
+    ("qfi-data-processing-inequality", "2 ch x int(5)^2 x 5 x 3", 1e-06, False, True),
+]
+
+
+def test_check_identities_in_order():
+    report = run_verification(grid_n=5)
+    got = [(c.name, c.grid, c.threshold, c.ledgered, c.passed) for c in report.checks]
+    assert got == CHECK_IDENTITIES_GRID5
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # A NaN worst value cannot vouch for the grid: the check fails and so
+    # does the run, while every other check reports as before.
+    default = run_verification(grid_n=5)
+    closed = verify_module.concurrence_color_closed
+
+    def nan_at_one_cell(x, s, r):
+        out = np.array(closed(x, s, r), dtype=float)
+        out.flat[3] = math.nan
+        return out
+
+    monkeypatch.setattr(verify_module, "concurrence_color_closed", nan_at_one_cell)
+    report = run_verification(grid_n=5)
+    color = record(report, "concurrence-color-closed")
+    line = color.line()
+    assert line.startswith("[FAIL    ] concurrence-color-closed ")
+    assert "max-residual=nan at (0, 0, 0.589049)" in line
+    assert not color.passed and math.isnan(color.max_residual)
+    assert not report.overall_pass
+    assert report.render().endswith("overall: FAIL (14 checks, 2 ledgered)")
+    others = [c.line() for c in report.checks if c.name != color.name]
+    assert others == [c.line() for c in default.checks if c.name != color.name]
