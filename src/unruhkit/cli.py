@@ -24,24 +24,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Built on the first main() call and reused: argparse keeps no per-call
-# state on a parser, and --help, --version and usage errors look up
-# sys.stdout and sys.stderr when they print.
+# Built on the first figure, verify, --version or --help call and reused
+# (a sweep never builds it): argparse keeps no per-call state on a parser,
+# and --help, --version and usage errors look up sys.stdout and sys.stderr
+# when they print.
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unruhkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"unruhkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # main leaves the sweep flags to parse_spec; allow_abbrev=False keeps
-    # argparse from reading one such as --c as an abbreviation of --config.
+    # Only serves `sweep --help`: main runs a sweep without this parser.
     sweep = sub.add_parser(
         "sweep",
         help="run a declarative parameter sweep and emit CSV",
         description="sweep flags, each given as --name value (comma-lists become series):\n"
         + "".join(f"  --{name} {grammar}\n" for name, grammar in _FLAG_GRAMMAR.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
     )
     sweep.add_argument("--out", metavar="FILE", help="write the CSV here instead of stdout")
     sweep.add_argument("--config", metavar="FILE", help="key=value file of sweep flags; flags win")
@@ -63,48 +62,60 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _sweep(tokens: Sequence[str]) -> int:
+    """Run `unruhkit sweep`: take the --out and --config pairs out of the
+    --name value pairs and pass every other token to parse_spec."""
+    files: dict[str, Optional[str]] = {"--out": None, "--config": None}
+    flags: list[str] = []
+    for i in range(0, len(tokens), 2):
+        pair = tokens[i : i + 2]
+        if pair[0] not in files:
+            flags += pair
+        elif len(pair) < 2:
+            raise ParseError(f"{pair[0]}: missing value (FILE)")
+        else:
+            files[pair[0]] = pair[1]
+    config_text = None
+    if files["--config"] is not None:
+        try:
+            with open(files["--config"], encoding="utf-8") as stream:
+                config_text = stream.read()
+        except OSError as exc:
+            print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
+            return 3
+    emit_csv(run_sweep(parse_spec(flags, config_text=config_text)), files["--out"])
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    # A sweep never builds the argparse parser: _sweep and parse_spec parse
+    # its tokens once.  The parser serves figure, verify, --version and --help.
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args, sweep_argv = parser.parse_known_args(argv)
-        if sweep_argv and args.command != "sweep":
-            parser.error(f"unrecognized arguments: {' '.join(sweep_argv)}")
-    except SystemExit as exc:  # usage errors, --help and --version
-        return exc.code
-    try:
-        if args.command == "sweep":
-            config_text = None
-            if args.config is not None:
-                try:
-                    with open(args.config, encoding="utf-8") as stream:
-                        config_text = stream.read()
-                except OSError as exc:
-                    print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
-                    return 3
-            spec = parse_spec(sweep_argv, config_text=config_text)
-            table = run_sweep(spec)
-            emit_csv(table, args.out)
-            return 0
+        if argv and argv[0] == "sweep" and "-h" not in argv and "--help" not in argv:
+            return _sweep(argv[1:])
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage errors, --help and --version
+            return exc.code
         if args.command == "figure":
             spec = figure_preset(args.preset)
             table = run_sweep(spec)
             emit_csv(table, args.out)
             return 0
-        if args.command == "verify":
-            try:
-                report = run_verification(tolerance=args.tol, grid_n=args.grid)
-            except ValueError as exc:
-                print(f"unruhkit: {exc}", file=sys.stderr)
-                return 1
-            print(report.render())
-            return 0 if report.overall_pass else 2
+        try:  # args.command == "verify"
+            report = run_verification(tolerance=args.tol, grid_n=args.grid)
+        except ValueError as exc:
+            print(f"unruhkit: {exc}", file=sys.stderr)
+            return 1
+        print(report.render())
+        return 0 if report.overall_pass else 2
     except (ParseError, UnknownPresetError) as exc:
         print(f"unruhkit: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"unruhkit: i/o error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 def run() -> None:

@@ -101,6 +101,50 @@ class TestSweepCommand:
         assert main(["sweep", *SWEEP_FLAGS[:-2], "--meth", "numeric"]) == 1
         assert "unknown flag --meth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_file_flag_without_value_is_usage_error(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", *SWEEP_FLAGS, flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"unruhkit: {flag}: missing value (FILE)\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_file_flag_equals_form_is_unknown_flag(self, flag, tmp_path, capsys):
+        path = tmp_path / "file"
+        assert main(["sweep", *SWEEP_FLAGS, f"{flag}={path}"]) == 1
+        captured = capsys.readouterr()
+        assert f"unknown flag {flag}={path}" in captured.err
+        assert captured.out == ""
+        assert not path.exists()
+
+    def test_repeated_out_keeps_the_last(self, tmp_path, capsys):
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        assert main(["sweep", "--out", str(first), *SWEEP_FLAGS, "--out", str(last)]) == 0
+        assert capsys.readouterr().out == ""
+        assert not first.exists()
+        assert body(last.read_text())[-1].startswith("1,")
+
+    def test_short_help_after_sweep_flags_prints_help(self, capsys):
+        assert main(["sweep", "--channel", "white", "-h"]) == 0
+        assert "--config FILE" in capsys.readouterr().out
+
+    def test_version_is_not_a_sweep_flag(self, capsys):
+        assert main(["sweep", "--version"]) == 1
+        assert "unknown flag --version" in capsys.readouterr().err
+
+    def test_module_entry_point_writes_the_in_process_csv(self, tmp_path):
+        child, parent = tmp_path / "child.csv", tmp_path / "parent.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "unruhkit.cli", "sweep", *SWEEP_FLAGS, "--out", str(child)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(["sweep", *SWEEP_FLAGS, "--out", str(parent)]) == 0
+        assert body(child.read_text()) == body(parent.read_text())
+
     def test_help_names_every_sweep_flag(self, capsys):
         assert main(["sweep", "--help"]) == 0
         text = capsys.readouterr().out
@@ -167,6 +211,13 @@ class TestCachedParser:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_sweep_never_builds_the_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        assert main(["sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli._build_parser.cache_info().currsize == 0
+        assert main(["sweep", "--help"]) == 0
+        assert cli._build_parser.cache_info().currsize == 1
 
     def test_reused_parser_gives_what_fresh_calls_give(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

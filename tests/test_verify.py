@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -334,3 +335,40 @@ def test_nan_residual_fails_its_check(monkeypatch):
     assert report.render().endswith("overall: FAIL (14 checks, 2 ledgered)")
     others = [c.line() for c in report.checks if c.name != color.name]
     assert others == [c.line() for c in default.checks if c.name != color.name]
+
+
+# Each gated closed form, scaled by 1 + 10 x its check's threshold, and the
+# one check that must then fail at grid 5.  The factors are literals so that
+# a loosened threshold makes its row fail.
+SEEDED_DEFECTS = [
+    ("concurrence_white_closed", 1 + 1e-7, "concurrence-white-closed(corrected)"),
+    ("concurrence_color_closed", 1 + 1e-7, "concurrence-color-closed"),
+    ("concurrence_whitecolor_closed", 1 + 1e-7, "concurrence-whitecolor-closed(cos-r)"),
+    ("qfi_single_white_closed", 1 + 1e-5, "qfi-single-closed-vs-bloch-engine"),
+    ("qfi_two_white_closed", 1 + 1e-5, "qfi-two-closed-vs-spectral-engine"),
+]
+
+
+@pytest.fixture(scope="module")
+def verdicts_grid5():
+    return {c.name: c.passed for c in run_verification(grid_n=5).checks}
+
+
+@pytest.mark.parametrize("form, factor, flipped", SEEDED_DEFECTS, ids=[d[0] for d in SEEDED_DEFECTS])
+def test_seeded_defect_fails_exactly_its_check(monkeypatch, capsys, verdicts_grid5, form, factor, flipped):
+    closed = getattr(verify_module, form)
+
+    def scaled(*args, **kwargs):
+        out = closed(*args, **kwargs)
+        if form.startswith("qfi"):
+            return dataclasses.replace(out, value=out.value * factor)
+        return out * factor
+
+    monkeypatch.setattr(verify_module, form, scaled)
+    verdicts = {c.name: c.passed for c in run_verification(grid_n=5).checks}
+    assert verdicts_grid5[flipped] and not verdicts[flipped]
+    assert {name: ok for name, ok in verdicts.items() if name != flipped} == {
+        name: ok for name, ok in verdicts_grid5.items() if name != flipped
+    }
+    assert main(["verify", "--grid", "5"]) == 2
+    assert f"[FAIL    ] {flipped} " in capsys.readouterr().out
