@@ -80,7 +80,7 @@ def _sweep(tokens: Sequence[str]) -> int:
         try:
             with open(files["--config"], encoding="utf-8") as stream:
                 config_text = stream.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
             return 3
     emit_csv(run_sweep(parse_spec(flags, config_text=config_text)), files["--out"])

@@ -16,8 +16,12 @@ parameters.  Every cell equals its single-series call bit for bit.
 
 from __future__ import annotations
 
+import datetime
 import itertools
 import math
+import os
+import stat
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -586,10 +590,13 @@ def emit_csv(table: SweepTable, destination=None, timestamp: Optional[str] = Non
 
     ``destination`` may be a path, an open text stream, or None for stdout.
     The timestamp line is the only part that varies between identical runs.
+    A path is overwritten in place.  An existing regular file is then cut to
+    the CSV's length, or to nothing if the write fails, so no rows of the
+    earlier file are left behind.  It is not opened with ``O_TRUNC``: on ext4
+    that frees the old blocks, allocates them again and starts writeback at
+    close.  The inode, mode and links stay; a device, FIFO or terminal is not
+    truncated.
     """
-    import datetime
-    import sys
-
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     head = "".join(f"# {line}\n" for line in [*table.provenance, f"generated: {timestamp}"])
@@ -599,5 +606,23 @@ def emit_csv(table: SweepTable, destination=None, timestamp: Optional[str] = Non
     elif hasattr(destination, "write"):
         destination.write(text)
     else:
-        with open(destination, "w", encoding="utf-8") as stream:
-            stream.write(text)
+        fd = os.open(destination, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            info = os.fstat(fd)
+            # What an earlier file may leave behind; st_size is a length only
+            # for a regular file.  A new file, or one the CSV outgrows, needs
+            # no cut.
+            old_size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+            try:
+                with open(fd, "w", encoding="utf-8", closefd=False) as stream:
+                    stream.write(text)
+            except BaseException:
+                if old_size:
+                    os.ftruncate(fd, 0)
+                raise
+            if old_size:
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if end < old_size:
+                    os.ftruncate(fd, end)
+        finally:
+            os.close(fd)

@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from unruhkit import FamilyEvalError, StateFamily, qfi_single_bloch, qfi_two_qubit_spectral
-from unruhkit import cli
+from unruhkit import cli, sweep
 from unruhkit.cli import main
 from unruhkit.sweep import _FLAG_GRAMMAR
 
@@ -58,6 +60,14 @@ class TestSweepCommand:
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["sweep", "--config", "/no/such/file.cfg"]) == 3
+
+    def test_non_utf8_config_is_io_error(self, tmp_path, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_bytes(b"channel = white\n\xfe\n")
+        assert main(["sweep", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unruhkit: cannot read config: 'utf-8' codec can't decode byte 0xfe")
+        assert captured.out == ""
 
     def test_usage_error(self, capsys):
         rc = main(
@@ -150,6 +160,75 @@ class TestSweepCommand:
         text = capsys.readouterr().out
         for name in _FLAG_GRAMMAR:
             assert f"--{name} " in text
+
+
+def sweep_to(path):
+    return main(["sweep", *SWEEP_FLAGS, "--out", str(path)])
+
+
+def figure_to(path):
+    return main(["figure", "fig1a", "--out", str(path)])
+
+
+class TestOutFile:
+    """--out overwrites a regular file in place and cuts it to the CSV's length."""
+
+    @pytest.mark.parametrize(
+        "before, write",
+        [(figure_to, sweep_to), (sweep_to, figure_to), (None, sweep_to)],
+        ids=["shorter-leaves-no-stale-tail", "longer-grows-the-file", "new-path-is-created"],
+    )
+    def test_rewrite_equals_a_fresh_file(self, tmp_path, before, write):
+        target, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        if before is not None:
+            assert before(target) == 0
+        assert write(target) == 0
+        assert write(fresh) == 0
+        assert target.stat().st_size == fresh.stat().st_size
+        assert body(target.read_text()) == body(fresh.read_text())
+
+    def test_failed_write_leaves_no_old_rows(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "out.csv"
+        assert figure_to(target) == 0
+
+        class HalfWriter(io.TextIOWrapper):
+            def write(self, text):
+                super().write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def half_open(fd, mode, encoding, closefd):
+            return HalfWriter(io.FileIO(fd, "w", closefd=closefd), encoding=encoding)
+
+        monkeypatch.setattr(sweep, "open", half_open, raising=False)
+        assert sweep_to(target) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert target.read_bytes() == b""
+
+    def test_inode_and_mode_are_kept(self, tmp_path):
+        target = tmp_path / "out.csv"
+        assert figure_to(target) == 0
+        target.chmod(0o600)
+        inode = target.stat().st_ino
+        assert sweep_to(target) == 0
+        assert target.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o600
+
+    def test_symlink_updates_its_target(self, tmp_path):
+        target, link, fresh = tmp_path / "out.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+        assert figure_to(target) == 0
+        link.symlink_to(target)
+        assert sweep_to(link) == 0
+        assert sweep_to(fresh) == 0
+        assert link.is_symlink()
+        assert body(target.read_text()) == body(fresh.read_text())
+
+    def test_dev_null(self, capsys):
+        assert sweep_to(os.devnull) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_directory_is_io_error(self, tmp_path, capsys):
+        assert sweep_to(tmp_path) == 3
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestFigureCommand:
