@@ -37,10 +37,13 @@ each of its entries equals the one-parameter call bit for bit.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
-are implemented with their primes read as partial derivatives with respect
-to the estimated parameter; the verification harness compares them against
-the engines and records residuals.  They take broadcast arrays of (x, p, r)
-and give NaN where a term is undefined.
+are implemented as printed.  The two-qubit form's primes, partial
+derivatives in the estimated parameter, are taken by complex step of the
+published blocks, so no gradient is derived by hand; it stays independent of
+the SLD engine, which steps the state, not the blocks.  The verification
+harness compares the closed forms against the engines and records residuals.
+They take broadcast arrays of (x, p, r) and give NaN where a term is
+undefined.
 
 Floats cross one boundary, ``_float_boundary``: a float call runs as a
 one-element array and returns floats, so it equals its array entry bit for
@@ -211,6 +214,14 @@ def _param_index(param: str | tuple[str, ...]):
     if not all(name in _PARAM_INDEX for name in names):
         raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
     return [_PARAM_INDEX[name] for name in param] if isinstance(param, tuple) else _PARAM_INDEX[param]
+
+
+def _grad(d_p, d_x, d_r) -> np.ndarray:
+    """A gradient d/d(p, x, r), its components on a trailing axis."""
+    # The sum has the broadcast shape of the components.
+    grad = np.empty(np.shape(d_p + d_x + d_r) + (3,))
+    grad[..., 0], grad[..., 1], grad[..., 2] = d_p, d_x, d_r
+    return grad
 
 
 def _pick(grad: np.ndarray, idx):
@@ -501,64 +512,52 @@ def qfi_two_qubit_spectral_retry(family: StateFamily, theta) -> QfiValue:
 # Closed two-qubit form (white channel)
 # ---------------------------------------------------------------------------
 
-def _grad(d_p, d_x, d_r) -> np.ndarray:
-    """A gradient d/d(p, x, r), its components on a trailing axis."""
-    # The sum has the broadcast shape of the components.
-    grad = np.empty(np.shape(d_p + d_x + d_r) + (3,))
-    grad[..., 0], grad[..., 1], grad[..., 2] = d_p, d_x, d_r
-    return grad
+def _white_blocks(x, p, r) -> tuple:
+    """The published building blocks at array (x, p, r): kappa1, kappa2,
+    kappa3, b1, b2, b3, mu1, mu2, then the populations gamma cos^2 r and
+    gamma + beta sin^2 r of the two incoherent levels.
 
-
-def _kappa_bundle(x, p, r):
-    """(kappa_i, d kappa_i) for i = 1, 2, 3, then (b1, b2, b3).  The gradients
-    d/d(p, x, r) lie on a trailing axis; d kappa2 is NaN where the coherent
-    block is degenerate (kappa2 <= 1e-12)."""
+    Every block is analytic in (x, p, r), so complex input gives the values at
+    theta + ih, whose Im/h are their primes.  mu1, mu2 are NaN where the block
+    coherence epsilon vanishes or the block is degenerate (kappa2 <= 1e-12).
+    """
+    coeffs = white_coeffs(x, p)
     x2 = x * x
     c2r, c4r = np.cos(2.0 * r), np.cos(4.0 * r)
-    s2r, s4r = np.sin(2.0 * r), np.sin(4.0 * r)
-
     kappa1 = 4.0 + 4.0 * p - 4.0 * p * x2 + 4.0 * p * x2 * c2r
-    d_kappa1 = _grad(
-        4.0 - 4.0 * x2 + 4.0 * x2 * c2r,
-        -8.0 * p * x + 8.0 * p * x * c2r,
-        -8.0 * p * x2 * s2r,
-    )
-
     b1 = 6.0 + 20.0 * p + 38.0 * p * p - 40.0 * p * x2 - 24.0 * p * p * x2 + 24.0 * p * p * x2 * x2
-    d_b1 = _grad(
-        20.0 + 76.0 * p - 40.0 * x2 - 48.0 * p * x2 + 48.0 * p * x2 * x2,
-        -80.0 * p * x - 48.0 * p * p * x + 96.0 * p * p * x * x2,
-        0.0,
-    )
-
     poly = 1.0 + p * (2.0 - 4.0 * x2) + p * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
-    d_poly_p = 2.0 - 4.0 * x2 + 2.0 * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
-    d_poly_x = -8.0 * p * x - 8.0 * p * p * x + 16.0 * p * p * x * x2
     b2 = 8.0 * poly * c2r
-    d_b2 = _grad(8.0 * d_poly_p * c2r, 8.0 * d_poly_x * c2r, -16.0 * poly * s2r)
-
     lin = -1.0 + p - 2.0 * p * x2
     b3 = 2.0 * c4r * lin * lin
-    d_b3 = _grad(
-        4.0 * c4r * lin * (1.0 - 2.0 * x2),
-        -16.0 * p * x * c4r * lin,
-        -8.0 * s4r * lin * lin,
-    )
-
-    kappa2 = np.sqrt(clip_at_zero(b1 - b2 + b3))
-    degenerate = (kappa2 <= 1e-12)[..., None]
-    d_radicand = d_b1 - d_b2 + d_b3
-    d_kappa2 = np.where(
-        degenerate, np.nan, d_radicand / (2.0 * np.where(degenerate, 1.0, kappa2[..., None]))
-    )
-
+    radicand = b1 - b2 + b3
+    # The clip tests the real part alone, so a complex step stays analytic.
+    kappa2 = np.sqrt(np.where(radicand.real <= 0.0, 0.0, radicand))
     kappa3 = 2.0 + 6.0 * p - 12.0 * p * x2 - (2.0 - 2.0 * p + 4.0 * p * x2) * c2r
-    d_kappa3 = _grad(
-        6.0 - 12.0 * x2 + (2.0 - 4.0 * x2) * c2r,
-        -24.0 * p * x - 8.0 * p * x * c2r,
-        (4.0 - 4.0 * p + 8.0 * p * x2) * s2r,
-    )
-    return (kappa1, d_kappa1), (kappa2, d_kappa2), (kappa3, d_kappa3), (b1, b2, b3)
+    singular = (coeffs.epsilon == 0.0) | (kappa2.real <= 1e-12)
+    cr, sr = np.cos(r), np.sin(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu1, mu2 = (
+            np.where(singular, np.nan, (1.0 / cr) * kappa / (16.0 * coeffs.epsilon))
+            for kappa in (kappa3 - kappa2, kappa3 + kappa2)
+        )
+    eig_low, eig_high = coeffs.gamma * (cr * cr), coeffs.gamma + coeffs.beta * (sr * sr)
+    return kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2, eig_low, eig_high
+
+
+def _white_primes(param: str | tuple[str, ...], x, p, r) -> list:
+    """The primes of ``_white_blocks`` at arrays (x, p, r) of one shape, by
+    complex step in one evaluation: row k of a stack steps the k-th estimated
+    parameter to theta + ih, and Im/h of its blocks are their primes in that
+    parameter.  All three are complex in every row, so a one-parameter call
+    computes its row as a tuple's does, bit for bit.  A tuple ``param`` gives
+    each prime a leading axis over its names."""
+    names = param if isinstance(param, tuple) else (param,)
+    point = np.array([x, p, r], dtype=complex)[:, None].repeat(len(names), axis=1)
+    for k, name in enumerate(names):
+        point["xpr".index(name), k] += 1j * COMPLEX_STEP
+    primes = [block.imag / COMPLEX_STEP for block in _white_blocks(*point)]
+    return primes if isinstance(param, tuple) else [prime[0] for prime in primes]
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
@@ -571,100 +570,60 @@ def kappa_mu_terms(x, p, r, require_mu: bool = True) -> KappaMuTerms:
     ``None`` for both instead where the coherence vanishes at every point.
     """
     _validate_points(RINDLER_R_MAX, x, p, 0.0, r, Channel.WHITE)
-    bundle = _kappa_bundle(x, p, r)
-    (kappa1, _), (kappa2, _), (kappa3, _), (b1, b2, b3) = bundle
-    mu1 = mu2 = None
-    if require_mu or np.any(white_coeffs(x, p).epsilon != 0.0):
-        mu1, mu2 = _mu_bundle(x, p, r, bundle)[::2]
-    return KappaMuTerms(
-        kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, b1=b1, b2=b2, b3=b3, mu1=mu1, mu2=mu2
-    )
-
-
-def _mu_bundle(x, p, r, bundle):
-    """mu1, d mu1, mu2, d mu2 from ``bundle = _kappa_bundle(x, p, r)``, the
-    gradients d/d(p, x, r) on a trailing axis; NaN where the block coherence
-    vanishes or the block is degenerate."""
-    epsilon = white_coeffs(x, p).epsilon
-    _, (kappa2, d_kappa2), (kappa3, d_kappa3), _ = bundle
-    singular = (epsilon == 0.0) | np.isnan(d_kappa2[..., 0])
-    out = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(1.0 - x * x)
-        d_epsilon = _grad(x * root, p * (1.0 - 2.0 * x * x) / root, 0.0)
-        sec_r, tan_r = 1.0 / np.cos(r), np.tan(r)
-        eps = np.asarray(epsilon)[..., None]
-        pairs = ((kappa3 - kappa2, d_kappa3 - d_kappa2), (kappa3 + kappa2, d_kappa3 + d_kappa2))
-        for kappa, d_kappa in pairs:
-            mu = sec_r * kappa / (16.0 * epsilon)
-            d_mu = sec_r[..., None] * (d_kappa - kappa[..., None] * d_epsilon / eps) / (16.0 * eps)
-            d_mu = d_mu + _grad(0.0, 0.0, tan_r * mu)
-            out += [np.where(singular, np.nan, mu), np.where(singular[..., None], np.nan, d_mu)]
-    return tuple(out)
+    blocks = _white_blocks(x, p, r)[:8]
+    if not require_mu and np.all(white_coeffs(x, p).epsilon == 0.0):
+        blocks = blocks[:6] + (None, None)
+    return KappaMuTerms(*blocks)
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
 def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form spectral QFI of the accelerated white channel.
 
-    Assembled from the published building blocks with primes read as partial
-    derivatives with respect to the estimated parameter and the pair-term
-    eigenvalues taken as (kappa1 -+ kappa2)/16, i.e. the coherent block's
-    eigenvalue pair.  NaN where the block coherence vanishes (p=0,
+    Assembled from the published building blocks with primes taken by complex
+    step of the published blocks in the estimated parameter, and the
+    pair-term eigenvalues taken as (kappa1 -+ kappa2)/16, i.e. the coherent
+    block's eigenvalue pair.  NaN where the block coherence vanishes (p=0,
     x in {0, 1}) or the block is degenerate.  A tuple ``param`` gives a
     leading axis over its names, all from one set of building blocks.
     """
-    idx = _param_index(param)
+    _param_index(param)  # refuses a name other than p, x, r
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    if isinstance(param, tuple):  # each name's terms stack in the points' one shape
-        x, p, r = np.broadcast_arrays(x, p, r)
+    x, p, r = np.broadcast_arrays(x, p, r)
+    kappa1, kappa2, *_, mu1, mu2, eig_low, eig_high = _white_blocks(x, p, r)
+    kappa1_prime, kappa2_prime, *_, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = (
+        _white_primes(param, x, p, r)
+    )
 
-    coeffs = white_coeffs(x, p)
-    bundle = _kappa_bundle(x, p, r)
-    (kappa1, d_kappa1), (kappa2, d_kappa2), _, _ = bundle
-    mu1, d_mu1, mu2, d_mu2 = _mu_bundle(x, p, r, bundle)
-    # Only the estimated parameters' components of each gradient are needed.
-    d_kappa1, d_kappa2, d_mu1, d_mu2 = (_pick(g, idx) for g in (d_kappa1, d_kappa2, d_mu1, d_mu2))
-
-    gamma, beta = coeffs.gamma, coeffs.beta
-    cr, sr = np.cos(r), np.sin(r)
-    cr2, sr2 = cr * cr, sr * sr
-    s2r = np.sin(2.0 * r)
-
-    # d gamma = (-1/4, 0, 0) and d beta = ((4 x^2 - 1)/4, 2 p x, 0).
-    eig_low = gamma * cr2
-    d_eig_low = _pick(_grad(-0.25 * cr2, 0.0, -gamma * s2r), idx)
-    eig_high = gamma + beta * sr2
-    d_eig_high = _pick(_grad(-0.25 + (-1.0 + 4.0 * x * x) / 4.0 * sr2, 2.0 * p * x * sr2, beta * s2r), idx)
     lam2 = (kappa1 - kappa2) / 16.0
     lam3 = (kappa1 + kappa2) / 16.0
-    d_lam2 = (d_kappa1 - d_kappa2) / 16.0
-    d_lam3 = (d_kappa1 + d_kappa2) / 16.0
+    lam2_prime = (kappa1_prime - kappa2_prime) / 16.0
+    lam3_prime = (kappa1_prime + kappa2_prime) / 16.0
 
     term_classical = 0.0
-    for lam, grad in (
-        (eig_low, d_eig_low),
-        (eig_high, d_eig_high),
-        (lam2, d_lam2),
-        (lam3, d_lam3),
+    for lam, prime in (
+        (eig_low, eig_low_prime),
+        (eig_high, eig_high_prime),
+        (lam2, lam2_prime),
+        (lam3, lam3_prime),
     ):
         kept = lam >= EIG_FLOOR
         kept_lam = np.where(kept, lam, 1.0)
-        term_classical = term_classical + np.where(kept, grad * grad / kept_lam, 0.0)
+        term_classical = term_classical + np.where(kept, prime * prime / kept_lam, 0.0)
     term_classical = np.where(np.isnan(mu1), np.nan, term_classical)
 
     one1 = 1.0 + mu1 * mu1
     one2 = 1.0 + mu2 * mu2
     term_quantum = 0.25 * (
-        (kappa1 - kappa2) * (d_mu1 * d_mu1) / (one1 * one1)
-        + (kappa1 + kappa2) * (d_mu2 * d_mu2) / (one2 * one2)
+        (kappa1 - kappa2) * (mu1_prime * mu1_prime) / (one1 * one1)
+        + (kappa1 + kappa2) * (mu2_prime * mu2_prime) / (one2 * one2)
     )
     mu_gap = mu1 - mu2
     term_pairs = (
         8.0
         * (lam2 * lam3 / (lam2 + lam3))
         * (mu_gap * mu_gap / (one1 * one2))
-        * (d_mu1 * d_mu1 / (one1 * one1) + d_mu2 * d_mu2 / (one2 * one2))
+        * (mu1_prime * mu1_prime / (one1 * one1) + mu2_prime * mu2_prime / (one2 * one2))
     )
     value = term_classical + term_quantum - term_pairs
     return QfiValue(

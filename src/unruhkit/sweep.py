@@ -109,12 +109,18 @@ class SweepSpec:
     quantity: Quantity
     method: Method = Method.BOTH
     qfi_form: QfiForm = QfiForm.TWO
-    r_limit: float = RINDLER_R_MAX
     label: str = "sweep"
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         validate_spec(self)
+
+    @property
+    def r_limit(self) -> float:
+        """The acceleration ceiling of this spec's r values: pi/4, or the
+        largest r value where one passes it."""
+        r_values = (self.start, self.stop) if self.vary == "r" else self.fixed.get("r", ())
+        return max((RINDLER_R_MAX, *r_values))
 
 
 @dataclass
@@ -257,15 +263,6 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
         if name != vary and name not in fixed:
             raise ParseError(f"--{name} is required for the {channel.value} channel")
 
-    # Acceleration values up to the published-figure ceiling 0.8 are
-    # accepted; anything past pi/4 is flagged in the provenance.
-    r_values = list(fixed.get("r", ()))
-    if vary == "r":
-        r_values.extend((start, stop))
-    r_limit, notes = _r_limit_and_notes(r_values)
-    if r_limit > R_CAPTION_MAX + 1e-12:
-        raise ParseError(f"--r: value {r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
-
     return SweepSpec(
         channel=channel,
         vary=vary,
@@ -276,8 +273,6 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
         quantity=quantity,
         method=method,
         qfi_form=qfi_form,
-        r_limit=r_limit,
-        notes=notes,
     )
 
 
@@ -299,6 +294,10 @@ def validate_spec(spec: SweepSpec) -> None:
             raise ParseError(
                 "--method: closed QFI forms exist only for the white channel; use numeric"
             )
+    # Acceleration values up to the published-figure ceiling 0.8 are
+    # accepted; anything past pi/4 is flagged in the provenance.
+    if spec.r_limit > R_CAPTION_MAX + 1e-12:
+        raise ParseError(f"--r: value {spec.r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
     # The model's own domain rule decides, at the lowest and at the highest
     # value of every parameter; the keys rank NaN as both, so it is refused.
     values = {**spec.fixed, spec.vary: (spec.start, spec.stop)}
@@ -330,18 +329,10 @@ _R_SERIES_NOTE = (
 _Q_RANGE_NOTE = "q range restricted to [0, 1-p] so the combined strengths stay physical"
 
 
-def _r_limit_and_notes(r_values: Sequence[float]) -> tuple[float, tuple[str, ...]]:
-    """The acceleration ceiling of a parse_spec or preset spec with these r
-    values, and the provenance note it needs when that ceiling passes pi/4."""
-    r_limit = max((RINDLER_R_MAX, *r_values))
-    return r_limit, (_R_SERIES_NOTE,) if r_limit > RINDLER_R_MAX else ()
-
-
 def _preset_table() -> dict[str, SweepSpec]:
     presets: dict[str, SweepSpec] = {}
 
     def add(name, channel, vary, rng, fixed, quantity, method=Method.BOTH, qfi_form=QfiForm.TWO, notes=()):
-        r_limit, r_notes = _r_limit_and_notes(fixed.get("r", ()))
         presets[name] = SweepSpec(
             channel=channel,
             vary=vary,
@@ -352,9 +343,8 @@ def _preset_table() -> dict[str, SweepSpec]:
             quantity=quantity,
             method=method,
             qfi_form=qfi_form,
-            r_limit=r_limit,
             label=name,
-            notes=(*notes, *r_notes),
+            notes=notes,
         )
 
     conc = Quantity.CONCURRENCE
@@ -559,6 +549,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     provenance.append(_spec_echo(spec))
     provenance.append(f"settings: derivative=complex-step(h={COMPLEX_STEP:g}) csv-digits={CSV_DIGITS}")
     provenance.extend(f"note: {note}" for note in spec.notes)
+    if spec.r_limit > RINDLER_R_MAX:
+        provenance.append(f"note: {_R_SERIES_NOTE}")
     total_empty = sum(warnings.values())
     if total_empty:
         details = ", ".join(f"{k}={v}" for k, v in sorted(warnings.items()))

@@ -33,7 +33,7 @@ from unruhkit import (
 )
 from unruhkit.channels import CHANNEL_PARAMS
 from unruhkit import fisher as fisher_module
-from unruhkit.fisher import _kappa_bundle, _mu_bundle
+from unruhkit.fisher import _white_primes
 from oracles import central_difference
 
 
@@ -335,39 +335,25 @@ class TestKappaMuTerms:
             assert terms.b1 - terms.b2 + terms.b3 >= -1e-10
 
     def test_derivative_oracle(self, rng):
-        # Primes are partial derivatives: the analytic gradients must match
-        # central differences of the scalar building blocks.
+        # Primes are partial derivatives: the complex-step primes the closed
+        # form reads must match central differences of the blocks' values.
         for _ in range(40):
             x, p = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85)
             r = rng.uniform(0.05, RINDLER_R_MAX - 0.05)
+            point = {"x": x, "p": p, "r": r}
+            arrays = (np.array([point[name]]) for name in "xpr")
+            primes = dict(zip(vars(kappa_mu_terms(x, p, r)), _white_primes(("p", "x", "r"), *arrays)))
+            for idx, slot in enumerate("pxr"):
+                def block(name):
+                    return lambda t: getattr(kappa_mu_terms(**{**point, slot: t}), name)
 
-            def kappas(x_, p_, r_):
-                return tuple(value for value, _ in _kappa_bundle(x_, p_, r_)[:3])
-
-            def mus(x_, p_, r_):
-                return _mu_bundle(x_, p_, r_, _kappa_bundle(x_, p_, r_))
-
-            gradients = [gradient for _, gradient in _kappa_bundle(x, p, r)[:3]]
-            mu1, d_mu1, mu2, d_mu2 = mus(x, p, r)
-            for idx, slot in ((0, "p"), (1, "x"), (2, "r")):
-                def apply(f):
-                    def wrapped(t):
-                        args = [x, p, r]
-                        args[{"p": 1, "x": 0, "r": 2}[slot]] = t
-                        return f(*args)
-
-                    return wrapped
-
-                theta = {"p": p, "x": x, "r": r}[slot]
-                for pos, gradient in enumerate(gradients):
-                    fd = central_difference(apply(lambda *a: kappas(*a)[pos]), theta)
-                    assert gradient.shape == (3,)
-                    analytic = gradient[idx]
-                    assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-6)
-                fd_mu1 = central_difference(apply(lambda *a: mus(*a)[0]), theta)
-                fd_mu2 = central_difference(apply(lambda *a: mus(*a)[2]), theta)
-                assert d_mu1[idx] == pytest.approx(fd_mu1, rel=1e-5, abs=1e-5)
-                assert d_mu2[idx] == pytest.approx(fd_mu2, rel=1e-5, abs=1e-5)
+                for name in ("kappa1", "kappa2", "kappa3"):
+                    fd = central_difference(block(name), point[slot])
+                    assert primes[name].shape == (3, 1)
+                    assert primes[name][idx, 0] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+                for name in ("mu1", "mu2"):
+                    fd = central_difference(block(name), point[slot])
+                    assert primes[name][idx, 0] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
 class TestTwoQubitClosedForm:
@@ -381,7 +367,7 @@ class TestTwoQubitClosedForm:
                 engine = qfi_two_qubit_spectral_retry(family, theta).value
                 closed = qfi_two_white_closed(param, x, p, r).value
                 worst = max(worst, abs(closed - engine) / max(closed, engine, 1e-9))
-        assert worst < 1e-5
+        assert worst < 1e-10
 
     def test_decomposition_identity(self):
         got = qfi_two_white_closed("x", 0.4, 0.6, 0.3)

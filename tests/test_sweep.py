@@ -12,6 +12,7 @@ from unruhkit import (
     Method,
     ParseError,
     QfiForm,
+    RINDLER_R_MAX,
     Quantity,
     UnknownPresetError,
     emit_csv,
@@ -120,12 +121,36 @@ class TestParseSpec:
             "--quantity concurrence".split()
         )
         assert spec.r_limit == pytest.approx(0.8)
-        assert any("pi/4" in note for note in spec.notes)
+        assert any("pi/4" in line for line in run_sweep(spec).provenance)
         with pytest.raises(ParseError, match="--r"):
             parse_spec(
                 "--channel white --vary p --range 0:1:0.1 --x 0.2 --r 0.9 "
                 "--quantity concurrence".split()
             )
+
+    def test_r_limit_cannot_be_set(self):
+        # The ceiling is read from the r values, so no spec sets it past them.
+        fields = dict(
+            channel=Channel.WHITE,
+            vary="p",
+            start=0.0,
+            stop=1.0,
+            step=0.5,
+            fixed={"x": (0.5,), "r": (1.5,)},
+            quantity=Quantity.CONCURRENCE,
+        )
+        with pytest.raises(TypeError, match="r_limit"):
+            SweepSpec(**fields, r_limit=1.5)
+        with pytest.raises(ParseError, match=r"--r: value 1.5 outside \[0, 0.8\]"):
+            SweepSpec(**fields)
+        with pytest.raises(ParseError, match=r"--r: value 0.9 outside"):
+            dataclasses.replace(FIGURE_PRESETS["fig10a"], stop=0.9)
+
+    def test_r_limit_follows_replaced_r_values(self):
+        # A spec keeps no ceiling, or its note, that its r values no longer reach.
+        narrowed = dataclasses.replace(FIGURE_PRESETS["fig1a"], fixed={"x": (0.2,), "r": (0.0, 0.5)})
+        assert narrowed.r_limit == RINDLER_R_MAX
+        assert not any("pi/4" in line for line in run_sweep(narrowed).provenance)
 
     @pytest.mark.parametrize(
         "flags",
@@ -245,7 +270,7 @@ class TestFigurePresets:
     def test_r_series_presets_note_the_bound(self):
         spec = figure_preset("fig1a")
         assert spec.r_limit == pytest.approx(0.8)
-        assert any("pi/4" in note for note in spec.notes)
+        assert any("pi/4" in line for line in run_sweep(spec).provenance)
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError, match="fig1a"):
