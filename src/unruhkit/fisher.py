@@ -33,7 +33,9 @@ and give every parameter's QFI from the one state rho: one eigendecomposition
 serves every direction of the SLD form (Liu et al., sec. 3).  The closed
 forms take a tuple of names likewise and give every parameter from one set of
 building blocks.  Each output then has a leading axis over the parameters, and
-each of its entries equals the one-parameter call bit for bit.
+each of its entries equals the one-parameter call bit for bit: inside, every
+computation carries that axis, one entry long for a single name, and only the
+output drops it.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
@@ -93,7 +95,6 @@ NAN_ERRORS = {
     FORM_CLOSED: SingularPointError,
 }
 
-_PARAM_INDEX = {"p": 0, "x": 1, "r": 2}
 _EYE4 = np.eye(4, dtype=bool)
 
 
@@ -124,8 +125,8 @@ class KappaMuTerms:
     b1: float
     b2: float
     b3: float
-    mu1: Optional[float]
-    mu2: Optional[float]
+    mu1: float
+    mu2: float
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ class StateFamily:
 def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """rho, drho/dtheta_k for each parameter k, all real, and the mask of the
     cells where direction k is not finite, of ``shape``, the broadcast shape
-    of the thetas.  For a tuple of parameters, drho and the mask have a
-    leading axis over them, which the engines' outputs keep.
+    of the thetas.  drho and the mask have a leading axis over the parameters,
+    one entry for a single name; the engines drop it there (``_per_name``).
 
     Direction k is one evaluation of the family with theta_k + ih in its slot:
     Im/h is drho/dtheta_k and Re is rho.  The family's result must broadcast
@@ -173,11 +174,12 @@ def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray,
     cell, from the first direction finite there: at x = 1 the x direction is
     NaN and the others are not.
     """
-    thetas = theta if isinstance(family.param, tuple) else (theta,)
+    thetas = _leaves(theta)
     shape = np.broadcast(*thetas).shape + (family.dim, family.dim)
     name = family.label or family.param
     rho = unset = None
-    d_rho, bad = [], []
+    d_rho = np.empty((len(thetas),) + shape)
+    bad = np.empty(d_rho.shape[:-2], dtype=bool)
     for k, theta_k in enumerate(thetas):
         step = thetas[:k] + (theta_k + 1j * COMPLEX_STEP,) + thetas[k + 1 :]
         with np.errstate(invalid="ignore"):
@@ -200,42 +202,29 @@ def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray,
             rho, unset = m.real, bad_k
         elif unset.any():
             rho, unset = np.where(unset[..., None, None], m.real, rho), unset & bad_k
-        d_rho.append(m.imag / COMPLEX_STEP)
-        bad.append(bad_k)
-    if isinstance(family.param, tuple):
-        return rho, np.stack(d_rho), np.stack(bad)
-    return rho, d_rho[0], bad[0]
-
-
-def _param_index(param: str | tuple[str, ...]):
-    """The slot of ``param`` on a gradient's (p, x, r) axis, or the list of
-    slots of a tuple of names."""
-    names = param if isinstance(param, tuple) else (param,)
-    if not all(name in _PARAM_INDEX for name in names):
-        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
-    return [_PARAM_INDEX[name] for name in param] if isinstance(param, tuple) else _PARAM_INDEX[param]
-
-
-def _grad(d_p, d_x, d_r) -> np.ndarray:
-    """A gradient d/d(p, x, r), its components on a trailing axis."""
-    # The sum has the broadcast shape of the components.
-    grad = np.empty(np.shape(d_p + d_x + d_r) + (3,))
-    grad[..., 0], grad[..., 1], grad[..., 2] = d_p, d_x, d_r
-    return grad
-
-
-def _pick(grad: np.ndarray, idx):
-    """The components ``idx`` (from ``_param_index``) of a gradient whose
-    (p, x, r) lie on its trailing axis: one, or a list of them on a leading
-    axis."""
-    picked = grad[..., idx]
-    return picked if isinstance(idx, int) else np.moveaxis(picked, -1, 0)
+        np.divide(m.imag, COMPLEX_STEP, out=d_rho[k])
+        bad[k] = bad_k
+    return rho, d_rho, bad
 
 
 def _leaves(value) -> tuple:
-    """A point argument's values: the entries of a tuple (one theta per
-    parameter), or the value itself."""
+    """The entries of a tuple (one theta or name per parameter), or the one
+    value as a tuple."""
     return value if isinstance(value, tuple) else (value,)
+
+
+def _per_name(param: str | tuple[str, ...], value):
+    """``value``, whose leading axis runs over the parameters of ``param``,
+    without that axis for a single name."""
+    return value if isinstance(param, tuple) else value[0]
+
+
+def _white_names(param: str | tuple[str, ...]) -> tuple[str, ...]:
+    """The names of ``param``, each one of the white channel's p, x, r."""
+    names = _leaves(param)
+    if not set(names) <= set(CHANNEL_PARAMS[Channel.WHITE]):
+        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
+    return names
 
 
 def _one_element(value):
@@ -319,7 +308,7 @@ def qfi_single_bloch(family: StateFamily, theta) -> QfiValue:
     pure = np.sqrt(norm_sq) >= 1.0 - PURE_MARGIN
     mixed = (s * ds).sum(axis=-1) ** 2 / np.where(pure, 1.0, 1.0 - norm_sq) + ds_sq
     value = np.where(bad, np.nan, np.maximum(0.0, np.where(pure, ds_sq, mixed)))
-    return QfiValue(value=value, form=FORM_SINGLE_BLOCH)
+    return QfiValue(value=_per_name(family.param, value), form=FORM_SINGLE_BLOCH)
 
 
 def reduced_accelerated_qubit(params: ModelParams) -> np.ndarray:
@@ -368,7 +357,7 @@ def state_family(
     need a theta of the broadcast shape.
     """
     channel = Channel(channel)
-    names = param if isinstance(param, tuple) else (param,)
+    names = _leaves(param)
     for name in names:
         if name not in CHANNEL_PARAMS[channel]:
             raise DomainError(f"parameter {name!r} is not part of the {channel.value} channel")
@@ -399,10 +388,8 @@ def qfi_single_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float 
     numerical engine does.  NaN where the mixed branch's denominator
     vanishes.  A tuple ``param`` gives a leading axis over its names.
     """
-    idx = _param_index(param)
+    names = _white_names(param)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    if isinstance(param, tuple):  # each name's terms stack in the points' one shape
-        x, p, r = np.broadcast_arrays(x, p, r)
     a = 1.0 - 2.0 * x * x
     lin = 1.0 - a * p
     cr, sr, s2r = np.cos(r), np.sin(r), np.sin(2.0 * r)
@@ -411,17 +398,19 @@ def qfi_single_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float 
     pure = np.abs(sz) >= 1.0 - PURE_MARGIN
     bracket = 3.0 + a * p - lin * np.cos(2.0 * r)
     denom = lin * bracket
-    # Each (p, x, r) triple is laid out as a gradient and picked alike.
-    singular = ~pure & (np.abs(_pick(_grad(denom, denom, bracket), idx)) < 1e-14)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mixed = _grad(
-            2.0 * a * a * cr2 / denom,
-            32.0 * p * p * x * x * cr2 / denom,
-            8.0 * lin * (sr * sr) / bracket,
-        )
-    value = _grad(a * a * cr2 * cr2, 16.0 * p * p * x * x * cr2 * cr2, lin * lin * (s2r * s2r))
-    value = np.where(singular, np.nan, np.where(pure, _pick(value, idx), _pick(mixed, idx)))
-    return QfiValue(value=clip_at_zero(value), form=FORM_CLOSED)
+    # By name: the pure branch, then the mixed branch's numerator and divisor.
+    forms = {
+        "p": (a * a * cr2 * cr2, 2.0 * a * a * cr2, denom),
+        "x": (16.0 * p * p * x * x * cr2 * cr2, 32.0 * p * p * x * x * cr2, denom),
+        "r": (lin * lin * (s2r * s2r), 8.0 * lin * (sr * sr), bracket),
+    }
+    value = np.empty((len(names),) + np.shape(sz))  # sz has the points' broadcast shape
+    for k, name in enumerate(names):
+        pure_value, numerator, divisor = forms[name]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mixed = numerator / divisor
+        value[k] = np.where(~pure & (np.abs(divisor) < 1e-14), np.nan, np.where(pure, pure_value, mixed))
+    return QfiValue(value=clip_at_zero(_per_name(param, value)), form=FORM_CLOSED)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +454,7 @@ def qfi_two_qubit_spectral(family: StateFamily, theta) -> QfiValue:
     them all, and the value has a leading axis over the parameters.
     """
     *_, value, bad = _sld(family, theta)
-    return QfiValue(value=np.where(bad, np.nan, value), form=FORM_TWO_SPECTRAL)
+    return QfiValue(value=_per_name(family.param, np.where(bad, np.nan, value)), form=FORM_TWO_SPECTRAL)
 
 
 @_float_boundary(FORM_TWO_SPECTRAL, "theta")
@@ -494,7 +483,10 @@ def qfi_two_qubit_terms(family: StateFamily, theta) -> QfiValue:
         tied, weight / kept_sum
     )
     term_pairs = 8.0 * _masked_sum(split, lam_i * lam_j / kept_sum * mixing)
-    value, *terms = (np.where(bad, np.nan, t) for t in (value, term_classical, term_quantum, term_pairs))
+    value, *terms = (
+        _per_name(family.param, np.where(bad, np.nan, t))
+        for t in (value, term_classical, term_quantum, term_pairs)
+    )
     return QfiValue(value=value, form=FORM_TWO_SPECTRAL, decomposition=tuple(terms))
 
 
@@ -545,35 +537,29 @@ def _white_blocks(x, p, r) -> tuple:
     return kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2, eig_low, eig_high
 
 
-def _white_primes(param: str | tuple[str, ...], x, p, r) -> list:
+def _white_primes(names: tuple[str, ...], x, p, r) -> list:
     """The primes of ``_white_blocks`` at arrays (x, p, r) of one shape, by
-    complex step in one evaluation: row k of a stack steps the k-th estimated
-    parameter to theta + ih, and Im/h of its blocks are their primes in that
-    parameter.  All three are complex in every row, so a one-parameter call
-    computes its row as a tuple's does, bit for bit.  A tuple ``param`` gives
-    each prime a leading axis over its names."""
-    names = param if isinstance(param, tuple) else (param,)
+    complex step in one evaluation: row k of a stack steps the k-th of
+    ``names`` to theta + ih, and Im/h of its blocks are their primes in that
+    parameter.  All three are complex in every row, so each row is computed
+    alike whatever the other names, bit for bit.  Each prime has a leading
+    axis over ``names``."""
     point = np.array([x, p, r], dtype=complex)[:, None].repeat(len(names), axis=1)
     for k, name in enumerate(names):
         point["xpr".index(name), k] += 1j * COMPLEX_STEP
-    primes = [block.imag / COMPLEX_STEP for block in _white_blocks(*point)]
-    return primes if isinstance(param, tuple) else [prime[0] for prime in primes]
+    return [block.imag / COMPLEX_STEP for block in _white_blocks(*point)]
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
-def kappa_mu_terms(x, p, r, require_mu: bool = True) -> KappaMuTerms:
+def kappa_mu_terms(x, p, r) -> KappaMuTerms:
     """Evaluate the spectral closed form's building blocks at (x, p, r).
 
     mu1, mu2 require a nondegenerate block with a nonvanishing coherence
     coefficient; where that is zero (p=0 or x in {0, 1}) they are NaN, so a
-    float call raises ``SingularPointError``.  ``require_mu=False`` gives
-    ``None`` for both instead where the coherence vanishes at every point.
+    float call raises ``SingularPointError``.
     """
     _validate_points(RINDLER_R_MAX, x, p, 0.0, r, Channel.WHITE)
-    blocks = _white_blocks(x, p, r)[:8]
-    if not require_mu and np.all(white_coeffs(x, p).epsilon == 0.0):
-        blocks = blocks[:6] + (None, None)
-    return KappaMuTerms(*blocks)
+    return KappaMuTerms(*_white_blocks(x, p, r)[:8])
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
@@ -587,12 +573,12 @@ def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = R
     x in {0, 1}) or the block is degenerate.  A tuple ``param`` gives a
     leading axis over its names, all from one set of building blocks.
     """
-    _param_index(param)  # refuses a name other than p, x, r
+    names = _white_names(param)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     x, p, r = np.broadcast_arrays(x, p, r)
     kappa1, kappa2, *_, mu1, mu2, eig_low, eig_high = _white_blocks(x, p, r)
     kappa1_prime, kappa2_prime, *_, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = (
-        _white_primes(param, x, p, r)
+        _white_primes(names, x, p, r)
     )
 
     lam2 = (kappa1 - kappa2) / 16.0
@@ -625,9 +611,11 @@ def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = R
         * (mu_gap * mu_gap / (one1 * one2))
         * (mu1_prime * mu1_prime / (one1 * one1) + mu2_prime * mu2_prime / (one2 * one2))
     )
-    value = term_classical + term_quantum - term_pairs
+    term_classical, term_quantum, term_pairs = (
+        _per_name(param, t) for t in (term_classical, term_quantum, term_pairs)
+    )
     return QfiValue(
-        value=clip_at_zero(value),
+        value=clip_at_zero(term_classical + term_quantum - term_pairs),
         form=FORM_CLOSED,
         decomposition=(term_classical, term_quantum, term_pairs),
     )

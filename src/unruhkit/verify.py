@@ -9,18 +9,29 @@ one that holds); their residuals are reported but they never fail the run.
 Every other check, including the interpreted readings that pass with margin,
 gates the run.
 
-Each check's grid is x by the rest of it, an (s, r) plane or the (p, q, r)
-block with p+q <= 1, and the check evaluates it in blocks of consecutive x
-values: per block one stack of states, one concurrence call, one engine call
-and one closed-form call, each for every estimated parameter at once.  A
-block holds at most ``BLOCK_CELLS`` cells (one x value's, where that is
-more), so the arrays, and the memory they take, stay the same size as the
-grid grows; one pass over the whole grid would grow them as n^3.  Sweeps
-take the same budget for their calls over stacked series.  Singular
-loci are masks: a closed form gives NaN where its float call would raise
-``SingularPointError``, and those points are the check's gaps.  The worst
-point is the first maximum in the order x, then the slice's axes, then the
-parameter, whatever the blocks.
+The checks share three grids, and one pass walks each grid once, in blocks
+of consecutive x values, feeding every check on it:
+
+* the n^3 cube of (x, s, r), s the white or color strength: per block one
+  white and one color state stack, one concurrence call for both, their
+  channel routes, the combined builder's boundary reductions, and the
+  single-qubit QFI engine and closed form;
+* the combined channel's m^4 grid of (x, p, q, r) with p+q <= 1: one state
+  stack, its channel route and one concurrence call for both readings of
+  the printed form;
+* the interior grid, channel by channel: one two-qubit engine call per
+  block serves the data-processing inequality and, for white, the two-qubit
+  closed form at its coherent points.
+
+Each call takes every estimated parameter at once.  A block holds at most
+``BLOCK_CELLS`` cells (one x value's, where that is more), so the arrays,
+and the memory they take, stay the same size as the grid grows; one pass
+over the whole grid would grow them as n^3.  Sweeps take the same budget
+for their calls over stacked series.  Singular loci are masks: a closed
+form gives NaN where its float call would raise ``SingularPointError``, and
+those points are the check's gaps.  The worst point is the first maximum in
+the order x, then the grid's other axes, then the parameter, whatever the
+blocks.
 """
 
 from __future__ import annotations
@@ -63,10 +74,11 @@ SINGULAR_MARGIN = 1e-6
 STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
 DPI_SLACK = 1e-6
-# Cells per array pass of a check, and per call of a sweep (``sweep`` reads
-# it here, so one constant bounds both).  It bounds the arrays of a block, so
-# memory stays flat in the grid size; at grid 11 it halves the time of one
-# pass per x value, and larger blocks add memory for little more speed.
+# Cells per block of each of the three grid passes, and per call of a sweep
+# (``sweep`` reads it here, so one constant bounds both).  It bounds the
+# arrays of a block, which every check on that grid shares, so memory stays
+# flat in the grid size; at grid 11 it halves the time of one block per x
+# value, and larger blocks add memory for little more speed.
 BLOCK_CELLS = 512
 # The white channel's estimated parameters, in the order of each cell's residuals.
 WHITE_QFI_PARAMS = ("p", "x", "r")
@@ -74,16 +86,41 @@ WHITE_QFI_PARAMS = ("p", "x", "r")
 
 @dataclass
 class CheckRecord:
-    """One verification check: worst residual over a grid vs its threshold."""
+    """One verification check: its identity, and the worst residual over its
+    grid against its threshold.
+
+    ``max_residual`` starts at -inf, so the first point sets it: a check
+    reports its worst point and its signed worst value even when no residual
+    is positive.  ``update`` takes one residual or an array of them, with
+    each coordinate as a float or an array broadcasting to the residuals'
+    shape.  Of tied maxima the first in C order wins, as in a loop; a NaN
+    residual wins outright, so the check fails where it cannot vouch.
+    ``passed`` is the pass rule, the one place it lives.
+    """
 
     name: str
     grid: str
-    max_residual: float
     threshold: float
-    passed: bool
     ledgered: bool = False
     notes: str = ""
+    max_residual: float = -math.inf
     worst_point: Optional[tuple[float, ...]] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.threshold
+
+    def update(self, residuals, *coords) -> None:
+        residuals = np.asarray(residuals, dtype=float)
+        if residuals.size == 0 or math.isnan(self.max_residual):
+            return
+        i = int(np.argmax(residuals))
+        worst = float(residuals.flat[i])
+        if worst > self.max_residual or math.isnan(worst):
+            self.max_residual = worst
+            self.worst_point = tuple(
+                float(np.broadcast_to(c, residuals.shape).flat[i]) for c in coords
+            )
 
     def line(self) -> str:
         status = "PASS" if self.passed else ("LEDGERED" if self.ledgered else "FAIL")
@@ -120,51 +157,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Tracker:
-    """One check: its identity, and the running maximum of its residual.
-
-    It starts at -inf, so the first point sets it: a check reports its worst
-    point and its signed worst value even when no residual is positive.
-    ``update`` takes one residual or an array of them, with each coordinate
-    as a float or an array broadcasting to the residuals' shape.  Of tied
-    maxima the first in C order wins, as in a loop; a NaN residual wins
-    outright, so the check fails where it cannot vouch.  ``record`` applies
-    the pass rule, the one place it lives.
-    """
-
-    def __init__(
-        self, name: str, grid: str, threshold: float, ledgered: bool = False, notes: str = ""
-    ) -> None:
-        self.name, self.grid, self.threshold = name, grid, threshold
-        self.ledgered, self.notes = ledgered, notes
-        self.max = -math.inf
-        self.point: Optional[tuple[float, ...]] = None
-
-    def update(self, residuals, *coords) -> None:
-        residuals = np.asarray(residuals, dtype=float)
-        if residuals.size == 0 or math.isnan(self.max):
-            return
-        i = int(np.argmax(residuals))
-        worst = float(residuals.flat[i])
-        if worst > self.max or math.isnan(worst):
-            self.max = worst
-            self.point = tuple(
-                float(np.broadcast_to(c, residuals.shape).flat[i]) for c in coords
-            )
-
-    def record(self) -> CheckRecord:
-        return CheckRecord(
-            name=self.name,
-            grid=self.grid,
-            max_residual=self.max,
-            threshold=self.threshold,
-            passed=self.max <= self.threshold,
-            ledgered=self.ledgered,
-            notes=self.notes,
-            worst_point=self.point,
-        )
-
-
 def _grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
@@ -185,41 +177,46 @@ def _blocks(xs: np.ndarray, *axes: np.ndarray):
         yield np.meshgrid(xs[start : start + step], *axes, indexing="ij")
 
 
-def _whitecolor_blocks(m: int):
-    """The (x, p, q, r) points of an m^4 grid with p+q <= 1, by ``_blocks`` of
-    x with the (p, q, r) points on the second axis, flat, in loop order."""
-    p, q, r = np.meshgrid(_grid(m), _grid(m), _r_grid(m), indexing="ij")
-    inside = p + q <= 1.0
-    p, q, r = p[inside], q[inside], r[inside]
-    for x, i in _blocks(_grid(m), np.arange(p.size)):
-        yield x, p[i], q[i], r[i]
-
-
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest entrywise |a - b| of each matrix of two stacks."""
     return np.abs(a - b).max(axis=(-2, -1))
 
 
-def _check_channel_consistency(report: VerificationReport) -> None:
-    n = report.grid_n
-    grids = {
-        "white": (accelerated_white, Channel.WHITE, ""),
-        "color": (accelerated_color, Channel.COLOR, "strength symbol read as the color strength q"),
+def _check_cube(n: int, tol: float):
+    """The checks on the n^3 cube of (x, s, r), s the white or color
+    strength: each state's route and validity, the combined builder's
+    boundary reductions, the white and color concurrence forms, and the
+    single-qubit closed QFI with p = s."""
+    grid = f"{n}^3"
+    notes = {Channel.WHITE: "", Channel.COLOR: "strength symbol read as the color strength q"}
+    states = {
+        channel: (
+            CheckRecord(f"{channel.value}-closed-state-vs-channel", grid, STATE_TOL, notes=note),
+            CheckRecord(f"{channel.value}-state-validity", grid, STATE_TOL),
+        )
+        for channel, note in notes.items()
     }
-    for label, (closed, channel, notes) in grids.items():
-        route = _Tracker(f"{label}-closed-state-vs-channel", f"{n}^3", STATE_TOL, notes=notes)
-        validity = _Tracker(f"{label}-state-validity", f"{n}^3", STATE_TOL)
-        for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
-            params = ModelParams(
-                x=x,
-                p=s if channel is Channel.WHITE else 0.0,
-                q=s if channel is Channel.COLOR else 0.0,
-                r=r,
-                channel=channel,
-            )
-            direct = closed(x, s, r)
-            image = unruh_second_qubit(initial_state(params), r)
-            route.update(_entry_gap(direct, image), x, s, r)
+    # The combined channel has no printed closed state; its boundary
+    # reductions are the white edge q=0 and the color edge p+q=1, where it
+    # loses its isotropic component.
+    edges = CheckRecord(
+        "whitecolor-boundary-reductions", f"2x{n}^3", STATE_TOL, notes="white edge q=0; color edge p+q=1"
+    )
+    printed_form = functools.partial(concurrence_white_closed, w4_coefficient=4.0)
+    corrected = CheckRecord(
+        "concurrence-white-closed(corrected)", grid, tol, notes="final surd coefficient corrected 4 -> 1/2"
+    )
+    printed = CheckRecord("concurrence-white-closed(printed-coef-4)", f"{n}^3+probe", tol, ledgered=True)
+    color_closed = CheckRecord("concurrence-color-closed", grid, tol)
+    single = CheckRecord("qfi-single-closed-vs-bloch-engine", f"{n}^3x3", QFI_REL_TOL)
+    family = state_family(Channel.WHITE, WHITE_QFI_PARAMS, reduced=True)
+    gaps = 0
+    for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
+        white, color = accelerated_white(x, s, r), accelerated_color(x, s, r)
+        for direct, (channel, (route, validity)) in zip((white, color), states.items()):
+            strength = {"p": s} if channel is Channel.WHITE else {"q": s}
+            params = ModelParams(x=x, r=r, channel=channel, **strength)
+            route.update(_entry_gap(direct, unruh_second_qubit(initial_state(params), r)), x, s, r)
             bad = np.maximum(
                 np.maximum(
                     _entry_gap(direct, dagger(direct)),
@@ -228,48 +225,24 @@ def _check_channel_consistency(report: VerificationReport) -> None:
                 np.maximum(0.0, -np.linalg.eigvalsh(direct).min(axis=-1)),
             )
             validity.update(bad, x, s, r)
-        report.checks.extend([route.record(), validity.record()])
-
-    # Combined channel: no printed closed state; check its boundary
-    # reductions.  The white edge is q=0; the color edge is p+q=1 (the
-    # combined state loses its isotropic component there).
-    edges = _Tracker(
-        "whitecolor-boundary-reductions", f"2x{n}^3", STATE_TOL, notes="white edge q=0; color edge p+q=1"
-    )
-    for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
-        white = accelerated_white(x, s, r)
-        color = accelerated_color(x, s, r)
         white_edge = _entry_gap(accelerated_whitecolor(x, s, 0.0, r), white)
         color_edge = _entry_gap(accelerated_whitecolor(x, s, 1.0 - s, r), color)
         both = np.stack([white_edge, color_edge], axis=-1)
         edges.update(both, x[..., None], s[..., None], r[..., None])
-    report.checks.append(edges.record())
 
-    # Its interior: the builder every engine uses against the channel route.
-    m = max(5, n // 2 + 1)
-    interior = _Tracker("whitecolor-closed-state-vs-channel", f"{m}^4", STATE_TOL, notes="p+q <= 1")
-    for x, p, q, r in _whitecolor_blocks(m):
-        params = ModelParams(x=x, p=p, q=q, r=r, channel=Channel.WHITE_COLOR)
-        image = unruh_second_qubit(initial_state(params), r)
-        interior.update(_entry_gap(accelerated_whitecolor(x, p, q, r), image), x, p, q, r)
-    report.checks.append(interior.record())
-
-
-def _check_concurrence_closed(report: VerificationReport) -> None:
-    n, tol = report.grid_n, report.tolerance
-    printed_form = functools.partial(concurrence_white_closed, w4_coefficient=4.0)
-    corrected = _Tracker(
-        "concurrence-white-closed(corrected)", f"{n}^3", tol, notes="final surd coefficient corrected 4 -> 1/2"
-    )
-    printed = _Tracker("concurrence-white-closed(printed-coef-4)", f"{n}^3+probe", tol, ledgered=True)
-    color = _Tracker("concurrence-color-closed", f"{n}^3", tol)
-    for x, s, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
-        engine_w, engine_c = concurrence(
-            np.stack([accelerated_white(x, s, r), accelerated_color(x, s, r)])
-        )
+        engine_w, engine_c = concurrence(np.stack([white, color]))
         corrected.update(np.abs(concurrence_white_closed(x, s, r) - engine_w), x, s, r)
         printed.update(np.abs(printed_form(x, s, r) - engine_w), x, s, r)
-        color.update(np.abs(concurrence_color_closed(x, s, r) - engine_c), x, s, r)
+        color_closed.update(np.abs(concurrence_color_closed(x, s, r) - engine_c), x, s, r)
+
+        sz = (1.0 - (1.0 - 2.0 * x * x) * s) * np.cos(r) ** 2 - 1.0
+        mixed = np.abs(sz) < 1.0 - SINGULAR_MARGIN
+        gaps += int(np.count_nonzero(~mixed))
+        xm, pm, rm = x[mixed], s[mixed], r[mixed]
+        engine = qfi_single_bloch(family, (pm, xm, rm)).value
+        closed = qfi_single_white_closed(WHITE_QFI_PARAMS, xm, pm, rm).value
+        residuals = np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12)
+        single.update(residuals.T, xm[:, None], pm[:, None], rm[:, None])
     # Probe the exactly known mixing line where the printed coefficient breaks.
     x_w, p_w = 1.0 / math.sqrt(2.0), 0.9
     werner_residual = abs(
@@ -279,74 +252,47 @@ def _check_concurrence_closed(report: VerificationReport) -> None:
     printed.notes = (
         f"printed coefficient fails; residual {werner_residual:.3f} on the exact mixing line"
     )
-    report.checks.extend([corrected.record(), printed.record(), color.record()])
+    single.notes = f"{gaps} pure-reduction grid points skipped" if gaps else ""
+    routes = [*states[Channel.WHITE], *states[Channel.COLOR]]
+    return routes, edges, [corrected, printed, color_closed], single
 
 
-def _check_concurrence_whitecolor(report: VerificationReport) -> None:
-    n, tol = max(5, report.grid_n // 2 + 1), report.tolerance
+def _check_whitecolor(m: int, tol: float):
+    """The checks on the combined channel's m^4 grid of (x, p, q, r) with
+    p+q <= 1: the builder every engine uses against the channel route, and
+    both readings of the printed concurrence form."""
+    route = CheckRecord("whitecolor-closed-state-vs-channel", f"{m}^4", STATE_TOL, notes="p+q <= 1")
     weighted_form = functools.partial(concurrence_whitecolor_closed, cos_r_weighted=True)
-    printed = _Tracker("concurrence-whitecolor-closed(printed)", f"{n}^4", tol, ledgered=True)
-    weighted = _Tracker("concurrence-whitecolor-closed(cos-r)", f"{n}^4", tol)
-    for x, p, q, r in _whitecolor_blocks(n):
-        engine = concurrence(accelerated_whitecolor(x, p, q, r))
-        printed.update(np.abs(concurrence_whitecolor_closed(x, p, q, r) - engine), x, p, q, r)
-        weighted.update(np.abs(weighted_form(x, p, q, r) - engine), x, p, q, r)
-    match = "cos-r-weighted" if weighted.max < printed.max else "printed"
+    printed = CheckRecord("concurrence-whitecolor-closed(printed)", f"{m}^4", tol, ledgered=True)
+    weighted = CheckRecord("concurrence-whitecolor-closed(cos-r)", f"{m}^4", tol)
+    # The (p, q, r) points with p+q <= 1, flat in loop order, on the blocks' second axis.
+    p, q, r = np.meshgrid(_grid(m), _grid(m), _r_grid(m), indexing="ij")
+    inside = p + q <= 1.0
+    p, q, r = p[inside], q[inside], r[inside]
+    for x, i in _blocks(_grid(m), np.arange(p.size)):
+        point = x, p[i], q[i], r[i]
+        state = accelerated_whitecolor(*point)
+        params = ModelParams(*point, channel=Channel.WHITE_COLOR)
+        route.update(_entry_gap(state, unruh_second_qubit(initial_state(params), r[i])), *point)
+        engine = concurrence(state)
+        printed.update(np.abs(concurrence_whitecolor_closed(*point) - engine), *point)
+        weighted.update(np.abs(weighted_form(*point) - engine), *point)
+    match = "cos-r-weighted" if weighted.max_residual < printed.max_residual else "printed"
     printed.notes = weighted.notes = (
         f"{match} reading matches the engine "
-        f"(printed {printed.max:.2e}, cos-r-weighted {weighted.max:.2e})"
+        f"(printed {printed.max_residual:.2e}, cos-r-weighted {weighted.max_residual:.2e})"
     )
-    report.checks.extend([printed.record(), weighted.record()])
+    return route, [printed, weighted]
 
 
-def _check_qfi_single_closed(report: VerificationReport) -> None:
-    n = report.grid_n
-    family = state_family(Channel.WHITE, WHITE_QFI_PARAMS, reduced=True)
-    tracker = _Tracker("qfi-single-closed-vs-bloch-engine", f"{n}^3x3", QFI_REL_TOL)
-    gaps = 0
-    for x, p, r in _blocks(_grid(n), _grid(n), _r_grid(n)):
-        a = 1.0 - 2.0 * x * x
-        sz = (1.0 - a * p) * np.cos(r) ** 2 - 1.0
-        mixed = np.abs(sz) < 1.0 - SINGULAR_MARGIN
-        gaps += int(np.count_nonzero(~mixed))
-        x, p, r = x[mixed], p[mixed], r[mixed]
-        engine = qfi_single_bloch(family, (p, x, r)).value
-        closed = qfi_single_white_closed(WHITE_QFI_PARAMS, x, p, r).value
-        residuals = np.abs(closed - engine) / np.maximum(np.abs(closed), 1e-12)
-        tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
-    tracker.notes = f"{gaps} pure-reduction grid points skipped" if gaps else ""
-    report.checks.append(tracker.record())
-
-
-def _check_qfi_two_closed(report: VerificationReport) -> None:
-    n = report.grid_n
+def _check_interior(n: int):
+    """The two-qubit QFI checks on the interior grid, channel by channel: per
+    block one engine call serves the data-processing inequality and, for
+    white, the closed form at its coherent points."""
     interior = _interior(_grid(n))
-    family = state_family(Channel.WHITE, WHITE_QFI_PARAMS)
-    tracker = _Tracker("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
-    gaps = 0
-    for x, p, r in _blocks(interior, interior, _r_grid(n)):
-        coherent = p * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
-        gaps += int(np.count_nonzero(~coherent))
-        x, p, r = x[coherent], p[coherent], r[coherent]
-        closed = qfi_two_white_closed(WHITE_QFI_PARAMS, x, p, r).value
-        singular = np.isnan(closed)
-        gaps += int(np.count_nonzero(singular))
-        engine = qfi_two_qubit_spectral_retry(family, (p, x, r)).value
-        scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
-        residuals = np.where(singular, -math.inf, np.abs(closed - engine) / scale)
-        tracker.update(residuals.T, x[:, None], p[:, None], r[:, None])
-    tracker.notes = (
-        "primes read as partial derivatives; pair eigenvalues read as the "
-        f"coherent block pair; {gaps} singular points skipped"
-    )
-    report.checks.append(tracker.record())
-
-
-def _check_data_processing(report: VerificationReport) -> None:
-    n = report.grid_n
-    interior = _interior(_grid(n))
-    worst = _Tracker("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
-    count = 0
+    two_closed = CheckRecord("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
+    dpi = CheckRecord("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
+    gaps = count = 0
     for channel in (Channel.WHITE, Channel.COLOR):
         params = ("p" if channel is Channel.WHITE else "q", "x", "r")
         full = state_family(channel, params)
@@ -355,9 +301,25 @@ def _check_data_processing(report: VerificationReport) -> None:
             two = qfi_two_qubit_spectral_retry(full, (s, x, r)).value
             single = qfi_single_bloch(reduced, (s, x, r)).value
             count += single.size
-            worst.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
-    worst.notes = f"{count} comparisons"
-    report.checks.append(worst.record())
+            dpi.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
+            if channel is not Channel.WHITE:
+                continue
+            coherent = s * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
+            gaps += int(np.count_nonzero(~coherent))
+            engine = two[:, coherent]
+            xc, pc, rc = x[coherent], s[coherent], r[coherent]
+            closed = qfi_two_white_closed(WHITE_QFI_PARAMS, xc, pc, rc).value
+            singular = np.isnan(closed)
+            gaps += int(np.count_nonzero(singular))
+            scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
+            residuals = np.where(singular, -math.inf, np.abs(closed - engine) / scale)
+            two_closed.update(residuals.T, xc[:, None], pc[:, None], rc[:, None])
+    two_closed.notes = (
+        "primes read as partial derivatives; pair eigenvalues read as the "
+        f"coherent block pair; {gaps} singular points skipped"
+    )
+    dpi.notes = f"{count} comparisons"
+    return [two_closed, dpi]
 
 
 def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationReport:
@@ -366,11 +328,10 @@ def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationR
         raise ValueError("tolerance must be positive")
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")
-    report = VerificationReport(tolerance=tolerance, grid_n=grid_n)
-    _check_channel_consistency(report)
-    _check_concurrence_closed(report)
-    _check_concurrence_whitecolor(report)
-    _check_qfi_single_closed(report)
-    _check_qfi_two_closed(report)
-    _check_data_processing(report)
-    return report
+    states, edges, concurrences, single = _check_cube(grid_n, tolerance)
+    whitecolor_route, whitecolor_readings = _check_whitecolor(max(5, grid_n // 2 + 1), tolerance)
+    checks = [
+        *states, edges, whitecolor_route, *concurrences, *whitecolor_readings, single,
+        *_check_interior(grid_n),
+    ]
+    return VerificationReport(tolerance=tolerance, grid_n=grid_n, checks=checks)

@@ -258,7 +258,6 @@ class TestVerifyCommand:
                     grid="1",
                     max_residual=1.0,
                     threshold=1e-8,
-                    passed=False,
                 )
             )
             return report

@@ -295,14 +295,16 @@ class TestSpectralEngine:
 
 class TestKappaMuTerms:
     def test_zero_noise_values(self):
-        # Direct substitution at r=0, p=0.
-        terms = kappa_mu_terms(0.3, 0.0, 0.0, require_mu=False)
-        assert terms.kappa1 == pytest.approx(4.0, abs=1e-15)
-        assert terms.b1 == pytest.approx(6.0, abs=1e-15)
-        assert terms.b2 == pytest.approx(8.0, abs=1e-15)
-        assert terms.b3 == pytest.approx(2.0, abs=1e-15)
-        assert terms.kappa2 == pytest.approx(0.0, abs=1e-15)
-        assert terms.mu1 is None and terms.mu2 is None
+        # Direct substitution at r=0, p=0, where the coherence vanishes: the
+        # kappa and b blocks are finite and mu is NaN.
+        terms = kappa_mu_terms(np.array([0.3]), np.array([0.0]), np.array([0.0]))
+        assert terms.kappa1 == pytest.approx([4.0], abs=1e-15)
+        assert terms.b1 == pytest.approx([6.0], abs=1e-15)
+        assert terms.b2 == pytest.approx([8.0], abs=1e-15)
+        assert terms.b3 == pytest.approx([2.0], abs=1e-15)
+        assert terms.kappa2 == pytest.approx([0.0], abs=1e-15)
+        assert np.isfinite(terms.kappa3).all()
+        assert np.isnan(terms.mu1).all() and np.isnan(terms.mu2).all()
 
     def test_singular_where_coherence_vanishes(self):
         for x, p in ((0.0, 0.5), (1.0, 0.5), (0.4, 0.0)):
@@ -327,12 +329,9 @@ class TestKappaMuTerms:
             assert terms.kappa1 / 16 == pytest.approx((d2 + d3) / 2, abs=1e-12)
 
     def test_radicand_never_negative(self, rng):
-        for _ in range(200):
-            terms = kappa_mu_terms(
-                rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, RINDLER_R_MAX),
-                require_mu=False,
-            )
-            assert terms.b1 - terms.b2 + terms.b3 >= -1e-10
+        x, p, r = rng.uniform((0, 0, 0), (1, 1, RINDLER_R_MAX), size=(200, 3)).T
+        terms = kappa_mu_terms(x, p, r)
+        assert (terms.b1 - terms.b2 + terms.b3 >= -1e-10).all()
 
     def test_derivative_oracle(self, rng):
         # Primes are partial derivatives: the complex-step primes the closed

@@ -313,6 +313,64 @@ def test_check_identities_in_order():
     assert got == CHECK_IDENTITIES_GRID5
 
 
+# Every check's notes at grid 5, in report order: what the checks count or
+# read along the way (skipped points, comparisons, the mixing-line residual,
+# the matching whitecolor reading), which no residual pins.
+WHITECOLOR_READING = (
+    "cos-r-weighted reading matches the engine (printed 1.65e-01, cos-r-weighted 1.65e-10)"
+)
+CHECK_NOTES_GRID5 = [
+    "",
+    "",
+    "strength symbol read as the color strength q",
+    "",
+    "white edge q=0; color edge p+q=1",
+    "p+q <= 1",
+    "final surd coefficient corrected 4 -> 1/2",
+    "printed coefficient fails; residual 0.350 on the exact mixing line",
+    "",
+    WHITECOLOR_READING,
+    WHITECOLOR_READING,
+    "6 pure-reduction grid points skipped",
+    "primes read as partial derivatives; pair eigenvalues read as the coherent "
+    "block pair; 0 singular points skipped",
+    "270 comparisons",
+]
+
+
+def test_check_notes_in_order():
+    assert [c.notes for c in run_verification(grid_n=5).checks] == CHECK_NOTES_GRID5
+
+
+def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
+    # One white and one color build per block of the n^3 cube, plus the
+    # white mixing-line probe, and one two-qubit engine call per channel and
+    # block of the interior grid, which the DPI and closed-form checks share.
+    calls = {}
+
+    def counted(name):
+        fn = getattr(verify_module, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("accelerated_white", "accelerated_color", "qfi_two_qubit_spectral_retry"):
+        monkeypatch.setattr(verify_module, name, counted(name))
+    n = 11
+    run_verification(grid_n=n)
+    cube_blocks = math.ceil(n / (verify_module.BLOCK_CELLS // n**2))
+    interior_blocks = math.ceil((n - 2) / (verify_module.BLOCK_CELLS // ((n - 2) * n)))
+    assert (cube_blocks, interior_blocks) == (3, 2)
+    assert calls == {
+        "accelerated_white": cube_blocks + 1,
+        "accelerated_color": cube_blocks,
+        "qfi_two_qubit_spectral_retry": 2 * interior_blocks,
+    }
+
+
 def test_nan_residual_fails_its_check(monkeypatch):
     # A NaN worst value cannot vouch for the grid: the check fails and so
     # does the run, while every other check reports as before.
