@@ -58,7 +58,6 @@ from .entanglement import (
     concurrence_white_closed,
     concurrence_whitecolor_closed,
     spin_flip,
-    whitecolor_surd_terms,
 )
 from .fisher import (
     KappaMuTerms,

@@ -27,7 +27,6 @@ theta + ih has.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,7 +72,9 @@ def combined_strengths(channel: Channel, p, q):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Scalar knobs indexing one state of the model.
+    """Knobs indexing one state of the model, or a stack of them: each field
+    is a float or an array, and the arrays broadcast together.
+    ``_validate_points`` holds their domain rules.
 
     x : amplitude of the initial ket (0 and 1 are product states, 1/sqrt(2)
         is maximally entangled)
@@ -89,21 +90,8 @@ class ModelParams:
     channel: Channel = Channel.WHITE
 
     def validate(self, r_max: float = RINDLER_R_MAX) -> None:
-        """Raise ``DomainError`` unless every field is inside its domain.
-
-        ``r_max`` widens the acceleration bound; figure presets use it to
-        honor printed curves drawn slightly past pi/4.
-        """
-        if not 0.0 <= self.x <= 1.0:
-            raise DomainError(f"x={self.x} outside [0, 1]")
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p={self.p} outside [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise DomainError(f"q={self.q} outside [0, 1]")
-        if self.channel is Channel.WHITE_COLOR and self.p + self.q > 1.0 + 1e-12:
-            raise DomainError(f"p+q={self.p + self.q} exceeds 1 for the combined channel")
-        if not 0.0 <= self.r <= r_max + 1e-12:
-            raise DomainError(f"r={self.r} outside [0, {r_max}]")
+        """``_validate_points`` of the fields; ``r_max`` widens the r bound."""
+        _validate_points(r_max, self.x, self.p, self.q, self.r, self.channel)
 
 
 class WhiteCoeffs(NamedTuple):
@@ -123,38 +111,42 @@ class ColorCoeffs(NamedTuple):
     epsilon_c: float
 
 
-# math for floats keeps one state at its scalar speed; numpy for arrays.  The
-# stack tests check that both round alike.  An array radicand u + iv is NaN
-# unless u >= |v|: a complex step within reach of the branch point has no value.
+# A radicand u + iv is NaN unless u >= |v|: a complex step within reach of
+# the branch point has no value.
 def _sqrt(v):
-    if isinstance(v, np.ndarray):
-        return np.where(v.real >= np.abs(v.imag), np.sqrt(v), np.nan)
-    return math.sqrt(v)
-
-
-def _cos_sin(r):
-    if isinstance(r, np.ndarray):
-        return np.cos(r), np.sin(r)
-    return math.cos(r), math.sin(r)
+    return np.where(v.real >= np.abs(v.imag), np.sqrt(v), np.nan)
 
 
 def _validate_points(r_max: float, x, p, q, r, channel: Channel = Channel.WHITE_COLOR) -> None:
-    """``ModelParams.validate`` of ``channel`` at each point of broadcast float
-    or array values."""
-    values = (x, p, q, r)
-    # An exact type test keeps the one-state path cheap.  Of an array, each
-    # rule is tested at once; these are ``validate``'s rules, so an array that
-    # passes them all (an empty one too) is valid, and otherwise the first
-    # failing point is validated alone for its message.
-    if np.ndarray in map(type, values):
-        ok = (0.0 <= x) & (x <= 1.0) & (0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0)
-        ok = ok & (0.0 <= r) & (r <= r_max + 1e-12)
-        if channel is Channel.WHITE_COLOR:
-            ok = ok & (p + q <= 1.0 + 1e-12)
-        if ok.all():
-            return
-        values = next(itertools.islice(np.broadcast(*values), int(np.argmin(ok)), None))
-    ModelParams(*values, channel=channel).validate(r_max)
+    """The model's domain, the one place its rules are written: raise
+    ``DomainError`` unless every point of the broadcast float or array values
+    is inside ``channel``'s domain, naming the first failing point's first
+    failing rule.  Of floats each rule is a bool, so they combine in plain
+    Python; of arrays it is a boolean array.  ``r_max`` widens the acceleration
+    bound, as figure presets do for curves printed slightly past pi/4."""
+    in_x = (0.0 <= x) & (x <= 1.0)
+    in_p = (0.0 <= p) & (p <= 1.0)
+    in_q = (0.0 <= q) & (q <= 1.0)
+    in_pq = channel is not Channel.WHITE_COLOR or p + q <= 1.0 + 1e-12
+    in_r = (0.0 <= r) & (r <= r_max + 1e-12)
+    # Rules of floats lead, so they combine without a ufunc; floats give a
+    # bool, numpy values an array or a numpy bool.
+    ok = in_pq & in_q & in_p & in_x & in_r
+    if ok is True or ok is not False and ok.all():
+        return
+    if np.ndim(ok):  # the first failing point, validated alone, raises
+        first = int(np.argmin(ok))
+        point = (np.broadcast_to(v, ok.shape).flat[first] for v in (x, p, q, r))
+        _validate_points(r_max, *point, channel)
+    rules = (
+        (in_x, "x={x} outside [0, 1]"),
+        (in_p, "p={p} outside [0, 1]"),
+        (in_q, "q={q} outside [0, 1]"),
+        (in_pq, "p+q={pq} exceeds 1 for the combined channel"),
+        (in_r, "r={r} outside [0, {r_max}]"),
+    )
+    message = next(text for good, text in rules if not good)
+    raise DomainError(message.format(x=x, p=p, q=q, r=r, pq=p + q, r_max=r_max))
 
 
 def phi_ket(x) -> np.ndarray:
@@ -278,7 +270,7 @@ def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
 
 def _white_state(x, p, r) -> np.ndarray:
     c = white_coeffs(x, p)
-    cr, sr = _cos_sin(r)
+    cr, sr = np.cos(r), np.sin(r)
     c2, s2 = cr * cr, sr * sr
     return _x_state(
         c.gamma * c2, c.alpha + c.gamma * s2, c.beta * c2, c.beta * s2 + c.gamma, c.epsilon * cr
@@ -287,7 +279,7 @@ def _white_state(x, p, r) -> np.ndarray:
 
 def _color_state(x, q, r) -> np.ndarray:
     c = color_coeffs(x, q)
-    cr, sr = _cos_sin(r)
+    cr, sr = np.cos(r), np.sin(r)
     c2, s2 = cr * cr, sr * sr
     return _x_state(0.0, c.alpha_c, c.beta_c * c2, c.beta_c * s2, c.epsilon_c * cr)
 
@@ -297,7 +289,7 @@ def _whitecolor_state(x, p, q, r) -> np.ndarray:
     # No domain checks: the QFI engines evaluate it at complex theta + ih.
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
-    cr, sr = _cos_sin(r)
+    cr, sr = np.cos(r), np.sin(r)
     c2, s2 = cr * cr, sr * sr
     return _x_state(
         g * c2,

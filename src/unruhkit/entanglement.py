@@ -166,15 +166,6 @@ def _whitecolor_terms(x, p, q, r):
     return a1, a2, a3, a4
 
 
-def whitecolor_surd_terms(x: float, p: float, q: float, r: float):
-    """The four building blocks of the combined-channel closed form.
-
-    Returned as plain floats (a1, a2, a3, a4); a4's prefactor vanishes when
-    p + q = 1.
-    """
-    return tuple(float(term) for term in _whitecolor_terms(x, p, q, r))
-
-
 def concurrence_whitecolor_closed(
     x,
     p,

@@ -282,7 +282,7 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
     A ``(..., 2, 2)`` stack gives a ``(..., 3)`` stack of vectors.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise DomainError(f"rho must be 2x2, got {rho.shape}")
     s = np.empty(rho.shape[:-2] + (3,))

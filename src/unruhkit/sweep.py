@@ -35,8 +35,7 @@ from .channels import (
     RINDLER_R_MAX,
     Channel,
     ModelParams,
-    accelerated_whitecolor,
-    combined_strengths,
+    accelerated_state,
 )
 from .entanglement import concurrence, concurrence_closed
 from .errors import DomainError, ParseError, UnknownPresetError
@@ -417,21 +416,16 @@ def _echo_value(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
-def _states(spec: SweepSpec, point: dict):
-    """The accelerated state at ``point``; array values give a stack of states."""
-    p, q = combined_strengths(spec.channel, point.get("p", 0.0), point.get("q", 0.0))
-    return accelerated_whitecolor(point["x"], p, q, point["r"], r_max=spec.r_limit)
-
-
 def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarray, Optional[str]]:
     """The cells of one block of ``_series_blocks``, whose varied parameter is
     an array in ``point``, and the QFI form whose ``NAN_ERRORS`` entry names
     the reason of its NaN cells (None for concurrence, whose forms raise,
     never NaN)."""
     if spec.quantity is Quantity.CONCURRENCE:
+        params = ModelParams(channel=spec.channel, **point)
         if variant == "numeric":
-            return concurrence(_states(spec, point)), None
-        return concurrence_closed(ModelParams(channel=spec.channel, **point), r_max=spec.r_limit), None
+            return concurrence(accelerated_state(params, spec.r_limit)), None
+        return concurrence_closed(params, r_max=spec.r_limit), None
 
     estimated = spec.quantity.estimated_param
     if variant == "numeric":

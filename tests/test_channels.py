@@ -285,21 +285,44 @@ class TestStackedStates:
             accelerated_white(0.5, np.array([0.2, np.nan]), 0.1)
         assert accelerated_color(0.5, 0.2, np.array([0.0, 0.8]), r_max=0.8).shape == (2, 4, 4)
 
-    def test_valid_array_skips_the_per_point_validation(self, monkeypatch):
-        # The array rules are validate's rules, so an array that passes them
-        # all needs no point validated alone; a failing array still raises
-        # the first failing point's message.
-        calls = []
-        validate = ModelParams.validate
-        monkeypatch.setattr(
-            ModelParams, "validate", lambda self, *a: calls.append(self) or validate(self, *a)
-        )
-        accelerated_white(self.GRID, 0.3, self.R_GRID[:, None])
-        accelerated_whitecolor(0.5, np.array([0.2]), 0.8, 0.1)
-        assert calls == []
-        with pytest.raises(DomainError, match="q=1.5"):
-            accelerated_color(0.5, np.array([0.2, 1.5, -1.0]), 0.1)
-        assert len(calls) == 1
+    # One case per domain rule: the fields it sets at the first point, the
+    # r bound, and the message a float call raises.
+    BASE = {"x": 0.4, "p": 0.2, "q": 0.3, "r": 0.5}
+    DOMAIN_CASES = {
+        "x": ({"x": 1.5}, RINDLER_R_MAX, "x=1.5 outside [0, 1]"),
+        "p": ({"p": -0.2}, RINDLER_R_MAX, "p=-0.2 outside [0, 1]"),
+        "q": ({"q": 1.5}, RINDLER_R_MAX, "q=1.5 outside [0, 1]"),
+        "p+q": ({"p": 0.6, "q": 0.5}, RINDLER_R_MAX, "p+q=1.1 exceeds 1 for the combined channel"),
+        "r": ({"r": 0.8}, RINDLER_R_MAX, "r=0.8 outside [0, 0.7853981633974483]"),
+        "r-widened": ({"r": 0.85}, 0.8, "r=0.85 outside [0, 0.8]"),
+        "x-nan": ({"x": math.nan}, RINDLER_R_MAX, "x=nan outside [0, 1]"),
+        "p-nan": ({"p": math.nan}, RINDLER_R_MAX, "p=nan outside [0, 1]"),
+        "q-nan": ({"q": math.nan}, RINDLER_R_MAX, "q=nan outside [0, 1]"),
+        "r-nan": ({"r": math.nan}, RINDLER_R_MAX, "r=nan outside [0, 0.7853981633974483]"),
+    }
+
+    @pytest.mark.parametrize("case", DOMAIN_CASES)
+    def test_first_failing_point_raises_its_float_message(self, case):
+        bad, r_max, message = self.DOMAIN_CASES[case]
+        point = {**self.BASE, **bad}
+        # A valid point, then a different violation after the failing one.
+        later = {"q": -1.0} if "x" in bad else {"x": -1.0}
+        stacked = {
+            name: np.array([point[name], value, later.get(name, value)])
+            for name, value in self.BASE.items()
+        }
+        one = {name: np.array([value]) for name, value in point.items()}
+        for values in (point, one, stacked):
+            with pytest.raises(DomainError) as caught:
+                accelerated_whitecolor(**values, r_max=r_max)
+            assert str(caught.value) == message
+
+    def test_valid_and_empty_arrays_raise_nothing(self):
+        assert accelerated_white(self.GRID, 0.3, self.R_GRID[:, None]).shape == (5, 11, 4, 4)
+        assert accelerated_whitecolor(0.5, np.array([0.2]), 0.8, 0.1).shape == (1, 4, 4)
+        assert accelerated_whitecolor(np.empty(0), 0.2, 0.3, 0.1).shape == (0, 4, 4)
+        # p+q is a rule of the combined channel only.
+        ModelParams(0.4, 0.6, 0.5, 0.5, Channel.WHITE).validate()
 
 
 class TestRealStates:

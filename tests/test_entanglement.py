@@ -17,9 +17,8 @@ from unruhkit import (
     phi_ket,
     spin_flip,
     sqrt_psd,
-    whitecolor_surd_terms,
 )
-from unruhkit.entanglement import _sqrt_clamped
+from unruhkit.entanglement import _sqrt_clamped, _whitecolor_terms
 from oracles import (
     oracle_concurrence,
     pure_ket_concurrence,
@@ -187,7 +186,7 @@ class TestColorClosedForm:
 class TestWhiteColorClosedForm:
     def test_final_term_vanishes_on_color_edge(self):
         for p in np.linspace(0, 1, 7):
-            _, _, _, a4 = whitecolor_surd_terms(0.4, p, 1.0 - p, 0.3)
+            _, _, _, a4 = _whitecolor_terms(0.4, p, 1.0 - p, 0.3)
             assert a4 == pytest.approx(0.0, abs=1e-15)
 
     def test_readings_coincide_at_zero_acceleration(self, rng):

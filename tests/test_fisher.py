@@ -560,6 +560,15 @@ class TestArrayEngines:
             qfi_two_qubit_spectral(family, 0.5)
         assert qfi_two_qubit_spectral(family, np.full(2, 0.5)).value.shape == (2,)
 
+    def test_x_past_its_domain_is_nan_in_arrays_and_raises_for_floats(self):
+        # sqrt(1 - x^2) is NaN past x = 1, for a float x as for an array.
+        theta = np.array([0.2, 0.3])
+        for x, nan_cells in ((1.5, [True, True]), (np.array([1.5, 0.4]), [True, False])):
+            value = qfi_two_qubit_spectral(state_family(Channel.WHITE, "p", x=x), theta).value
+            assert np.isnan(value).tolist() == nan_cells
+        with pytest.raises(FamilyEvalError, match="undefined at theta=0.2"):
+            qfi_two_qubit_spectral(state_family(Channel.WHITE, "p", x=1.5), 0.2)
+
     @pytest.mark.parametrize("name", ["fig9b", "fig11b", "fig8b:closed", "fig9b:closed"])
     def test_fallback_column_keeps_per_cell_reasons(self, name):
         # At x=1 the complex step reaches a branch point, so each numeric
