@@ -15,10 +15,8 @@ Two corrections to the published expressions are carried here:
   same cos(r) weighting the white form uses, because the two printed
   conventions disagree; the verification harness reports which one matches.
 
-Closed forms are evaluated in extended precision: their printed polynomial
-groupings cancel almost completely near entanglement-death points, and plain
-double arithmetic there leaves ~1e-8 noise, which would drown the 1e-8
-engine-agreement contract.
+The white and color forms are edges of the combined form's cos-r reading,
+which ``_closed`` evaluates in float64 without a difference of surds.
 The closed forms take floats or broadcast arrays of parameter values through
 one code path: each entry of an array result equals its own float call.
 """
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import RINDLER_R_MAX, Channel, ModelParams, _validate_points
+from .channels import RINDLER_R_MAX, Channel, ModelParams, _validate_points, combined_strengths
 from .errors import NegativeRadicandError
 from .qlinalg import as_stack, clip_at_zero, sqrt_psd
 
@@ -39,8 +37,6 @@ RADICAND_CLAMP = 1e-10
 # reverses both indices and multiplies entry (i, j) by s_i s_j.
 _FLIP = np.array([-1.0, 1.0, 1.0, -1.0])
 _FLIP_SIGNS = np.outer(_FLIP, _FLIP)
-
-_LD = np.longdouble
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
@@ -87,11 +83,56 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 def _sqrt_clamped(value):
     """Square root with the round-off clamp window; raises on real negatives."""
+    value = np.asarray(value)
     too_negative = value < -RADICAND_CLAMP
-    if np.any(too_negative):
-        first = np.asarray(value)[too_negative].flat[0]
-        raise NegativeRadicandError(f"surd argument {float(first):.3e}")
-    return np.sqrt(np.where(value < 0.0, _LD(0.0), _LD(value)))
+    if too_negative.any():
+        raise NegativeRadicandError(f"surd argument {float(value[too_negative].flat[0]):.3e}")
+    return np.sqrt(np.maximum(value, 0.0))
+
+
+def _terms(x, p, q, r):
+    """The combined form's shared pieces, each from nonnegative terms: g =
+    1-p-q taken as the builder takes it, cos r, sin^2 r, x^2, 1-x^2, e =
+    1-p+q+4px^2, the small surd a2 (as printed, with its last factor
+    (3+5p+q-8px^2-g cos 2r)/2 written 1-p+q+4p(1-x^2)+g sin^2 r) and the
+    final radicand a4 = g cos^2 r (g + e sin^2 r)."""
+    g = (1.0 - p) - q
+    c = np.cos(r)
+    s2 = np.sin(r) ** 2
+    xx = x * x
+    yy = (1.0 - x) * (1.0 + x)
+    e = (1.0 - p) + q + 4.0 * p * xx
+    a2 = 32.0 * p * x * c * _sqrt_clamped(yy * e * ((1.0 - p) + q + 4.0 * p * yy + g * s2))
+    return g, c, s2, xx, yy, e, a2, g * c * c * (g + e * s2)
+
+
+def _closed(x, p, q, r, k):
+    """The combined form's cos-r reading with final surd coefficient k.
+
+    Its sqrt(high)/8 - sqrt(low)/8 is c D / (8 h), h = sqrt(high), as
+    high * low = (4 P c^2)^2, with D = 128 c p^2 x^2 (1-x^2) + a2 and
+    P = (1-p)(1+3p) + q(2+2p+q) + g e sin^2 r.  No surd difference is taken.
+    White is the q=0 line (k=1/2 corrected, 4 printed); color of strength q
+    is (p, q) = (q, 1-q), where g and a4 are 0.0.  h is 0 only where D is.
+    """
+    g, c, s2, xx, yy, e, a2, a4 = _terms(x, p, q, r)
+    d = 128.0 * c * p * p * xx * yy + a2
+    big_p = (1.0 - p) * (1.0 + 3.0 * p) + q * (2.0 + 2.0 * p + q) + g * e * s2
+    h = _sqrt_clamped(c * (4.0 * big_p * c + d))
+    return clip_at_zero(c * d / np.where(h > 0.0, 8.0 * h, 1.0) - k * _sqrt_clamped(a4))
+
+
+def _printed(x, p, q, r):
+    """The combined form as printed: surds of a1 -/+ a2 + a3, no cos r weight."""
+    g, _, _, xx, _, e, a2, a4 = _terms(x, p, q, r)
+    a1 = (
+        5.0 + 6.0 * p - 11.0 * p * p + 8.0 * q + 8.0 * p * q + 3.0 * q * q
+        + 4.0 * p * (1.0 + 31.0 * p - q) * xx
+        - 128.0 * p * p * xx * xx
+    )
+    a3 = -g * e * np.cos(3.0 * r)
+    value = (_sqrt_clamped(a1 + a2 + a3) - _sqrt_clamped(a1 - a2 + a3)) / 8 - _sqrt_clamped(a4) / 2
+    return clip_at_zero(value)
 
 
 def concurrence_white_closed(
@@ -107,63 +148,13 @@ def concurrence_white_closed(
     corrected value, 4.0 reproduces the printed (wrong) form for comparison.
     """
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    xl, pl, rl = _LD(x), _LD(p), _LD(r)
-    cr, c2r, c3r = np.cos(rl), np.cos(2 * rl), np.cos(3 * rl)
-    sr = np.sin(rl)
-    sr2 = sr * sr
-    x2 = xl * xl
-    w1 = (5 + 6 * pl - 11 * pl * pl + 4 * pl * (1 + 31 * pl) * x2 - 128 * pl * pl * x2 * x2) * cr
-    w2 = (
-        16
-        * np.sqrt(_LD(2))
-        * pl
-        * xl
-        * cr
-        * _sqrt_clamped((1 - x2) * (1 - pl + 4 * pl * x2) * (3 + 5 * pl - 8 * pl * x2 - (1 - pl) * c2r))
-    )
-    w3 = (pl - 1) * (1 - pl + 4 * pl * x2) * c3r
-    w4 = cr * cr * (1 - pl) * (1 - pl + (1 + pl * (4 * x2 - 1)) * sr2)
-    value = (
-        -_sqrt_clamped(cr * (w1 - w2 + w3)) / 8
-        + _sqrt_clamped(cr * (w1 + w2 + w3)) / 8
-        - _LD(w4_coefficient) * _sqrt_clamped(w4)
-    )
-    return clip_at_zero(value)
+    return _closed(x, p, 0.0, r, w4_coefficient)
 
 
 def concurrence_color_closed(x, q, r, r_max: float = RINDLER_R_MAX):
     """Closed-form concurrence in the presence of color noise (strength q)."""
     _validate_points(r_max, x, 0.0, q, r, Channel.COLOR)
-    xl, ql, rl = _LD(x), _LD(q), _LD(r)
-    cr = np.cos(rl)
-    x2 = xl * xl
-    c1 = cr - ql * ql * cr * (1 - 8 * x2 + 8 * x2 * x2)
-    tilt = 1 - 2 * x2
-    c2 = 4 * ql * xl * cr * _sqrt_clamped((1 - x2) * (1 - ql * ql * (tilt * tilt)))
-    value = (_sqrt_clamped(cr * (c1 + c2)) - _sqrt_clamped(cr * (c1 - c2))) / 2
-    return clip_at_zero(value)
-
-
-def _whitecolor_terms(x, p, q, r):
-    """Extended-precision building blocks of the combined-channel closed form."""
-    xl, pl, ql, rl = _LD(x), _LD(p), _LD(q), _LD(r)
-    cr, c2r, c3r = np.cos(rl), np.cos(2 * rl), np.cos(3 * rl)
-    x2 = xl * xl
-    eta1 = 1 - pl + ql
-    eta2 = -1 + pl + ql
-    a1 = (
-        5 + 6 * pl - 11 * pl * pl + 8 * ql + 8 * pl * ql + 3 * ql * ql
-        + 4 * pl * (1 + 31 * pl - ql) * x2
-        - 128 * pl * pl * x2 * x2
-    )
-    a2 = 16 * np.sqrt(_LD(2)) * _sqrt_clamped(
-        -pl * pl * x2 * (x2 - 1) * (eta1 + 4 * pl * x2) * cr * cr
-        * (3 + 5 * pl + ql - 8 * pl * x2 + eta2 * c2r)
-    )
-    a3 = eta2 * (eta1 + 4 * pl * x2) * c3r
-    sr = np.sin(rl)
-    a4 = -eta2 * cr * cr * (1 - pl - ql + (1 + ql + pl * (4 * x2 - 1)) * (sr * sr))
-    return a1, a2, a3, a4
+    return _closed(x, *combined_strengths(Channel.COLOR, 0.0, q), r, 0.5)
 
 
 def concurrence_whitecolor_closed(
@@ -183,22 +174,14 @@ def concurrence_whitecolor_closed(
     harness reports which one agrees with the numerical engine.
     """
     _validate_points(r_max, x, p, q, r)
-    a1, a2, a3, a4 = _whitecolor_terms(x, p, q, r)
-    cr = np.cos(_LD(r))
-    if cos_r_weighted:
-        low = cr * (a1 * cr - a2 + a3)
-        high = cr * (a1 * cr + a2 + a3)
-    else:
-        low = a1 - a2 + a3
-        high = a1 + a2 + a3
-    value = -_sqrt_clamped(low) / 8 + _sqrt_clamped(high) / 8 - _sqrt_clamped(a4) / 2
-    return clip_at_zero(value)
+    return _closed(x, p, q, r, 0.5) if cos_r_weighted else _printed(x, p, q, r)
 
 
 def concurrence_closed(params: ModelParams, r_max: float = RINDLER_R_MAX):
-    """Channel-dispatching wrapper over the three closed forms."""
-    if params.channel is Channel.WHITE:
-        return concurrence_white_closed(params.x, params.p, params.r, r_max=r_max)
-    if params.channel is Channel.COLOR:
-        return concurrence_color_closed(params.x, params.q, params.r, r_max=r_max)
-    return concurrence_whitecolor_closed(params.x, params.p, params.q, params.r, r_max=r_max)
+    """The closed form of ``params``'s channel: the combined form as printed,
+    or its cos-r reading at ``combined_strengths`` on the white line
+    (corrected) and the color edge."""
+    params.validate(r_max)
+    if params.channel is Channel.WHITE_COLOR:
+        return _printed(params.x, params.p, params.q, params.r)
+    return _closed(params.x, *combined_strengths(params.channel, params.p, params.q), params.r, 0.5)

@@ -509,30 +509,33 @@ def _white_blocks(x, p, r) -> tuple:
     kappa3, b1, b2, b3, mu1, mu2, then the populations gamma cos^2 r and
     gamma + beta sin^2 r of the two incoherent levels.
 
-    Every block is analytic in (x, p, r), so complex input gives the values at
-    theta + ih, whose Im/h are their primes.  mu1, mu2 are NaN where the block
-    coherence epsilon vanishes or the block is degenerate (kappa2 <= 1e-12).
+    kappa2's radicand b1 - b2 + b3 is kappa3^2 + 256 (epsilon cos r)^2, and
+    mu1 mu2 = -1: the mu of kappa3's sign takes no difference, the other is
+    -1/it.  Every block is analytic in (x, p, r), so complex input gives the
+    values at theta + ih, whose Im/h are their primes; branches test the real
+    part.  mu1, mu2 are NaN where epsilon vanishes or the block is degenerate.
     """
     coeffs = white_coeffs(x, p)
     x2 = x * x
     c2r, c4r = np.cos(2.0 * r), np.cos(4.0 * r)
+    cr, sr = np.cos(r), np.sin(r)
+    coherence = coeffs.epsilon * cr
     kappa1 = 4.0 + 4.0 * p - 4.0 * p * x2 + 4.0 * p * x2 * c2r
     b1 = 6.0 + 20.0 * p + 38.0 * p * p - 40.0 * p * x2 - 24.0 * p * p * x2 + 24.0 * p * p * x2 * x2
     poly = 1.0 + p * (2.0 - 4.0 * x2) + p * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
     b2 = 8.0 * poly * c2r
     lin = -1.0 + p - 2.0 * p * x2
     b3 = 2.0 * c4r * lin * lin
-    radicand = b1 - b2 + b3
-    # The clip tests the real part alone, so a complex step stays analytic.
-    kappa2 = np.sqrt(np.where(radicand.real <= 0.0, 0.0, radicand))
     kappa3 = 2.0 + 6.0 * p - 12.0 * p * x2 - (2.0 - 2.0 * p + 4.0 * p * x2) * c2r
+    radicand = kappa3 * kappa3 + 256.0 * coherence * coherence
+    kappa2 = np.sqrt(np.where(radicand.real <= 0.0, 0.0, radicand))
     singular = (coeffs.epsilon == 0.0) | (kappa2.real <= 1e-12)
-    cr, sr = np.cos(r), np.sin(r)
+    negative = kappa3.real < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu1, mu2 = (
-            np.where(singular, np.nan, (1.0 / cr) * kappa / (16.0 * coeffs.epsilon))
-            for kappa in (kappa3 - kappa2, kappa3 + kappa2)
-        )
+        big = np.where(negative, kappa3 - kappa2, kappa3 + kappa2) / (16.0 * coherence)
+        small = -1.0 / big
+    mu1 = np.where(singular, np.nan, np.where(negative, big, small))
+    mu2 = np.where(singular, np.nan, np.where(negative, small, big))
     eig_low, eig_high = coeffs.gamma * (cr * cr), coeffs.gamma + coeffs.beta * (sr * sr)
     return kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2, eig_low, eig_high
 

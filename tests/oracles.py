@@ -47,6 +47,65 @@ def oracle_concurrence_mp(rho: np.ndarray, dps: int = 40) -> float:
         return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
+def _surd(value):
+    """Square root of a radicand that is exactly 0 where it is within 50-digit
+    round-off below it."""
+    return mpmath.sqrt(max(value, 0))
+
+
+def printed_concurrence_white(x: float, p: float, r: float, k: float = 0.5, dps: int = 50) -> float:
+    """The white-noise closed form as printed, at ``dps`` digits, with final
+    surd coefficient k (printed 4, corrected 1/2)."""
+    with mpmath.workdps(dps):
+        x, p, r = map(mpmath.mpf, (x, p, r))
+        cr, x2 = mpmath.cos(r), x * x
+        w1 = (5 + 6 * p - 11 * p**2 + 4 * p * (1 + 31 * p) * x2 - 128 * p**2 * x2**2) * cr
+        w2 = 16 * mpmath.sqrt(2) * p * x * cr * _surd(
+            (1 - x2) * (1 - p + 4 * p * x2) * (3 + 5 * p - 8 * p * x2 - (1 - p) * mpmath.cos(2 * r))
+        )
+        w3 = (p - 1) * (1 - p + 4 * p * x2) * mpmath.cos(3 * r)
+        w4 = cr**2 * (1 - p) * (1 - p + (1 + p * (4 * x2 - 1)) * mpmath.sin(r) ** 2)
+        value = (_surd(cr * (w1 + w2 + w3)) - _surd(cr * (w1 - w2 + w3))) / 8 - k * _surd(w4)
+        return float(max(value, 0))
+
+
+def printed_concurrence_color(x: float, q: float, r: float, dps: int = 50) -> float:
+    """The color-noise closed form as printed, at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        x, q, r = map(mpmath.mpf, (x, q, r))
+        cr, x2 = mpmath.cos(r), x * x
+        c1 = cr - q**2 * cr * (1 - 8 * x2 + 8 * x2**2)
+        c2 = 4 * q * x * cr * _surd((1 - x2) * (1 - q**2 * (1 - 2 * x2) ** 2))
+        return float(max((_surd(cr * (c1 + c2)) - _surd(cr * (c1 - c2))) / 2, 0))
+
+
+def printed_concurrence_whitecolor(
+    x: float, p: float, q: float, r: float, cos_r_weighted: bool = False, dps: int = 50
+) -> float:
+    """The combined white+color closed form as printed, or its cos-r reading,
+    at ``dps`` digits.  g = 1-p-q is taken in doubles as the state builder
+    takes it, so it is exactly 0 on the edge q = 1.0 - p."""
+    g = (1.0 - p) - q
+    with mpmath.workdps(dps):
+        x, p, q, r, g = map(mpmath.mpf, (x, p, q, r, g))
+        cr, x2 = mpmath.cos(r), x * x
+        eta1 = 1 - p + q
+        a1 = (
+            5 + 6 * p - 11 * p**2 + 8 * q + 8 * p * q + 3 * q**2
+            + 4 * p * (1 + 31 * p - q) * x2 - 128 * p**2 * x2**2
+        )
+        a2 = 16 * mpmath.sqrt(2) * _surd(
+            -(p**2) * x2 * (x2 - 1) * (eta1 + 4 * p * x2) * cr**2
+            * (3 + 5 * p + q - 8 * p * x2 - g * mpmath.cos(2 * r))
+        )
+        a3 = -g * (eta1 + 4 * p * x2) * mpmath.cos(3 * r)
+        a4 = g * cr**2 * (g + (1 + q + p * (4 * x2 - 1)) * mpmath.sin(r) ** 2)
+        weight = cr if cos_r_weighted else 1
+        low = weight * (a1 * weight - a2 + a3)
+        high = weight * (a1 * weight + a2 + a3)
+        return float(max((_surd(high) - _surd(low)) / 8 - _surd(a4) / 2, 0))
+
+
 def werner_concurrence(p: float) -> float:
     """Exact concurrence of ``p * (singlet projector) + (1-p) I/4``."""
     return max(0.0, (3.0 * p - 1.0) / 2.0)

@@ -18,9 +18,12 @@ from unruhkit import (
     spin_flip,
     sqrt_psd,
 )
-from unruhkit.entanglement import _sqrt_clamped, _whitecolor_terms
+from unruhkit.entanglement import _sqrt_clamped
 from oracles import (
     oracle_concurrence,
+    printed_concurrence_color,
+    printed_concurrence_white,
+    printed_concurrence_whitecolor,
     pure_ket_concurrence,
     random_density,
     random_unitary,
@@ -184,10 +187,16 @@ class TestColorClosedForm:
 
 
 class TestWhiteColorClosedForm:
-    def test_final_term_vanishes_on_color_edge(self):
-        for p in np.linspace(0, 1, 7):
-            _, _, _, a4 = _whitecolor_terms(0.4, p, 1.0 - p, 0.3)
-            assert a4 == pytest.approx(0.0, abs=1e-15)
+    def test_edges_are_the_white_and_color_forms(self):
+        # On the color edge p+q=1 the cos-r reading is the color form of
+        # strength p, and on the q=0 line it is the white form, bit for bit.
+        for x in np.linspace(0, 1, 7):
+            for s in np.linspace(0, 1, 7):
+                for r in (0.0, 0.3, math.pi / 4):
+                    edge = concurrence_whitecolor_closed(x, s, 1.0 - s, r, cos_r_weighted=True)
+                    assert edge == concurrence_color_closed(x, s, r)
+                    line = concurrence_whitecolor_closed(x, s, 0.0, r, cos_r_weighted=True)
+                    assert line == concurrence_white_closed(x, s, r)
 
     def test_readings_coincide_at_zero_acceleration(self, rng):
         for _ in range(20):
@@ -230,6 +239,73 @@ class TestWhiteColorClosedForm:
             weighted = concurrence_whitecolor_closed(x, p, 0.0, r, cos_r_weighted=True)
             white = concurrence_white_closed(x, p, r)
             assert weighted == pytest.approx(white, abs=1e-10)
+
+
+def _crowded_points(n=60, seed=26):
+    """Seeded (x, p, q, r) arrays with p+q <= 1 and r <= pi/4, crowded to
+    x->0, x->1, p->1 and q->1, and on the builder's edges q=0 and q=1.0-p."""
+    rng = np.random.default_rng(seed)
+
+    def near():  # distances from an end, from 1e-12 to 0.1
+        return 10.0 ** rng.uniform(-12.0, -1.0, n)
+
+    def anywhere():
+        return rng.uniform(0.0, 1.0, n)
+
+    # (x, p, the fraction of 1-p that q takes)
+    blocks = [
+        (near(), anywhere(), anywhere()),
+        (1.0 - near(), anywhere(), anywhere()),
+        (anywhere(), 1.0 - near(), anywhere()),
+        (anywhere(), near(), 1.0 - near()),
+        (anywhere(), anywhere(), np.zeros(n)),
+        (anywhere(), anywhere(), np.ones(n)),
+    ]
+    x, p, fraction = (np.concatenate(column) for column in zip(*blocks))
+    q = np.where(fraction == 1.0, 1.0 - p, (1.0 - p) * fraction)
+    return x, p, q, rng.uniform(0.0, math.pi / 4, x.size)
+
+
+class TestPrintedFormsOracle:
+    """The closed forms equal the printed expressions at 50 digits."""
+
+    X, P, Q, R = _crowded_points()
+
+    def oracle(self, form, *args, **kwargs):
+        return np.array([form(*point, **kwargs) for point in zip(*args)])
+
+    def test_white_and_color_forms(self):
+        for s in (self.P, self.Q):
+            for k in (0.5, 4.0):
+                np.testing.assert_allclose(
+                    concurrence_white_closed(self.X, s, self.R, w4_coefficient=k),
+                    self.oracle(printed_concurrence_white, self.X, s, self.R, k=k),
+                    rtol=0,
+                    atol=1e-13,
+                )
+            np.testing.assert_allclose(
+                concurrence_color_closed(self.X, s, self.R),
+                self.oracle(printed_concurrence_color, self.X, s, self.R),
+                rtol=0,
+                atol=1e-13,
+            )
+
+    def test_combined_readings(self):
+        point = (self.X, self.P, self.Q, self.R)
+        np.testing.assert_allclose(
+            concurrence_whitecolor_closed(*point, cos_r_weighted=True),
+            self.oracle(printed_concurrence_whitecolor, *point, cos_r_weighted=True),
+            rtol=0,
+            atol=1e-13,
+        )
+        # The printed reading keeps its surd difference, so float64 loses
+        # digits where it cancels; the reading is ledgered, 0.168 off the engine.
+        np.testing.assert_allclose(
+            concurrence_whitecolor_closed(*point),
+            self.oracle(printed_concurrence_whitecolor, *point),
+            rtol=0,
+            atol=1e-9,
+        )
 
 
 class TestRadicandClamp:

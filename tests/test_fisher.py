@@ -34,6 +34,7 @@ from unruhkit import (
 from unruhkit.channels import CHANNEL_PARAMS
 from unruhkit import fisher as fisher_module
 from unruhkit.fisher import _white_primes
+from unruhkit.verify import QFI_REL_TOL
 from oracles import central_difference
 
 
@@ -331,7 +332,12 @@ class TestKappaMuTerms:
     def test_radicand_never_negative(self, rng):
         x, p, r = rng.uniform((0, 0, 0), (1, 1, RINDLER_R_MAX), size=(200, 3)).T
         terms = kappa_mu_terms(x, p, r)
-        assert (terms.b1 - terms.b2 + terms.b3 >= -1e-10).all()
+        radicand = terms.b1 - terms.b2 + terms.b3
+        assert (radicand >= -1e-10).all()
+        # It is the sum of squares kappa3^2 + 256 c^2, c the block coherence.
+        coherence = white_coeffs(x, p).epsilon * np.cos(r)
+        squares = terms.kappa3**2 + 256.0 * coherence**2
+        np.testing.assert_allclose(radicand, squares, rtol=0, atol=1e-12)
 
     def test_derivative_oracle(self, rng):
         # Primes are partial derivatives: the complex-step primes the closed
@@ -356,6 +362,16 @@ class TestKappaMuTerms:
 
 
 class TestTwoQubitClosedForm:
+    def test_matches_engine_near_product_edge(self):
+        # The block coherence here is 1.04e-6, where the published radicand
+        # b1 - b2 + b3 and mu = (kappa3 -+ kappa2)/(16c) cancel.
+        x, p, r = 1.0 - 1e-9, 0.0237, 0.217
+        point = {"x": x, "p": p, "r": r}
+        for param in "xpr":
+            engine = qfi_two_qubit_spectral(state_family(Channel.WHITE, param, **point), point[param]).value
+            closed = qfi_two_white_closed(param, x, p, r).value
+            assert abs(closed - engine) <= QFI_REL_TOL * max(abs(closed), abs(engine), 1e-9), param
+
     def test_matches_spectral_engine(self, rng):
         worst = 0.0
         for _ in range(60):

@@ -317,7 +317,7 @@ def test_check_identities_in_order():
 # read along the way (skipped points, comparisons, the mixing-line residual,
 # the matching whitecolor reading), which no residual pins.
 WHITECOLOR_READING = (
-    "cos-r-weighted reading matches the engine (printed 1.65e-01, cos-r-weighted 1.65e-10)"
+    "cos-r-weighted reading matches the engine (printed 1.65e-01, cos-r-weighted 5.55e-16)"
 )
 CHECK_NOTES_GRID5 = [
     "",
