@@ -24,14 +24,14 @@ of consecutive x values, feeding every check on it:
   closed form at its coherent points.
 
 Each call takes every estimated parameter at once.  A block holds at most
-``BLOCK_CELLS`` cells (one x value's, where that is more), so the arrays,
-and the memory they take, stay the same size as the grid grows; one pass
-over the whole grid would grow them as n^3.  Sweeps take the same budget
-for their calls over stacked series.  Singular loci are masks: a closed
-form gives NaN where its float call would raise ``SingularPointError``, and
-those points are the check's gaps.  The worst point is the first maximum in
-the order x, then the grid's other axes, then the parameter, whatever the
-blocks.
+``BLOCK_CELLS`` (4096) cells, or one x value's where that is more: the
+budget spreads each block's fixed cost of library calls over many cells and
+keeps memory flat in n (about 42 MB at peak at grid 21), where one pass
+over the whole grid would grow it as n^3.  Sweeps share the budget.
+Singular loci are masks: a closed form gives NaN where its float call would
+raise ``SingularPointError``, and those points are the check's gaps.  The
+worst point is the first maximum in the order x, the grid's other axes,
+then the parameter, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -75,11 +75,12 @@ STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
 DPI_SLACK = 1e-6
 # Cells per block of each of the three grid passes, and per call of a sweep
-# (``sweep`` reads it here, so one constant bounds both).  It bounds the
-# arrays of a block, which every check on that grid shares, so memory stays
-# flat in the grid size; at grid 11 it halves the time of one block per x
-# value, and larger blocks add memory for little more speed.
-BLOCK_CELLS = 512
+# (``sweep`` reads it here).  A pass takes about blocks x F + cells x c, F
+# (some 30 library calls) being about 1 ms per cube block and 0.5 ms per
+# interior block and channel; peak memory is about 3 KB per cell of the
+# largest block (an interior SLD pass), 42 MB at grid 21.  4096 runs grid 11
+# in 4 blocks and grid 21 in 10.
+BLOCK_CELLS = 4096
 # The white channel's estimated parameters, in the order of each cell's residuals.
 WHITE_QFI_PARAMS = ("p", "x", "r")
 
@@ -292,9 +293,11 @@ def _check_interior(n: int):
     interior = _interior(_grid(n))
     two_closed = CheckRecord("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
     dpi = CheckRecord("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
+    # The DPI's real margin, min F_two/F_single - 1 at (channel, parameter, x, s, r), negated.
+    tightest = CheckRecord("", "", math.inf)
+    channels = ((Channel.WHITE, ("p", "x", "r")), (Channel.COLOR, ("q", "x", "r")))
     gaps = count = 0
-    for channel in (Channel.WHITE, Channel.COLOR):
-        params = ("p" if channel is Channel.WHITE else "q", "x", "r")
+    for c, (channel, params) in enumerate(channels):
         full = state_family(channel, params)
         reduced = state_family(channel, params, reduced=True)
         for x, s, r in _blocks(interior, interior, _r_grid(n)):
@@ -302,6 +305,8 @@ def _check_interior(n: int):
             single = qfi_single_bloch(reduced, (s, x, r)).value
             count += single.size
             dpi.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
+            margin = np.divide(two, single, out=np.full(single.shape, math.inf), where=single > 1e-6) - 1.0
+            tightest.update(np.moveaxis(-margin, 0, -1), c, np.arange(3), x[..., None], s[..., None], r[..., None])
             if channel is not Channel.WHITE:
                 continue
             coherent = s * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
@@ -318,7 +323,10 @@ def _check_interior(n: int):
         "primes read as partial derivatives; pair eigenvalues read as the "
         f"coherent block pair; {gaps} singular points skipped"
     )
-    dpi.notes = f"{count} comparisons"
+    c, k, *point = tightest.worst_point
+    (channel, params), at = channels[int(c)], ", ".join(f"{v:.6g}" for v in point)
+    smallest = f"smallest margin F_two/F_single-1 = {-tightest.max_residual:.1e}"
+    dpi.notes = f"{count} comparisons; {smallest} at ({channel.value}, {params[int(k)]}; {at}) where F_single > 1e-6"
     return [two_closed, dpi]
 
 

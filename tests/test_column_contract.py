@@ -223,11 +223,11 @@ def test_budget_does_not_change_the_table(monkeypatch, column_shapes, budget):
 
 
 def test_series_past_the_budget_are_split(column_shapes):
-    # 10 series of 201 rows hold 2,010 cells: calls of two series (402 cells),
-    # as 3 would pass 512.  Rows past the budget give one series per call.
-    assert verify_module.BLOCK_CELLS == 512
+    # 10 series of 1,001 rows hold 10,010 cells: calls of four series (4,004
+    # cells), as 5 would pass 4,096.  Rows past the budget give one series per call.
+    assert verify_module.BLOCK_CELLS == 4096
     fixed = {"x": tuple(0.05 * k for k in range(1, 11)), "r": (0.3,)}
-    for step, want in ((0.005, [(2, 201)] * 5), (1.0 / 599, [(600,)] * 10)):
+    for step, want in ((0.001, [(4, 1001)] * 2 + [(2, 1001)]), (1.0 / 4199, [(4200,)] * 10)):
         spec = SweepSpec(
             channel=Channel.WHITE,
             vary="p",

@@ -106,10 +106,12 @@ def test_every_check_reports_its_worst_point():
     assert "max-residual=0.000e+00 at (0.25, 0.25, 0)" in dpi.line()
 
 
-@pytest.mark.parametrize("block_cells", [1, 10**9])
+@pytest.mark.parametrize("block_cells", [1, 512, 10**9])
 def test_block_size_does_not_change_the_report(monkeypatch, block_cells):
-    # One x value per block, as a loop over x would do, and the whole grid in
-    # one block give the default's report: blocks keep x-major order.
+    # One x value per block, as a loop over x would do, blocks of a few x
+    # values (512 splits every grid-11 pass, which the default runs whole),
+    # and the whole grid in one block give the default's report: blocks keep
+    # x-major order.
     default = run_verification(grid_n=11).render()
     monkeypatch.setattr(verify_module, "BLOCK_CELLS", block_cells)
     assert run_verification(grid_n=11).render() == default
@@ -334,7 +336,8 @@ CHECK_NOTES_GRID5 = [
     "6 pure-reduction grid points skipped",
     "primes read as partial derivatives; pair eigenvalues read as the coherent "
     "block pair; 0 singular points skipped",
-    "270 comparisons",
+    "270 comparisons; smallest margin F_two/F_single-1 = 6.9e-03 at (color, x; 0.75, 0.75, 0) "
+    "where F_single > 1e-6",
 ]
 
 
@@ -359,7 +362,7 @@ def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
 
     for name in ("accelerated_white", "accelerated_color", "qfi_two_qubit_spectral_retry"):
         monkeypatch.setattr(verify_module, name, counted(name))
-    n = 11
+    n = 21
     run_verification(grid_n=n)
     cube_blocks = math.ceil(n / (verify_module.BLOCK_CELLS // n**2))
     interior_blocks = math.ceil((n - 2) / (verify_module.BLOCK_CELLS // ((n - 2) * n)))
