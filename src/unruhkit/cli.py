@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import sys
 from typing import Optional, Sequence
@@ -15,21 +16,20 @@ from .verify import run_verification
 from .version import __version__
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with 2 on usage errors; this tool reserves 2 for
+    # verification failures, so remap to 1.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 # Built on the first figure, verify, --version or --help call and reused
-# (a sweep never builds it, nor imports argparse): argparse keeps no per-call
-# state on a parser, and --help, --version and usage errors look up
-# sys.stdout and sys.stderr when they print.
+# (a sweep never builds it): argparse keeps no per-call state on a parser,
+# and --help, --version and usage errors look up sys.stdout and sys.stderr
+# when they print.
 @functools.cache
-def _build_parser():
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits with 2 on usage errors; this tool reserves 2 for
-        # verification failures, so remap to 1.
-        def error(self, message: str):
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
+def _build_parser() -> _Parser:
     parser = _Parser(prog="unruhkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"unruhkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -119,8 +119,7 @@ def _closed(x, p, q, r, k):
     d = 128.0 * c * p * p * xx * yy + a2
     big_p = (1.0 - p) * (1.0 + 3.0 * p) + q * (2.0 + 2.0 * p + q) + g * e * s2
     h = _sqrt_clamped(c * (4.0 * big_p * c + d))
-    # 8h, or 1 where h (and so c d) is 0, without a 0-d array for a float call.
-    return clip_at_zero(c * d / (8.0 * h + (h == 0.0)) - k * _sqrt_clamped(a4))
+    return clip_at_zero(c * d / np.where(h > 0.0, 8.0 * h, 1.0) - k * _sqrt_clamped(a4))
 
 
 def _printed(x, p, q, r):

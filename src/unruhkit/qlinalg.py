@@ -155,8 +155,6 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 def clip_at_zero(value):
     """Python's ``max(0.0, value)`` as a float, or entrywise as a float64 array,
     except that NaN stays NaN (``np.maximum(0.0, -0.0)`` would give -0.0)."""
-    if isinstance(value, float):
-        return 0.0 if value <= 0.0 else float(value)
     value = np.asarray(value, dtype=float)
     value = np.where(value <= 0.0, 0.0, value)
     return float(value) if value.ndim == 0 else value

@@ -290,21 +290,6 @@ class TestCachedParser:
         )
         assert done.returncode == 0, done.stderr
 
-    def test_sweep_never_imports_argparse(self, tmp_path):
-        # argparse is imported with the parser, so a fresh interpreter that
-        # only runs a sweep never loads it.
-        script = (
-            "import sys, unruhkit, unruhkit.cli\n"
-            f"assert unruhkit.cli.main(['sweep', *{SWEEP_FLAGS!r}, '--out', sys.argv[1]]) == 0\n"
-            "assert 'argparse' not in sys.modules\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "a.csv")],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-
     def test_sweep_never_builds_the_parser(self, tmp_path):
         cli._build_parser.cache_clear()
         assert main(["sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "a.csv")]) == 0

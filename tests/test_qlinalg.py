@@ -323,17 +323,3 @@ class TestRealArithmetic:
             assert concurrence(rho) == pytest.approx(oracle_concurrence(rho), abs=1e-10)
             for keep in ("first", "second"):
                 assert np.allclose(partial_trace(rho, keep), manual_partial_trace(rho, keep), atol=1e-15)
-
-
-def test_clip_at_zero_floats_equal_their_array_entries():
-    # A float, a numpy float and a 0-d array give a Python float; each equals
-    # its entry of an array call, NaN stays NaN and -0.0 becomes 0.0.
-    from unruhkit.qlinalg import clip_at_zero
-
-    values = [-1.5, -0.0, 0.0, 5e-324, 0.25, math.nan]
-    array = clip_at_zero(np.array(values))
-    for value, entry in zip(values, array):
-        for form in (value, np.float64(value), np.array(value)):
-            got = clip_at_zero(form)
-            assert type(got) is float and repr(got) == repr(float(entry)), form
-    assert [repr(float(v)) for v in array] == ["0.0", "0.0", "0.0", "5e-324", "0.25", "nan"]
