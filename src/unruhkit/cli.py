@@ -1,65 +1,47 @@
 """Command-line interface: sweep, figure and verify subcommands.
 
+`sweep` runs a parameter sweep and emits CSV (a comma-list of values gives
+one series per value), `figure PRESET` runs a published-figure preset, and
+`verify` cross-checks every closed form (--tol, default 1e-8, sets the
+concurrence threshold; --grid, default 21, the grid).  --out writes the CSV
+to FILE, not stdout; --config reads sweep flags from a key=value FILE, and
+flags win.  Every flag is given as --name value; --name=value and
+abbreviated names are usage errors.  -h or --help anywhere prints this text.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError, UnknownPresetError
-from .sweep import _FLAG_GRAMMAR, emit_csv, figure_preset, parse_spec, run_sweep
+from .sweep import _FLAG_GRAMMAR, _tokens_to_mapping, emit_csv, figure_preset, parse_spec, run_sweep
 from .verify import run_verification
 from .version import __version__
 
+# Each command's flags and the value each takes.
+_COMMANDS = {
+    "sweep": {**_FLAG_GRAMMAR, "out": "FILE", "config": "FILE"},
+    "figure": {"out": "FILE"},
+    "verify": {"tol": "T", "grid": "N"},
+}
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this tool reserves 2 for
-    # verification failures, so remap to 1.
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+
+def _usage() -> str:
+    lines = [__doc__ or ""]
+    for command, grammar in _COMMANDS.items():
+        lines.append(f"unruhkit {command}" + " PRESET" * (command == "figure"))
+        lines += (f"  --{name} {value}" for name, value in grammar.items())
+    return "\n".join(lines)
 
 
-# Built on the first figure, verify, --version or --help call and reused
-# (a sweep never builds it): argparse keeps no per-call state on a parser,
-# and --help, --version and usage errors look up sys.stdout and sys.stderr
-# when they print.
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="unruhkit", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"unruhkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Only serves `sweep --help`: main runs a sweep without this parser.
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a declarative parameter sweep and emit CSV",
-        description="sweep flags, each given as --name value (comma-lists become series):\n"
-        + "".join(f"  --{name} {grammar}\n" for name, grammar in _FLAG_GRAMMAR.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sweep.add_argument("--out", metavar="FILE", help="write the CSV here instead of stdout")
-    sweep.add_argument("--config", metavar="FILE", help="key=value file of sweep flags; flags win")
-
-    figure = sub.add_parser("figure", help="run a published-figure preset")
-    figure.add_argument("preset", help="e.g. fig1a ... fig11c")
-    figure.add_argument("--out")
-
-    verify = sub.add_parser(
-        "verify",
-        help="cross-check every closed form against its numerical oracle",
-        description=(
-            "--tol sets the closed-vs-numeric concurrence threshold; the state, "
-            "QFI and data-processing thresholds are fixed contracts."
-        ),
-    )
-    verify.add_argument("--tol", type=float, default=1e-8)
-    verify.add_argument("--grid", type=int, default=21)
-    return parser
+def _convert(kind, name: str, token: str):
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ParseError(f"--{name}: expected {kind.__name__}, got {token!r}") from exc
 
 
 def _sweep(tokens: Sequence[str]) -> int:
@@ -88,23 +70,31 @@ def _sweep(tokens: Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # A sweep never builds the argparse parser: _sweep and parse_spec parse
-    # its tokens once.  The parser serves figure, verify, --version and --help.
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] == "sweep" and "-h" not in argv and "--help" not in argv:
-            return _sweep(argv[1:])
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # usage errors, --help and --version
-            return exc.code
-        if args.command == "figure":
-            spec = figure_preset(args.preset)
-            table = run_sweep(spec)
-            emit_csv(table, args.out)
+        if "-h" in argv or "--help" in argv:
+            print(_usage())
             return 0
-        try:  # args.command == "verify"
-            report = run_verification(tolerance=args.tol, grid_n=args.grid)
+        if argv and argv[0] == "sweep":
+            return _sweep(argv[1:])
+        if argv and argv[0] == "--version":
+            print(f"unruhkit {__version__}")
+            return 0
+        if not argv or argv[0] not in _COMMANDS:
+            print(_usage(), file=sys.stderr)
+            raise ParseError(f"unknown command {argv[0]!r}" if argv else "missing command")
+        if argv[0] == "figure":
+            if len(argv) < 2:
+                raise ParseError("figure: missing PRESET")
+            spec = figure_preset(argv[1])
+            flags = _tokens_to_mapping(argv[2:], _COMMANDS["figure"])
+            emit_csv(run_sweep(spec), flags.get("out"))
+            return 0
+        flags = _tokens_to_mapping(argv[1:], _COMMANDS["verify"])
+        tolerance = _convert(float, "tol", flags.get("tol", "1e-8"))
+        grid_n = _convert(int, "grid", flags.get("grid", "21"))
+        try:
+            report = run_verification(tolerance, grid_n)
         except ValueError as exc:
             print(f"unruhkit: {exc}", file=sys.stderr)
             return 1

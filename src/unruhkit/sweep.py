@@ -157,13 +157,6 @@ def _parse_float(token: str, flag: str) -> float:
         raise ParseError(f"--{flag}: expected a number, got {token!r}") from exc
 
 
-def _parse_value_list(token: str, flag: str) -> tuple[float, ...]:
-    values = tuple(_parse_float(part, flag) for part in token.split(","))
-    if not values:
-        raise ParseError(f"--{flag}: empty value list")
-    return values
-
-
 _FLAG_GRAMMAR = {
     "channel": "white|color|whitecolor",
     "vary": "p|q|x|r",
@@ -178,7 +171,8 @@ _FLAG_GRAMMAR = {
 }
 
 
-def _tokens_to_mapping(argv: Sequence[str]) -> dict[str, str]:
+def _tokens_to_mapping(argv: Sequence[str], grammar: dict[str, str] = _FLAG_GRAMMAR) -> dict[str, str]:
+    """``argv``'s --name value pairs as {name: value}; ``grammar`` maps each known name to its form."""
     mapping: dict[str, str] = {}
     i = 0
     while i < len(argv):
@@ -186,10 +180,10 @@ def _tokens_to_mapping(argv: Sequence[str]) -> dict[str, str]:
         if not token.startswith("--"):
             raise ParseError(f"unexpected token {token!r}; flags look like --name value")
         name = token[2:]
-        if name not in _FLAG_GRAMMAR:
+        if name not in grammar:
             raise ParseError(f"unknown flag --{name}")
         if i + 1 >= len(argv):
-            raise ParseError(f"--{name}: missing value ({_FLAG_GRAMMAR[name]})")
+            raise ParseError(f"--{name}: missing value ({grammar[name]})")
         mapping[name] = argv[i + 1]
         i += 2
     return mapping
@@ -259,7 +253,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
             raise ParseError(f"--{name}: parameter is being varied, do not also fix it")
         if name not in params:
             raise ParseError(f"--{name}: not a {channel.value}-channel parameter")
-        fixed[name] = _parse_value_list(flags[name], name)
+        fixed[name] = tuple(_parse_float(part, name) for part in flags[name].split(","))
     for name in params:
         if name != vary and name not in fixed:
             raise ParseError(f"--{name} is required for the {channel.value} channel")

@@ -166,10 +166,6 @@ def _r_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, RINDLER_R_MAX, n)
 
 
-def _interior(values: np.ndarray) -> np.ndarray:
-    return values[1:-1] if len(values) > 2 else values
-
-
 def _blocks(xs: np.ndarray, *axes: np.ndarray):
     """The grid xs by ``axes``, x-major, as ``meshgrid`` arrays of blocks of
     consecutive x values, each of at most ``BLOCK_CELLS`` cells or one x."""
@@ -290,7 +286,7 @@ def _check_interior(n: int):
     """The two-qubit QFI checks on the interior grid, channel by channel: per
     block one engine call serves the data-processing inequality and, for
     white, the closed form at its coherent points."""
-    interior = _interior(_grid(n))
+    interior = _grid(n)[1:-1]
     two_closed = CheckRecord("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
     dpi = CheckRecord("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
     gaps = count = 0

@@ -12,6 +12,7 @@ from unruhkit import FamilyEvalError, StateFamily, qfi_single_bloch, qfi_two_qub
 from unruhkit import cli, sweep
 from unruhkit.cli import main
 from unruhkit.sweep import _FLAG_GRAMMAR
+from unruhkit.version import __version__
 
 # A complete sweep; the last two tokens are the --x flag and its value.
 SWEEP_FLAGS = [
@@ -156,10 +157,17 @@ class TestSweepCommand:
         assert body(child.read_text()) == body(parent.read_text())
 
     def test_help_names_every_sweep_flag(self, capsys):
-        assert main(["sweep", "--help"]) == 0
-        text = capsys.readouterr().out
-        for name in _FLAG_GRAMMAR:
-            assert f"--{name} " in text
+        # One help text, built from the command table, names every flag of
+        # every command wherever -h or --help stands.
+        flags = [name for grammar in cli._COMMANDS.values() for name in grammar]
+        assert set(_FLAG_GRAMMAR) < set(flags)
+        for argv in (["sweep", "--help"], ["sweep", "--out", "-h"], ["figure", "fig1a", "-h"],
+                     ["figure", "--help"], ["verify", "--tol", "-h"], ["verify", "--help"], ["-h"]):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            for name in flags:
+                assert f"--{name} " in captured.out
 
 
 def sweep_to(path):
@@ -238,7 +246,9 @@ class TestFigureCommand:
 
     def test_sweep_flag_is_usage_error(self, capsys):
         assert main(["figure", "fig1a", "--channel", "white"]) == 1
-        assert "unrecognized arguments: --channel white" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unknown flag --channel" in captured.err
+        assert captured.out == ""
 
     def test_unwritable_destination_is_io_error(self, capsys):
         assert main(["figure", "fig1a", "--out", "/no/such/dir/out.csv"]) == 3
@@ -272,30 +282,69 @@ class TestVerifyCommand:
             assert "tolerance must be positive" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """figure and verify read their flags by the sweep's rule: --name value,
+    no --name=value, no abbreviations, and figure's PRESET first."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param([*command, *tokens], named, id=" ".join([*command, *tokens]))
+            for command in (["figure", "fig1a"], ["verify"])
+            for tokens, named in (
+                (["--grid=5"], "--grid=5"),
+                (["--gr", "5"], "--gr"),
+                (["--out=F"], "--out=F"),
+                (["--tol"], "--tol"),
+                (["--out"], "--out"),
+            )
+        ]
+        + [
+            pytest.param(["verify", "--grid", "5.0"], "'5.0'", id="verify --grid 5.0"),
+            pytest.param(["verify", "--tol", "x"], "'x'", id="verify --tol x"),
+            pytest.param(["figure"], "PRESET", id="figure"),
+            pytest.param(["figure", "fig1a", "fig1b"], "'fig1b'", id="figure fig1a fig1b"),
+            pytest.param(["figure", "--out", "F", "fig1a"], "'--out'", id="figure --out F fig1a"),
+            pytest.param([], "missing command", id="no-command"),
+            pytest.param(["bogus"], "'bogus'", id="bogus"),
+        ],
+    )
+    def test_bad_token_is_named(self, argv, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["missing", "unknown"])
+    def test_bad_command_prints_usage_to_stderr(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unruhkit verify\n  --tol T\n" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr() == (f"unruhkit {__version__}\n", "")
+
+
+def test_import_loads_numpy_only():
+    # The runtime dependency stays numpy only, and the CLI needs no argparse.
+    script = (
+        "import sys, unruhkit, unruhkit.cli\n"
+        "banned = {'argparse', 'scipy', 'sympy', 'mpmath'}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in banned))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 class TestCachedParser:
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
-
-    def test_parser_is_built_on_first_call_not_at_import(self):
-        script = (
-            "from unruhkit import cli\n"
-            "assert cli._build_parser.cache_info().currsize == 0\n"
-            "cli.main(['--version']); cli.main(['sweep', '--help'])\n"
-            "assert cli._build_parser.cache_info().misses == 1\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-
-    def test_sweep_never_builds_the_parser(self, tmp_path):
-        cli._build_parser.cache_clear()
-        assert main(["sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "a.csv")]) == 0
-        assert cli._build_parser.cache_info().currsize == 0
-        assert main(["sweep", "--help"]) == 0
-        assert cli._build_parser.cache_info().currsize == 1
+    """Calls of main in one process share no state."""
 
     def test_reused_parser_gives_what_fresh_calls_give(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -317,18 +366,15 @@ class TestCachedParser:
 
         fresh = []
         for argv in sequence:
-            cli._build_parser.cache_clear()
             fresh.append(call(argv))
         a.unlink()
         b.unlink()
 
-        cli._build_parser.cache_clear()
         reused = []
         for argv in sequence:
             reused.append(call(argv))
             if argv[-1] == str(a):
                 written = a.read_text()
-        assert cli._build_parser.cache_info().misses == 1
         assert reused == fresh
         assert [code for code, *_ in reused] == [1, 0, 0, 0, 0, 0, 1]
         # The sweep without --out went to stdout and left A as it was.
