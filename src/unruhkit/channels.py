@@ -253,19 +253,13 @@ def _x_state(d00, d11, d22, d33, coherence) -> np.ndarray:
     """
     # The sum has the broadcast shape and the result type of the entries.
     total = d00 + d11 + d22 + d33 + coherence
-    shape = getattr(total, "shape", ())
-    # Matrix axes lead while filling, so a single state is written through
-    # numpy's fast integer indexing; literal indices spare the KET_* lookups
-    # on this hot path (|00>, |01>, |10>, |11> are 0, 1, 2, 3).  A stack is
-    # then laid out matrix by matrix, so a reduction over one matrix (a trace)
-    # adds in the order it does for that matrix alone.
-    m = np.zeros((4, 4) + shape, dtype=np.result_type(float, total))
-    m[0, 0] = d00
-    m[1, 1] = d11
-    m[2, 2] = d22
-    m[3, 3] = d33
-    m[1, 2] = m[2, 1] = coherence
-    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1))) if shape else m
+    m = np.zeros(np.shape(total) + (4, 4), dtype=np.result_type(float, total))
+    m[..., 0, 0] = d00
+    m[..., 1, 1] = d11
+    m[..., 2, 2] = d22
+    m[..., 3, 3] = d33
+    m[..., 1, 2] = m[..., 2, 1] = coherence
+    return m
 
 
 def _white_state(x, p, r) -> np.ndarray:

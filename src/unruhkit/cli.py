@@ -5,8 +5,9 @@ one series per value), `figure PRESET` runs a published-figure preset, and
 `verify` cross-checks every closed form (--tol, default 1e-8, sets the
 concurrence threshold; --grid, default 21, the grid).  --out writes the CSV
 to FILE, not stdout; --config reads sweep flags from a key=value FILE, and
-flags win.  Every flag is given as --name value; --name=value and
-abbreviated names are usage errors.  -h or --help anywhere prints this text.
+flags win.  Every flag is given as --name value; --name=value, abbreviated
+names and a value starting with -- are usage errors.  -h or --help anywhere
+prints this text.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -17,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError, UnknownPresetError
-from .sweep import _FLAG_GRAMMAR, _tokens_to_mapping, emit_csv, figure_preset, parse_spec, run_sweep
+from .sweep import _FLAG_GRAMMAR, _convert, _tokens_to_mapping, emit_csv, figure_preset, parse_spec, run_sweep
 from .verify import run_verification
 from .version import __version__
 
@@ -37,35 +38,21 @@ def _usage() -> str:
     return "\n".join(lines)
 
 
-def _convert(kind, name: str, token: str):
-    try:
-        return kind(token)
-    except ValueError as exc:
-        raise ParseError(f"--{name}: expected {kind.__name__}, got {token!r}") from exc
-
-
 def _sweep(tokens: Sequence[str]) -> int:
-    """Run `unruhkit sweep`: take the --out and --config pairs out of the
-    --name value pairs and pass every other token to parse_spec."""
-    files: dict[str, Optional[str]] = {"--out": None, "--config": None}
-    flags: list[str] = []
-    for i in range(0, len(tokens), 2):
-        pair = tokens[i : i + 2]
-        if pair[0] not in files:
-            flags += pair
-        elif len(pair) < 2:
-            raise ParseError(f"{pair[0]}: missing value (FILE)")
-        else:
-            files[pair[0]] = pair[1]
+    """Run `unruhkit sweep`: take --out and --config out of the --name value
+    pairs and pass every other pair to parse_spec."""
+    flags = _tokens_to_mapping(tokens, _COMMANDS["sweep"])
+    out, config = flags.pop("out", None), flags.pop("config", None)
     config_text = None
-    if files["--config"] is not None:
+    if config is not None:
         try:
-            with open(files["--config"], encoding="utf-8") as stream:
+            with open(config, encoding="utf-8") as stream:
                 config_text = stream.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
             return 3
-    emit_csv(run_sweep(parse_spec(flags, config_text=config_text)), files["--out"])
+    argv = [token for name, value in flags.items() for token in (f"--{name}", value)]
+    emit_csv(run_sweep(parse_spec(argv, config_text=config_text)), out)
     return 0
 
 

@@ -150,13 +150,6 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [min(start + i * step, stop) for i in range(_row_count(start, stop, step))]
 
 
-def _parse_float(token: str, flag: str) -> float:
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ParseError(f"--{flag}: expected a number, got {token!r}") from exc
-
-
 _FLAG_GRAMMAR = {
     "channel": "white|color|whitecolor",
     "vary": "p|q|x|r",
@@ -182,11 +175,19 @@ def _tokens_to_mapping(argv: Sequence[str], grammar: dict[str, str] = _FLAG_GRAM
         name = token[2:]
         if name not in grammar:
             raise ParseError(f"unknown flag --{name}")
-        if i + 1 >= len(argv):
+        if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
             raise ParseError(f"--{name}: missing value ({grammar[name]})")
         mapping[name] = argv[i + 1]
         i += 2
     return mapping
+
+
+def _convert(kind, name: str, token: str):
+    """``token`` read by ``kind`` (``float`` or ``int``) as the value of --``name``."""
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ParseError(f"--{name}: expected {kind.__name__}, got {token!r}") from exc
 
 
 def _config_to_mapping(text: str) -> dict[str, str]:
@@ -243,7 +244,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     range_parts = flags["range"].split(":")
     if len(range_parts) != 3:
         raise ParseError(f"--range: expected {_FLAG_GRAMMAR['range']}, got {flags['range']!r}")
-    start, stop, step = (_parse_float(part, "range") for part in range_parts)
+    start, stop, step = (_convert(float, "range", part) for part in range_parts)
 
     fixed: dict[str, tuple[float, ...]] = {}
     for name in _CANONICAL_PARAM_ORDER:
@@ -253,7 +254,7 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
             raise ParseError(f"--{name}: parameter is being varied, do not also fix it")
         if name not in params:
             raise ParseError(f"--{name}: not a {channel.value}-channel parameter")
-        fixed[name] = tuple(_parse_float(part, name) for part in flags[name].split(","))
+        fixed[name] = tuple(_convert(float, name, part) for part in flags[name].split(","))
     for name in params:
         if name != vary and name not in fixed:
             raise ParseError(f"--{name} is required for the {channel.value} channel")

@@ -317,6 +317,32 @@ class TestUsageErrors:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv).replace(" ".join(SWEEP_FLAGS), "..."))
+            for argv, message in (
+                (["figure", "fig1a", "--out", "--out"], "--out: missing value (FILE)"),
+                (["sweep", *SWEEP_FLAGS, "--out", "--config"], "--out: missing value (FILE)"),
+                (["sweep", *SWEEP_FLAGS, "--config", "--out"], "--config: missing value (FILE)"),
+                (["verify", "--tol", "--grid", "5"], "--tol: missing value (T)"),
+                (["sweep", "--channel", *SWEEP_FLAGS[2:]], f"--channel: missing value ({_FLAG_GRAMMAR['channel']})"),
+                (["sweep", "--bogus", "1", "--out"], "unknown flag --bogus"),
+                (["verify", "--tol", "x"], "--tol: expected float, got 'x'"),
+                (["verify", "--grid", "5.0"], "--grid: expected int, got '5.0'"),
+                (["sweep", *SWEEP_FLAGS, "--range", "0:a:0.5"], "--range: expected float, got 'a'"),
+                (["sweep", *SWEEP_FLAGS, "--x", "0.3,b"], "--x: expected float, got 'b'"),
+            )
+        ],
+    )
+    def test_first_bad_token_gives_the_message(self, argv, message, tmp_path, monkeypatch, capsys):
+        """A flag is never read as a value, the first error in token order
+        wins, and a number that does not read names the type it expected."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"unruhkit: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["missing", "unknown"])
     def test_bad_command_prints_usage_to_stderr(self, argv, capsys):
         assert main(argv) == 1
