@@ -23,11 +23,17 @@ of consecutive x values, feeding every check on it:
   block serves the data-processing inequality and, for white, the two-qubit
   closed form at its coherent points.
 
+The cube's pass runs on a second thread beside the other two, which run on
+the calling thread; numpy releases the interpreter lock in its LAPACK and
+ufunc loops, so the passes overlap on two cores.
+
 Each call takes every estimated parameter at once.  A block holds at most
 ``BLOCK_CELLS`` (4096) cells, or one x value's where that is more: the
 budget spreads each block's fixed cost of library calls over many cells and
-keeps memory flat in n (about 42 MB at peak at grid 21), where one pass
-over the whole grid would grow it as n^3.  Sweeps share the budget.
+keeps memory flat in n (about 47 MB at peak at grid 21), where one pass
+over the whole grid would grow it as n^3.  Grids past ``GRID_N_MAX`` (64),
+whose cube blocks would outgrow the budget, are refused.  Sweeps share the
+budget.
 Singular loci are masks: a closed form gives NaN where its float call would
 raise ``SingularPointError``, and those points are the check's gaps.  The
 worst point is the first maximum in the order x, the grid's other axes,
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,9 +85,12 @@ DPI_SLACK = 1e-6
 # (``sweep`` reads it here).  A pass takes about blocks x F + cells x c, F
 # (some 30 library calls) being about 1 ms per cube block and 0.5 ms per
 # interior block and channel; peak memory is about 3 KB per cell of the
-# largest block (an interior SLD pass), 42 MB at grid 21.  4096 runs grid 11
-# in 4 blocks and grid 21 in 10.
+# largest blocks of two passes at once (the cube pass runs beside the
+# others), 47 MB at grid 21.  4096 runs grid 11 in 4 blocks and grid 21 in 10.
 BLOCK_CELLS = 4096
+# The largest grid whose cube blocks keep to the budget: past it every block
+# is one x value's n^2 cells, and memory grows as n^2.
+GRID_N_MAX = math.isqrt(BLOCK_CELLS)
 # The white channel's estimated parameters, in the order of each cell's residuals.
 WHITE_QFI_PARAMS = ("p", "x", "r")
 
@@ -325,10 +335,30 @@ def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationR
         raise ValueError("tolerance must be positive")
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")
-    states, edges, concurrences, single = _check_cube(grid_n, tolerance)
-    whitecolor_route, whitecolor_readings = _check_whitecolor(max(5, grid_n // 2 + 1), tolerance)
+    if grid_n > GRID_N_MAX:
+        raise ValueError(f"grid_n must be at most {GRID_N_MAX}")
+    # The cube pass runs on a worker thread, so the passes must share no
+    # state.  The worker's exception is re-raised here and wins over this
+    # thread's: the cube pass comes first in the report's order.
+    cube = {}
+
+    def run_cube() -> None:
+        try:
+            cube["records"] = _check_cube(grid_n, tolerance)
+        except BaseException as exc:
+            cube["error"] = exc
+
+    worker = threading.Thread(target=run_cube, name="verify-cube")
+    worker.start()
+    try:
+        whitecolor_route, whitecolor_readings = _check_whitecolor(max(5, grid_n // 2 + 1), tolerance)
+        interior = _check_interior(grid_n)
+    finally:
+        worker.join()
+        if "error" in cube:
+            raise cube.pop("error")
+    states, edges, concurrences, single = cube["records"]
     checks = [
-        *states, edges, whitecolor_route, *concurrences, *whitecolor_readings, single,
-        *_check_interior(grid_n),
+        *states, edges, whitecolor_route, *concurrences, *whitecolor_readings, single, *interior,
     ]
     return VerificationReport(tolerance=tolerance, grid_n=grid_n, checks=checks)

@@ -357,7 +357,7 @@ def test_import_loads_numpy_only():
     # The runtime dependency stays numpy only, and the CLI needs no argparse.
     script = (
         "import sys, unruhkit, unruhkit.cli\n"
-        "banned = {'argparse', 'scipy', 'sympy', 'mpmath'}\n"
+        "banned = {'argparse', 'scipy', 'sympy', 'mpmath', 'concurrent', 'logging'}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in banned))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -367,6 +367,20 @@ def test_import_loads_numpy_only():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_verify_under_dev_mode_warns_of_nothing():
+    # -X dev reports threads left running and resources never closed on
+    # stderr; verify runs its cube pass on a second thread.
+    script = "from unruhkit.cli import run; run()"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", script, "verify", "--grid", "5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    golden = (Path(__file__).parent / "golden" / "verify_grid5.txt").read_text(encoding="utf-8")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout + "exit code: 0\n" == golden
 
 
 class TestCachedParser:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ class TestCliVerify:
     def test_grid_too_small_is_usage_error(self, capsys):
         assert main(["verify", "--grid", "3"]) == 1
 
+    def test_grid_above_the_block_budget_is_usage_error(self, capsys):
+        assert main(["verify", "--grid", "65"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "unruhkit: grid_n must be at most 64\n"
+
 
 class TestArguments:
     def test_bad_tolerance(self):
@@ -136,6 +143,46 @@ class TestArguments:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             run_verification(grid_n=4)
+
+    def test_grid_above_the_block_budget_is_refused_before_any_pass(self, monkeypatch):
+        # Past 64, n^2 > BLOCK_CELLS and every cube block outgrows the budget.
+        def ran(*args):
+            raise AssertionError("a grid pass ran")
+
+        monkeypatch.setattr(verify_module, "_check_cube", ran)
+        with pytest.raises(ValueError, match="grid_n must be at most 64"):
+            run_verification(grid_n=65)
+
+
+class _Sentinel(Exception):
+    pass
+
+
+def _raising(name):
+    def raises(*args):
+        raise _Sentinel(name)
+
+    return raises
+
+
+@pytest.mark.parametrize("name", ["_check_cube", "_check_interior"])
+def test_a_pass_that_raises_reaches_the_caller_and_leaves_no_thread(monkeypatch, name):
+    # The cube pass runs on a worker thread, the interior pass on the
+    # calling one: either's exception reaches the caller, after the join.
+    monkeypatch.setattr(verify_module, name, _raising(name))
+    threads = threading.active_count()
+    with pytest.raises(_Sentinel, match=name):
+        run_verification(grid_n=5)
+    assert threading.active_count() == threads
+
+
+def test_the_cube_pass_exception_wins(monkeypatch):
+    # The cube pass comes first in the report's order, so when both passes
+    # raise, the caller sees the cube pass's exception.
+    for name in ("_check_cube", "_check_interior"):
+        monkeypatch.setattr(verify_module, name, _raising(name))
+    with pytest.raises(_Sentinel, match="_check_cube"):
+        run_verification(grid_n=5)
 
 
 # ---------------------------------------------------------------------------
