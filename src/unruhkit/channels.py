@@ -158,7 +158,7 @@ def phi_ket(x) -> np.ndarray:
     _validate_points(RINDLER_R_MAX, x, 0.0, 0.0, 0.0)
     x = np.asarray(x, dtype=float)
     v = np.zeros(x.shape + (4,))
-    v[..., KET_01] = np.sqrt(1.0 - x * x)
+    v[..., KET_01] = np.sqrt((1.0 - x) * (1.0 + x))
     v[..., KET_10] = x
     return v
 
@@ -227,7 +227,7 @@ def white_coeffs(x, p) -> WhiteCoeffs:
         alpha=(1.0 + p * (3.0 - 4.0 * x * x)) / 4.0,
         beta=(1.0 - p * (1.0 - 4.0 * x * x)) / 4.0,
         gamma=(1.0 - p) / 4.0,
-        epsilon=p * x * _sqrt(1.0 - x * x),
+        epsilon=p * x * _sqrt((1.0 - x) * (1.0 + x)),
     )
 
 
@@ -239,7 +239,7 @@ def color_coeffs(x, q) -> ColorCoeffs:
     return ColorCoeffs(
         alpha_c=(1.0 + q * (1.0 - 2.0 * x * x)) / 2.0,
         beta_c=(1.0 - q * (1.0 - 2.0 * x * x)) / 2.0,
-        epsilon_c=q * x * _sqrt(1.0 - x * x),
+        epsilon_c=q * x * _sqrt((1.0 - x) * (1.0 + x)),
     )
 
 
@@ -283,14 +283,15 @@ def _whitecolor_state(x, p, q, r) -> np.ndarray:
     # No domain checks: the QFI engines evaluate it at complex theta + ih.
     g = (1.0 - p - q) / 4.0
     b = p * x * x + q / 2.0 + g
+    y2 = (1.0 - x) * (1.0 + x)  # 1 - x^2, the |01> weight, with no cancellation near x = 1
     cr, sr = np.cos(r), np.sin(r)
     c2, s2 = cr * cr, sr * sr
     return _x_state(
         g * c2,
-        p * (1.0 - x * x) + q / 2.0 + g * (1.0 + s2),
+        p * y2 + q / 2.0 + g * (1.0 + s2),
         b * c2,
         b * s2 + g,
-        p * x * _sqrt(1.0 - x * x) * cr,
+        p * x * _sqrt(y2) * cr,
     )
 
 

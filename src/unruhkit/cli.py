@@ -40,7 +40,7 @@ def _usage() -> str:
 
 def _sweep(tokens: Sequence[str]) -> int:
     """Run `unruhkit sweep`: take --out and --config out of the --name value
-    pairs and pass every other pair to parse_spec."""
+    pairs and pass the mapping of every other pair to parse_spec."""
     flags = _tokens_to_mapping(tokens, _COMMANDS["sweep"])
     out, config = flags.pop("out", None), flags.pop("config", None)
     config_text = None
@@ -51,8 +51,7 @@ def _sweep(tokens: Sequence[str]) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"unruhkit: cannot read config: {exc}", file=sys.stderr)
             return 3
-    argv = [token for name, value in flags.items() for token in (f"--{name}", value)]
-    emit_csv(run_sweep(parse_spec(argv, config_text=config_text)), out)
+    emit_csv(run_sweep(parse_spec(flags, config_text=config_text)), out)
     return 0
 
 

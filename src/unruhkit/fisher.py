@@ -39,10 +39,12 @@ output drops it.
 
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
-are implemented as printed.  The two-qubit form's primes, partial
-derivatives in the estimated parameter, are taken by complex step of the
-published blocks, so no gradient is derived by hand; it stays independent of
-the SLD engine, which steps the state, not the blocks.  The verification
+are implemented as printed; only the two-qubit value restates quantum -
+pairs without its cancellation (``qfi_two_white_closed``).  The two-qubit
+form's values and primes, partial derivatives in the estimated parameter,
+come from one complex-step evaluation of the published blocks, so no
+gradient is derived by hand; it stays independent of the SLD engine, which
+steps the state, not the blocks.  The verification
 harness compares the closed forms against the engines and records residuals.
 They take broadcast arrays of (x, p, r) and give NaN where a term is
 undefined.
@@ -392,21 +394,24 @@ def qfi_single_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float 
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     a = 1.0 - 2.0 * x * x
     lin = 1.0 - a * p
-    cr, sr, s2r = np.cos(r), np.sin(r), np.sin(2.0 * r)
+    cr = np.cos(r)
     cr2 = cr * cr
     sz = lin * cr2 - 1.0
     pure = np.abs(sz) >= 1.0 - PURE_MARGIN
     bracket = 3.0 + a * p - lin * np.cos(2.0 * r)
-    denom = lin * bracket
-    # By name: the pure branch, then the mixed branch's numerator and divisor.
-    forms = {
-        "p": (a * a * cr2 * cr2, 2.0 * a * a * cr2, denom),
-        "x": (16.0 * p * p * x * x * cr2 * cr2, 32.0 * p * p * x * x * cr2, denom),
-        "r": (lin * lin * (s2r * s2r), 8.0 * lin * (sr * sr), bracket),
-    }
+
+    def form(name):
+        """The pure branch, then the mixed branch's numerator and divisor."""
+        if name == "p":
+            return a * a * cr2 * cr2, 2.0 * a * a * cr2, lin * bracket
+        if name == "x":
+            return 16.0 * p * p * x * x * cr2 * cr2, 32.0 * p * p * x * x * cr2, lin * bracket
+        s2r, sr = np.sin(2.0 * r), np.sin(r)
+        return lin * lin * (s2r * s2r), 8.0 * lin * (sr * sr), bracket
+
     value = np.empty((len(names),) + np.shape(sz))  # sz has the points' broadcast shape
     for k, name in enumerate(names):
-        pure_value, numerator, divisor = forms[name]
+        pure_value, numerator, divisor = form(name)
         with np.errstate(divide="ignore", invalid="ignore"):
             mixed = numerator / divisor
         value[k] = np.where(~pure & (np.abs(divisor) < 1e-14), np.nan, np.where(pure, pure_value, mixed))
@@ -506,8 +511,8 @@ def qfi_two_qubit_spectral_retry(family: StateFamily, theta) -> QfiValue:
 
 def _white_blocks(x, p, r) -> tuple:
     """The published building blocks at array (x, p, r): kappa1, kappa2,
-    kappa3, b1, b2, b3, mu1, mu2, then the populations gamma cos^2 r and
-    gamma + beta sin^2 r of the two incoherent levels.
+    kappa3, mu1, mu2, then the populations gamma cos^2 r and gamma + beta
+    sin^2 r of the two incoherent levels.
 
     kappa2's radicand b1 - b2 + b3 is kappa3^2 + 256 (epsilon cos r)^2, and
     mu1 mu2 = -1: the mu of kappa3's sign takes no difference, the other is
@@ -517,19 +522,14 @@ def _white_blocks(x, p, r) -> tuple:
     """
     coeffs = white_coeffs(x, p)
     x2 = x * x
-    c2r, c4r = np.cos(2.0 * r), np.cos(4.0 * r)
+    c2r = np.cos(2.0 * r)
     cr, sr = np.cos(r), np.sin(r)
     coherence = coeffs.epsilon * cr
     kappa1 = 4.0 + 4.0 * p - 4.0 * p * x2 + 4.0 * p * x2 * c2r
-    b1 = 6.0 + 20.0 * p + 38.0 * p * p - 40.0 * p * x2 - 24.0 * p * p * x2 + 24.0 * p * p * x2 * x2
-    poly = 1.0 + p * (2.0 - 4.0 * x2) + p * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
-    b2 = 8.0 * poly * c2r
-    lin = -1.0 + p - 2.0 * p * x2
-    b3 = 2.0 * c4r * lin * lin
     kappa3 = 2.0 + 6.0 * p - 12.0 * p * x2 - (2.0 - 2.0 * p + 4.0 * p * x2) * c2r
     radicand = kappa3 * kappa3 + 256.0 * coherence * coherence
     kappa2 = np.sqrt(np.where(radicand.real <= 0.0, 0.0, radicand))
-    singular = (coeffs.epsilon == 0.0) | (kappa2.real <= 1e-12)
+    singular = (coeffs.epsilon.real == 0.0) | (kappa2.real <= 1e-12)
     negative = kappa3.real < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         big = np.where(negative, kappa3 - kappa2, kappa3 + kappa2) / (16.0 * coherence)
@@ -537,20 +537,23 @@ def _white_blocks(x, p, r) -> tuple:
     mu1 = np.where(singular, np.nan, np.where(negative, big, small))
     mu2 = np.where(singular, np.nan, np.where(negative, small, big))
     eig_low, eig_high = coeffs.gamma * (cr * cr), coeffs.gamma + coeffs.beta * (sr * sr)
-    return kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2, eig_low, eig_high
+    return kappa1, kappa2, kappa3, mu1, mu2, eig_low, eig_high
 
 
-def _white_primes(names: tuple[str, ...], x, p, r) -> list:
-    """The primes of ``_white_blocks`` at arrays (x, p, r) of one shape, by
-    complex step in one evaluation: row k of a stack steps the k-th of
-    ``names`` to theta + ih, and Im/h of its blocks are their primes in that
-    parameter.  All three are complex in every row, so each row is computed
-    alike whatever the other names, bit for bit.  Each prime has a leading
-    axis over ``names``."""
+def _white_stepped(names: tuple[str, ...], x, p, r) -> tuple[list, list]:
+    """``_white_blocks`` and their primes at arrays (x, p, r) of one shape, in
+    one evaluation: row k of a complex stack steps the k-th of ``names`` to
+    theta + ih.  The values are row 0's real parts: a step moves a real part
+    by O(h^2), far below its rounding, so they are the blocks at the real
+    point to rounding (complex division rounds mu apart by an ulp).  The
+    primes, Im/h of each row, have a leading axis over ``names``.  All three
+    parameters are complex in every row, so each row is computed alike
+    whatever the other names, bit for bit."""
     point = np.array([x, p, r], dtype=complex)[:, None].repeat(len(names), axis=1)
     for k, name in enumerate(names):
         point["xpr".index(name), k] += 1j * COMPLEX_STEP
-    return [block.imag / COMPLEX_STEP for block in _white_blocks(*point)]
+    blocks = _white_blocks(*point)
+    return [block[0].real for block in blocks], [block.imag / COMPLEX_STEP for block in blocks]
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
@@ -559,10 +562,19 @@ def kappa_mu_terms(x, p, r) -> KappaMuTerms:
 
     mu1, mu2 require a nondegenerate block with a nonvanishing coherence
     coefficient; where that is zero (p=0 or x in {0, 1}) they are NaN, so a
-    float call raises ``SingularPointError``.
+    float call raises ``SingularPointError``.  b1, b2, b3 are the published
+    terms of kappa2's radicand b1 - b2 + b3; the closed QFI takes that
+    radicand as the sum of squares ``_white_blocks`` names.
     """
     _validate_points(RINDLER_R_MAX, x, p, 0.0, r, Channel.WHITE)
-    return KappaMuTerms(*_white_blocks(x, p, r)[:8])
+    kappa1, kappa2, kappa3, mu1, mu2, *_ = _white_blocks(x, p, r)
+    x2 = x * x
+    b1 = 6.0 + 20.0 * p + 38.0 * p * p - 40.0 * p * x2 - 24.0 * p * p * x2 + 24.0 * p * p * x2 * x2
+    poly = 1.0 + p * (2.0 - 4.0 * x2) + p * p * (-3.0 - 4.0 * x2 + 4.0 * x2 * x2)
+    b2 = 8.0 * poly * np.cos(2.0 * r)
+    lin = -1.0 + p - 2.0 * p * x2
+    b3 = 2.0 * np.cos(4.0 * r) * lin * lin
+    return KappaMuTerms(kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2)
 
 
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
@@ -575,14 +587,21 @@ def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = R
     block's eigenvalue pair.  NaN where the block coherence vanishes (p=0,
     x in {0, 1}) or the block is degenerate.  A tuple ``param`` gives a
     leading axis over its names, all from one set of building blocks.
+
+    The decomposition is the published one, but the value is not the float
+    sum classical + quantum - pairs.  Both mu roots give one angle prime
+    theta' = mu'/(1 + mu^2), as mu1 mu2 = -1, so quantum - pairs is exactly
+    kappa2^2/(2 kappa1) theta'^2; the value takes that, with theta' from the
+    root with |mu| <= 1.  The quantum and pair terms are each of size
+    kappa1 theta'^2, so their float difference loses every digit where the
+    coherent block is near-degenerate (small p and r).
     """
     names = _white_names(param)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    x, p, r = np.broadcast_arrays(x, p, r)
-    kappa1, kappa2, *_, mu1, mu2, eig_low, eig_high = _white_blocks(x, p, r)
-    kappa1_prime, kappa2_prime, *_, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = (
-        _white_primes(names, x, p, r)
+    (kappa1, kappa2, _, mu1, mu2, eig_low, eig_high), primes = _white_stepped(
+        names, *np.broadcast_arrays(x, p, r)
     )
+    kappa1_prime, kappa2_prime, _, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = primes
 
     lam2 = (kappa1 - kappa2) / 16.0
     lam3 = (kappa1 + kappa2) / 16.0
@@ -614,11 +633,8 @@ def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = R
         * (mu_gap * mu_gap / (one1 * one2))
         * (mu1_prime * mu1_prime / (one1 * one1) + mu2_prime * mu2_prime / (one2 * one2))
     )
-    term_classical, term_quantum, term_pairs = (
-        _per_name(param, t) for t in (term_classical, term_quantum, term_pairs)
-    )
-    return QfiValue(
-        value=clip_at_zero(term_classical + term_quantum - term_pairs),
-        form=FORM_CLOSED,
-        decomposition=(term_classical, term_quantum, term_pairs),
-    )
+    inner = np.abs(mu1) <= 1.0
+    theta_prime = np.where(inner, mu1_prime, mu2_prime) / np.where(inner, one1, one2)
+    value = term_classical + kappa2 * kappa2 / (2.0 * kappa1) * (theta_prime * theta_prime)
+    value, *terms = (_per_name(param, t) for t in (value, term_classical, term_quantum, term_pairs))
+    return QfiValue(value=clip_at_zero(value), form=FORM_CLOSED, decomposition=tuple(terms))

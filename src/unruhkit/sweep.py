@@ -11,7 +11,7 @@ series are stacked into ``(series, rows)`` arrays and the result is split
 back into columns.  A call holds as many whole series as fit in
 ``verify.BLOCK_CELLS`` (4096) cells, and at least one, so a long grid keeps
 one series per call; the budget spreads each call's fixed cost over many
-cells and bounds memory (``verify`` peaks near 42 MB at grid 21).  A single
+cells and bounds memory (``verify`` peaks near 47 MB at grid 21).  A single
 series is a plain ``(rows,)`` call with float parameters.  Every cell equals
 its single-series call bit for bit.
 """
@@ -24,6 +24,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -214,14 +215,23 @@ def _parse_choice(flags: dict[str, str], name: str, kind, default: Optional[str]
         raise ParseError(f"--{name}: {token!r} not in {_FLAG_GRAMMAR[name]}") from exc
 
 
-def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepSpec:
+def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[str] = None) -> SweepSpec:
     """Build a validated SweepSpec from sweep flags and an optional config.
 
-    Command-line flags override config-file values.  ``config_text`` is the
-    content of the file named by --config; the CLI reads the file and passes
-    the text here so this function stays free of I/O.
+    ``argv`` is the --name value tokens, or the {name: value} mapping
+    ``_tokens_to_mapping`` has already read from them (the CLI walks its
+    command line once).  Command-line flags override config-file values.
+    ``config_text`` is the content of the file named by --config; the CLI
+    reads the file and passes the text here so this function stays free of
+    I/O.
     """
-    flags = _tokens_to_mapping(argv)
+    if isinstance(argv, Mapping):
+        flags = argv
+        unknown = [name for name in flags if name not in _FLAG_GRAMMAR]
+        if unknown:
+            raise ParseError(f"unknown flag --{unknown[0]}")
+    else:
+        flags = _tokens_to_mapping(argv)
     if config_text is not None:
         merged = _config_to_mapping(config_text)
         merged.update(flags)
@@ -272,13 +282,17 @@ def parse_spec(argv: Sequence[str], config_text: Optional[str] = None) -> SweepS
     )
 
 
+def _range_text(spec: SweepSpec) -> str:
+    """The spec's grid as --range prints it in an error message."""
+    return f"{spec.start:g}:{spec.stop:g}:{spec.step:g}"
+
+
 def validate_spec(spec: SweepSpec) -> None:
     """Raise ``ParseError`` if the spec violates a model or grammar invariant."""
-    grid = f"{spec.start:g}:{spec.stop:g}:{spec.step:g}"
     if not spec.start < spec.stop:
-        raise ParseError(f"--range: start must be below stop, got {grid}")
+        raise ParseError(f"--range: start must be below stop, got {_range_text(spec)}")
     if not spec.step > 0.0:
-        raise ParseError(f"--range: step must be positive, got {grid}")
+        raise ParseError(f"--range: step must be positive, got {_range_text(spec)}")
     estimated = spec.quantity.estimated_param
     if estimated is not None:
         if estimated not in CHANNEL_PARAMS[spec.channel]:
@@ -306,7 +320,7 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ParseError(f"sweep values leave the model's domain: {exc}") from exc
     rows = _row_count(spec.start, spec.stop, spec.step)
     if rows > MAX_GRID_ROWS:
-        raise ParseError(f"--range: {grid} gives {rows} grid rows, more than {MAX_GRID_ROWS}")
+        raise ParseError(f"--range: {_range_text(spec)} gives {rows} grid rows, more than {MAX_GRID_ROWS}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +587,13 @@ def emit_csv(table: SweepTable, destination=None, timestamp: Optional[str] = Non
 
     ``destination`` may be a path, an open text stream, or None for stdout.
     The timestamp line is the only part that varies between identical runs.
-    A path is overwritten in place.  An existing regular file is then cut to
-    the CSV's length, or to nothing if the write fails, so no rows of the
-    earlier file are left behind.  It is not opened with ``O_TRUNC``: on ext4
-    that frees the old blocks, allocates them again and starts writeback at
-    close.  The inode, mode and links stay; a device, FIFO or terminal is not
-    truncated.
+    A path gets the UTF-8 text with ``os.linesep`` line ends, as a text-mode
+    file would, in ``os.write`` calls until every byte is written.  It is
+    overwritten in place.  An existing regular file is then cut to the CSV's
+    length, or to nothing if the write fails, so no rows of the earlier file
+    are left behind.  It is not opened with ``O_TRUNC``: on ext4 that frees
+    the old blocks, allocates them again and starts writeback at close.  The
+    inode, mode and links stay; a device, FIFO or terminal is not truncated.
     """
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -589,6 +604,9 @@ def emit_csv(table: SweepTable, destination=None, timestamp: Optional[str] = Non
     elif hasattr(destination, "write"):
         destination.write(text)
     else:
+        if os.linesep != "\n":
+            text = text.replace("\n", os.linesep)
+        data = memoryview(text.encode("utf-8"))
         fd = os.open(destination, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         try:
             info = os.fstat(fd)
@@ -596,16 +614,15 @@ def emit_csv(table: SweepTable, destination=None, timestamp: Optional[str] = Non
             # for a regular file.  A new file, or one the CSV outgrows, needs
             # no cut.
             old_size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+            written = 0
             try:
-                with open(fd, "w", encoding="utf-8", closefd=False) as stream:
-                    stream.write(text)
+                while written < len(data):  # a write may take fewer bytes than given
+                    written += os.write(fd, data[written:])
             except BaseException:
                 if old_size:
                     os.ftruncate(fd, 0)
                 raise
-            if old_size:
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if end < old_size:
-                    os.ftruncate(fd, end)
+            if written < old_size:
+                os.ftruncate(fd, written)
         finally:
             os.close(fd)

@@ -21,7 +21,7 @@ of consecutive x values, feeding every check on it:
   the printed form;
 * the interior grid, channel by channel: one two-qubit engine call per
   block serves the data-processing inequality and, for white, the two-qubit
-  closed form at its coherent points.
+  closed form wherever it is defined.
 
 The cube's pass runs on a second thread beside the other two, which run on
 the calling thread; numpy releases the interpreter lock in its LAPACK and
@@ -75,8 +75,9 @@ from .fisher import (
 )
 from .qlinalg import dagger
 
-# Margin around singular loci (vanishing coherence, pure reductions) that the
-# QFI grids skip; gaps are reported, never interpolated.
+# Margin around the pure reductions that the single-qubit QFI grid skips;
+# gaps are reported, never interpolated.  The two-qubit closed form is
+# compared wherever it is defined, down to vanishing coherence.
 SINGULAR_MARGIN = 1e-6
 STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
@@ -295,7 +296,7 @@ def _check_whitecolor(m: int, tol: float):
 def _check_interior(n: int):
     """The two-qubit QFI checks on the interior grid, channel by channel: per
     block one engine call serves the data-processing inequality and, for
-    white, the closed form at its coherent points."""
+    white, the closed form wherever it is not NaN."""
     interior = _grid(n)[1:-1]
     two_closed = CheckRecord("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
     dpi = CheckRecord("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
@@ -311,16 +312,12 @@ def _check_interior(n: int):
             dpi.update(np.moveaxis(single - two, 0, -1), x[..., None], s[..., None], r[..., None])
             if channel is not Channel.WHITE:
                 continue
-            coherent = s * x * np.sqrt(1.0 - x * x) > SINGULAR_MARGIN
-            gaps += int(np.count_nonzero(~coherent))
-            engine = two[:, coherent]
-            xc, pc, rc = x[coherent], s[coherent], r[coherent]
-            closed = qfi_two_white_closed(WHITE_QFI_PARAMS, xc, pc, rc).value
+            closed = qfi_two_white_closed(WHITE_QFI_PARAMS, x, s, r).value
             singular = np.isnan(closed)
             gaps += int(np.count_nonzero(singular))
-            scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
-            residuals = np.where(singular, -math.inf, np.abs(closed - engine) / scale)
-            two_closed.update(residuals.T, xc[:, None], pc[:, None], rc[:, None])
+            scale = np.maximum(np.maximum(np.abs(closed), np.abs(two)), 1e-9)
+            residuals = np.where(singular, -math.inf, np.abs(closed - two) / scale)
+            two_closed.update(np.moveaxis(residuals, 0, -1), x[..., None], s[..., None], r[..., None])
     two_closed.notes = (
         "primes read as partial derivatives; pair eigenvalues read as the "
         f"coherent block pair; {gaps} singular points skipped"

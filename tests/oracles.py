@@ -151,3 +151,47 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 def central_difference(f, theta: float, h: float = 1e-6) -> float:
     """Two-point central difference derivative oracle."""
     return (f(theta + h) - f(theta - h)) / (2.0 * h)
+
+
+def oracle_qfi_xstate_mp(channel: str, param: str, x: float, p: float = 0.0, q: float = 0.0, r: float = 0.0,
+                         dps: int = 50) -> float:
+    """Two-qubit QFI of the accelerated state in ``param`` at ``dps`` digits,
+    from the X-state block formula rather than an eigendecomposition.
+
+    The state is built along the channel route: the initial mixture
+    p P_phi + (q/2)(|01><01| + |10><10|) + (1-p-q) I/4, then the Kraus pair
+    diag(cos r, 1), sin r |1><0| on the second qubit, with p, q the combined
+    strengths of ``channel`` (color of strength q is (q, 1 - q)).  It is
+    diag(d00, d33) plus a real 2x2 block on {|01>, |10>} of trace t and Bloch
+    vector s, and the QFI is additive over the orthogonal parts (Liu et al.,
+    J. Phys. A 53, 023001 (2020)):
+    F = sum_k (d dkk)^2/dkk + (dt)^2/t + t [|ds|^2 + (s.ds)^2/(1 - |s|^2)].
+    The float arguments are taken exactly; derivatives are ``mpmath.diff``.
+    A population that is 0 with zero slope adds nothing.
+    """
+    with mpmath.workdps(dps):
+        point = {name: mpmath.mpf(value) for name, value in (("x", x), ("p", p), ("q", q), ("r", r))}
+
+        def parts(theta):
+            v = {**point, param: theta}
+            cp, cq = {"white": (v["p"], 0), "color": (v["q"], 1 - v["q"]), "whitecolor": (v["p"], v["q"])}[channel]
+            xx, c, s = v["x"], mpmath.cos(v["r"]), mpmath.sin(v["r"])
+            g = (1 - cp - cq) / 4
+            a01 = cp * (1 - xx**2) + cq / 2 + g
+            a10 = cp * xx**2 + cq / 2 + g
+            d11, d22 = a01 + s**2 * g, c**2 * a10
+            t = d11 + d22
+            return c**2 * g, a10 * s**2 + g, t, 2 * cp * xx * mpmath.sqrt(1 - xx**2) * c / t, (d11 - d22) / t
+
+        values = parts(point[param])
+        primes = [mpmath.diff(lambda th, k=k: parts(th)[k], point[param]) for k in range(5)]
+        d00, d33, t, sx, sz = values
+        d00_, d33_, t_, sx_, sz_ = primes
+        total = mpmath.mpf(0)
+        for d, d_ in ((d00, d00_), (d33, d33_), (t, t_)):
+            if d != 0:
+                total += d_**2 / d
+            elif abs(d_) > mpmath.mpf(10) ** (-dps // 2):
+                return math.inf
+        total += t * (sx_**2 + sz_**2 + (sx * sx_ + sz * sz_) ** 2 / (1 - sx**2 - sz**2))
+        return float(total)

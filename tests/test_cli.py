@@ -156,6 +156,19 @@ class TestSweepCommand:
         assert main(["sweep", *SWEEP_FLAGS, "--out", str(parent)]) == 0
         assert body(child.read_text()) == body(parent.read_text())
 
+    def test_command_line_is_walked_once(self, tmp_path, monkeypatch):
+        # parse_spec takes the mapping the CLI has read; it walks no tokens again.
+        walks, walk = [], sweep._tokens_to_mapping
+
+        def counted(argv, *grammar):
+            walks.append(list(argv))
+            return walk(argv, *grammar)
+
+        monkeypatch.setattr(cli, "_tokens_to_mapping", counted)
+        monkeypatch.setattr(sweep, "_tokens_to_mapping", counted)
+        assert main(["sweep", *SWEEP_FLAGS, "--out", str(tmp_path / "out.csv")]) == 0
+        assert walks == [[*SWEEP_FLAGS, "--out", str(tmp_path / "out.csv")]]
+
     def test_help_names_every_sweep_flag(self, capsys):
         # One help text, built from the command table, names every flag of
         # every command wherever -h or --help stands.
@@ -198,19 +211,33 @@ class TestOutFile:
     def test_failed_write_leaves_no_old_rows(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "out.csv"
         assert figure_to(target) == 0
+        real_write = os.write
+        calls = []
 
-        class HalfWriter(io.TextIOWrapper):
-            def write(self, text):
-                super().write(text[: len(text) // 2])
+        def half_write(fd, data):
+            # The first write takes half the bytes; the next finds the disk full.
+            calls.append(len(data))
+            if len(calls) > 1:
                 raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
 
-        def half_open(fd, mode, encoding, closefd):
-            return HalfWriter(io.FileIO(fd, "w", closefd=closefd), encoding=encoding)
-
-        monkeypatch.setattr(sweep, "open", half_open, raising=False)
+        monkeypatch.setattr(sweep.os, "write", half_write)
         assert sweep_to(target) == 3
+        assert len(calls) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert target.read_bytes() == b""
+
+    def test_short_writes_give_the_whole_file(self, tmp_path, monkeypatch):
+        # os.write may take fewer bytes than it is given; the rest follows.
+        target, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        assert figure_to(target) == 0
+        real_write = os.write
+        monkeypatch.setattr(sweep.os, "write", lambda fd, data: real_write(fd, data[:7]))
+        assert sweep_to(target) == 0
+        monkeypatch.undo()
+        assert sweep_to(fresh) == 0
+        assert target.stat().st_size == fresh.stat().st_size
+        assert body(target.read_text()) == body(fresh.read_text())
 
     def test_inode_and_mode_are_kept(self, tmp_path):
         target = tmp_path / "out.csv"

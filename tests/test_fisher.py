@@ -33,9 +33,9 @@ from unruhkit import (
 )
 from unruhkit.channels import CHANNEL_PARAMS
 from unruhkit import fisher as fisher_module
-from unruhkit.fisher import _white_primes
+from unruhkit.fisher import _white_stepped
 from unruhkit.verify import QFI_REL_TOL
-from oracles import central_difference
+from oracles import central_difference, oracle_qfi_xstate_mp
 
 
 def constant_family(matrix: np.ndarray, param: str = "p") -> StateFamily:
@@ -230,6 +230,31 @@ class TestSpectralEngine:
         assert quantum == pytest.approx(0.0, abs=1e-12)
         assert pairs == pytest.approx(0.0, abs=1e-12)
 
+    def test_engine_and_closed_form_match_the_oracle_near_x_one(self):
+        # 1 - x^2 is 2e-9 here; written as 1.0 - x * x it keeps only 8 digits,
+        # an error the engine and the closed form would share.
+        x, p, r = 1.0 - 1e-9, 0.0237, 0.217
+        point = {"x": x, "p": p, "r": r}
+        for param in "xpr":
+            oracle = oracle_qfi_xstate_mp("white", param, **point)
+            engine = qfi_two_qubit_spectral(state_family(Channel.WHITE, param, **point), point[param]).value
+            closed = qfi_two_white_closed(param, x, p, r).value
+            assert engine == pytest.approx(oracle, rel=1e-12, abs=0), param
+            assert closed == pytest.approx(oracle, rel=1e-12, abs=0), param
+
+    def test_oracle_matches_the_engine_at_scattered_points(self, rng):
+        # The oracle's route (X-state blocks at 50 digits) against the SLD
+        # engine's, on all three channels.
+        for channel in Channel:
+            names = CHANNEL_PARAMS[channel]
+            for _ in range(3):
+                point = dict(zip("xpqr", rng.uniform((0.05, 0.05, 0.05, 0.0), (0.95, 0.45, 0.45, RINDLER_R_MAX))))
+                for param in names:
+                    fixed = {k: point[k] for k in names if k != param}
+                    engine = qfi_two_qubit_spectral(state_family(channel, param, **fixed), point[param]).value
+                    oracle = oracle_qfi_xstate_mp(channel.value, param, **point)
+                    assert engine == pytest.approx(oracle, rel=1e-13), (channel, param)
+
     def test_decomposition_identity(self):
         # At r=0 three eigenvalues tie exactly, exercising the tied-pair branch.
         for fixed, theta in ((dict(x=0.3, r=0.4), 0.6), (dict(x=0.2, r=0.0), 0.5)):
@@ -341,13 +366,20 @@ class TestKappaMuTerms:
 
     def test_derivative_oracle(self, rng):
         # Primes are partial derivatives: the complex-step primes the closed
-        # form reads must match central differences of the blocks' values.
+        # form reads from its one pass over the stepped stack must match
+        # central differences of the blocks' values, and the pass's values
+        # must be the blocks at the real point.
+        names = ("kappa1", "kappa2", "kappa3", "mu1", "mu2")
         for _ in range(40):
             x, p = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85)
             r = rng.uniform(0.05, RINDLER_R_MAX - 0.05)
             point = {"x": x, "p": p, "r": r}
             arrays = (np.array([point[name]]) for name in "xpr")
-            primes = dict(zip(vars(kappa_mu_terms(x, p, r)), _white_primes(("p", "x", "r"), *arrays)))
+            values, primes = (dict(zip(names, blocks)) for blocks in _white_stepped(("p", "x", "r"), *arrays))
+            terms = kappa_mu_terms(x, p, r)
+            for name in names:
+                assert values[name].shape == (1,)
+                assert values[name][0] == pytest.approx(getattr(terms, name), rel=1e-14)
             for idx, slot in enumerate("pxr"):
                 def block(name):
                     return lambda t: getattr(kappa_mu_terms(**{**point, slot: t}), name)
@@ -371,6 +403,26 @@ class TestTwoQubitClosedForm:
             engine = qfi_two_qubit_spectral(state_family(Channel.WHITE, param, **point), point[param]).value
             closed = qfi_two_white_closed(param, x, p, r).value
             assert abs(closed - engine) <= QFI_REL_TOL * max(abs(closed), abs(engine), 1e-9), param
+
+    def test_matches_engine_at_vanishing_coherence(self, rng):
+        # The block coherence p x sqrt(1 - x^2) cos r crowded to 1e-14 ... 1e-4
+        # by a small p, a small x or an x near 1: there the coherent block is
+        # near-degenerate, and the published quantum - pairs difference
+        # cancels to its last digit.
+        n = 600
+        target = 10.0 ** rng.uniform(-14.0, -4.0, n)
+        x, p, r = rng.uniform((0.05, 0.05, 0.0), (0.95, 0.95, RINDLER_R_MAX), (n, 3)).T
+        way = np.arange(n) % 3
+        p = np.where(way == 0, target / (x * np.sqrt(1.0 - x * x) * np.cos(r)), p)
+        x = np.where(way == 1, target / (p * np.cos(r)), x)
+        x = np.where(way == 2, 1.0 - 10.0 ** rng.uniform(-15.0, -8.0, n), x)
+        coherence = p * x * np.sqrt((1.0 - x) * (1.0 + x)) * np.cos(r)
+        assert 0.0 < coherence.min() < 1e-13 and coherence.max() < 1e-3
+        params = ("p", "x", "r")
+        engine = qfi_two_qubit_spectral(state_family(Channel.WHITE, params), (p, x, r)).value
+        closed = qfi_two_white_closed(params, x, p, r).value
+        scale = np.maximum(np.maximum(np.abs(closed), np.abs(engine)), 1e-9)
+        assert (np.abs(closed - engine) / scale).max() <= 1e-10
 
     def test_matches_spectral_engine(self, rng):
         worst = 0.0

@@ -83,8 +83,14 @@ class TestParseSpec:
             )
 
     def test_unknown_flag(self):
-        with pytest.raises(ParseError, match="unknown flag"):
+        with pytest.raises(ParseError, match="unknown flag --chanel"):
             parse_spec("--chanel white".split())
+        with pytest.raises(ParseError, match="unknown flag --chanel"):
+            parse_spec({"chanel": "white"})
+
+    def test_mapping_gives_what_its_tokens_give(self):
+        tokens = "--channel white --vary p --range 0:1:0.01 --x 0.2 --r 0,0.5 --quantity qfi-p".split()
+        assert parse_spec({k[2:]: v for k, v in zip(tokens[::2], tokens[1::2])}) == parse_spec(tokens)
 
     def test_missing_required(self):
         with pytest.raises(ParseError, match="--p is required"):
