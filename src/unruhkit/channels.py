@@ -42,6 +42,13 @@ RINDLER_R_MAX = math.pi / 4
 
 # Basis order |00>, |01>, |10>, |11> everywhere in this package.
 KET_00, KET_01, KET_10, KET_11 = 0, 1, 2, 3
+# Cells per state stack: per block of each of ``verify``'s three grid passes,
+# and per call of a sweep.  A pass takes about blocks x F + cells x c, F
+# (some 30 library calls) being about 1 ms per cube block and 0.5 ms per
+# interior block and channel; peak memory is about 3 KB per cell of the
+# largest blocks of two passes at once (the cube pass runs beside the
+# others), 47 MB at grid 21.  4096 runs grid 11 in 4 blocks and grid 21 in 10.
+BLOCK_CELLS = 4096
 
 
 class Channel(str, Enum):

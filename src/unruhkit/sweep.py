@@ -9,7 +9,7 @@ data behind each published figure panel.
 Each method of a sweep is one evaluator call over all of its series: the
 series are stacked into ``(series, rows)`` arrays and the result is split
 back into columns.  A call holds as many whole series as fit in
-``verify.BLOCK_CELLS`` (4096) cells, and at least one, so a long grid keeps
+``channels.BLOCK_CELLS`` (4096) cells, and at least one, so a long grid keeps
 one series per call; the budget spreads each call's fixed cost over many
 cells and bounds memory (``verify`` peaks near 47 MB at grid 21).  A single
 series is a plain ``(rows,)`` call with float parameters.  Every cell equals
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import verify
+from . import channels
 from .version import __version__ as _version
 from .channels import (
     CHANNEL_PARAMS,
@@ -60,7 +60,7 @@ MAX_GRID_ROWS = 1_000_000
 # physical bound pi/4; sweeps accept values up to that ceiling and flag them.
 R_CAPTION_MAX = 0.8
 
-_CANONICAL_PARAM_ORDER = ("x", "p", "q", "r")
+_CANONICAL_PARAM_ORDER = CHANNEL_PARAMS[Channel.WHITE_COLOR]
 
 
 class Quantity(str, Enum):
@@ -151,17 +151,18 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [min(start + i * step, stop) for i in range(_row_count(start, stop, step))]
 
 
+# Each flag's value form; a choice flag's lists its enum's values.
 _FLAG_GRAMMAR = {
-    "channel": "white|color|whitecolor",
+    "channel": "|".join(Channel),
     "vary": "p|q|x|r",
     "range": "start:stop:step",
     "x": "scalar or comma-list",
     "p": "scalar or comma-list",
     "q": "scalar or comma-list",
     "r": "scalar or comma-list",
-    "quantity": "concurrence|qfi-p|qfi-q|qfi-x|qfi-r",
-    "method": "numeric|closed|both",
-    "qfi-form": "single|two",
+    "quantity": "|".join(Quantity),
+    "method": "|".join(Method),
+    "qfi-form": "|".join(QfiForm),
 }
 
 
@@ -206,9 +207,9 @@ def _config_to_mapping(text: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_choice(flags: dict[str, str], name: str, kind, default: Optional[str] = None):
-    """The member of the enum ``kind`` that flag ``name`` (or ``default``) names."""
-    token = flags.get(name, default)
+def _parse_choice(flags: dict[str, str], name: str, kind):
+    """The member of the enum ``kind`` that flag ``name`` names."""
+    token = flags[name]
     try:
         return kind(token)
     except ValueError as exc:
@@ -216,7 +217,8 @@ def _parse_choice(flags: dict[str, str], name: str, kind, default: Optional[str]
 
 
 def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[str] = None) -> SweepSpec:
-    """Build a validated SweepSpec from sweep flags and an optional config.
+    """Read sweep flags and an optional config into a SweepSpec, which
+    validates itself; a flag not given takes the SweepSpec default.
 
     ``argv`` is the --name value tokens, or the {name: value} mapping
     ``_tokens_to_mapping`` has already read from them (the CLI walks its
@@ -243,43 +245,22 @@ def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[st
 
     channel = _parse_choice(flags, "channel", Channel)
     quantity = _parse_choice(flags, "quantity", Quantity)
-    method = _parse_choice(flags, "method", Method, default="both")
-    qfi_form = _parse_choice(flags, "qfi-form", QfiForm, default="two")
-
-    vary = flags["vary"]
-    params = CHANNEL_PARAMS[channel]
-    if vary not in params:
-        raise ParseError(f"--vary: {vary!r} is not a {channel.value}-channel parameter {params}")
+    choices = {}
+    if "method" in flags:
+        choices["method"] = _parse_choice(flags, "method", Method)
+    if "qfi-form" in flags:
+        choices["qfi_form"] = _parse_choice(flags, "qfi-form", QfiForm)
 
     range_parts = flags["range"].split(":")
     if len(range_parts) != 3:
         raise ParseError(f"--range: expected {_FLAG_GRAMMAR['range']}, got {flags['range']!r}")
     start, stop, step = (_convert(float, "range", part) for part in range_parts)
 
-    fixed: dict[str, tuple[float, ...]] = {}
+    fixed = {}
     for name in _CANONICAL_PARAM_ORDER:
-        if name not in flags:
-            continue
-        if name == vary:
-            raise ParseError(f"--{name}: parameter is being varied, do not also fix it")
-        if name not in params:
-            raise ParseError(f"--{name}: not a {channel.value}-channel parameter")
-        fixed[name] = tuple(_convert(float, name, part) for part in flags[name].split(","))
-    for name in params:
-        if name != vary and name not in fixed:
-            raise ParseError(f"--{name} is required for the {channel.value} channel")
-
-    return SweepSpec(
-        channel=channel,
-        vary=vary,
-        start=start,
-        stop=stop,
-        step=step,
-        fixed=fixed,
-        quantity=quantity,
-        method=method,
-        qfi_form=qfi_form,
-    )
+        if name in flags:
+            fixed[name] = tuple(_convert(float, name, part) for part in flags[name].split(","))
+    return SweepSpec(channel, flags["vary"], start, stop, step, fixed, quantity, **choices)
 
 
 def _range_text(spec: SweepSpec) -> str:
@@ -293,9 +274,24 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ParseError(f"--range: start must be below stop, got {_range_text(spec)}")
     if not spec.step > 0.0:
         raise ParseError(f"--range: step must be positive, got {_range_text(spec)}")
+    # The parameter set: the varied one and every other one of the channel
+    # fixed, each to at least one value, and nothing else.
+    params = CHANNEL_PARAMS[spec.channel]
+    if spec.vary not in params:
+        raise ParseError(f"--vary: {spec.vary!r} is not a {spec.channel.value}-channel parameter {params}")
+    for name, group in spec.fixed.items():
+        if name == spec.vary:
+            raise ParseError(f"--{name}: parameter is being varied, do not also fix it")
+        if name not in params:
+            raise ParseError(f"--{name}: not a {spec.channel.value}-channel parameter")
+        if not group:
+            raise ParseError(f"--{name}: missing value ({_FLAG_GRAMMAR[name]})")
+    for name in params:
+        if name != spec.vary and name not in spec.fixed:
+            raise ParseError(f"--{name} is required for the {spec.channel.value} channel")
     estimated = spec.quantity.estimated_param
     if estimated is not None:
-        if estimated not in CHANNEL_PARAMS[spec.channel]:
+        if estimated not in params:
             raise ParseError(
                 f"--quantity: {spec.quantity.value} needs parameter {estimated!r}, "
                 f"absent from the {spec.channel.value} channel"
@@ -315,7 +311,7 @@ def validate_spec(spec: SweepSpec) -> None:
     highest = {name: max(group, key=lambda v: (v != v, v)) for name, group in values.items()}
     try:
         for point in (lowest, highest):
-            ModelParams(**{"x": 0.0, **point}, channel=spec.channel).validate(spec.r_limit)
+            ModelParams(**point, channel=spec.channel).validate(spec.r_limit)
     except DomainError as exc:
         raise ParseError(f"sweep values leave the model's domain: {exc}") from exc
     rows = _row_count(spec.start, spec.stop, spec.step)
@@ -330,11 +326,11 @@ def validate_spec(spec: SweepSpec) -> None:
 _R_SERIES = (0.0, 0.5, 0.8)
 _X_SERIES = (0.2, 0.4, 1.0 / math.sqrt(2.0))
 _UNIT_RANGE = (0.0, 1.0, 0.01)
-_R_RANGE = (0.0, math.pi / 4.0, math.pi / 400.0)
+_R_RANGE = (0.0, RINDLER_R_MAX, RINDLER_R_MAX / 100)
 
 _R_SERIES_NOTE = (
-    "r=0.8 exceeds the physical bound pi/4~0.7853982; the caption value is kept "
-    "so the printed curves can be reproduced"
+    f"r={R_CAPTION_MAX:g} exceeds the physical bound pi/4~{RINDLER_R_MAX:.7f}; "
+    "the caption value is kept so the printed curves can be reproduced"
 )
 _Q_RANGE_NOTE = "q range restricted to [0, 1-p] so the combined strengths stay physical"
 
@@ -342,20 +338,8 @@ _Q_RANGE_NOTE = "q range restricted to [0, 1-p] so the combined strengths stay p
 def _preset_table() -> dict[str, SweepSpec]:
     presets: dict[str, SweepSpec] = {}
 
-    def add(name, channel, vary, rng, fixed, quantity, method=Method.BOTH, qfi_form=QfiForm.TWO, notes=()):
-        presets[name] = SweepSpec(
-            channel=channel,
-            vary=vary,
-            start=rng[0],
-            stop=rng[1],
-            step=rng[2],
-            fixed=fixed,
-            quantity=quantity,
-            method=method,
-            qfi_form=qfi_form,
-            label=name,
-            notes=notes,
-        )
+    def add(name, channel, vary, rng, fixed, quantity, **options):
+        presets[name] = SweepSpec(channel, vary, *rng, fixed, quantity, label=name, **options)
 
     conc = Quantity.CONCURRENCE
     for suffix, x in zip("abc", _X_SERIES):
@@ -381,9 +365,9 @@ def _preset_table() -> dict[str, SweepSpec]:
         add(f"fig8{suffix}", Channel.WHITE, "p", _UNIT_RANGE, {"x": (0.2,), "r": _R_SERIES}, Quantity.QFI_P, qfi_form=form)
         add(f"fig9{suffix}", Channel.WHITE, "x", _UNIT_RANGE, {"p": (0.2,), "r": _R_SERIES}, Quantity.QFI_X, qfi_form=form)
         add(f"fig10{suffix}", Channel.WHITE, "r", _R_RANGE, {"p": (0.2,), "x": _X_SERIES}, Quantity.QFI_R, qfi_form=form)
-    add("fig11a", Channel.COLOR, "q", _UNIT_RANGE, {"x": (0.2,), "r": _R_SERIES}, Quantity.QFI_Q, Method.NUMERIC)
-    add("fig11b", Channel.COLOR, "x", _UNIT_RANGE, {"q": (0.2,), "r": _R_SERIES}, Quantity.QFI_X, Method.NUMERIC)
-    add("fig11c", Channel.COLOR, "r", _R_RANGE, {"q": (0.2,), "x": _X_SERIES}, Quantity.QFI_R, Method.NUMERIC)
+    add("fig11a", Channel.COLOR, "q", _UNIT_RANGE, {"x": (0.2,), "r": _R_SERIES}, Quantity.QFI_Q, method=Method.NUMERIC)
+    add("fig11b", Channel.COLOR, "x", _UNIT_RANGE, {"q": (0.2,), "r": _R_SERIES}, Quantity.QFI_X, method=Method.NUMERIC)
+    add("fig11c", Channel.COLOR, "r", _R_RANGE, {"q": (0.2,), "x": _X_SERIES}, Quantity.QFI_R, method=Method.NUMERIC)
     return presets
 
 
@@ -454,7 +438,7 @@ def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarr
 
 
 def _series_blocks(spec: SweepSpec, combos: list[dict[str, float]], values: list[float]):
-    """The series in calls of at most ``verify.BLOCK_CELLS`` cells, and at
+    """The series in calls of at most ``channels.BLOCK_CELLS`` cells, and at
     least one series each, as (first series, number of series, point).
 
     One series is the point of its floats with the grid as a ``(rows,)``
@@ -464,7 +448,7 @@ def _series_blocks(spec: SweepSpec, combos: list[dict[str, float]], values: list
     """
     grid = np.array(values)
     series_params = [name for name, group in spec.fixed.items() if len(group) > 1]
-    step = max(1, verify.BLOCK_CELLS // len(values))
+    step = max(1, channels.BLOCK_CELLS // len(values))
     for first in range(0, len(combos), step):
         block = combos[first : first + step]
         if len(block) == 1:

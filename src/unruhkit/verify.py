@@ -28,9 +28,9 @@ the calling thread; numpy releases the interpreter lock in its LAPACK and
 ufunc loops, so the passes overlap on two cores.
 
 Each call takes every estimated parameter at once.  A block holds at most
-``BLOCK_CELLS`` (4096) cells, or one x value's where that is more: the
-budget spreads each block's fixed cost of library calls over many cells and
-keeps memory flat in n (about 47 MB at peak at grid 21), where one pass
+``channels.BLOCK_CELLS`` (4096) cells, or one x value's where that is more:
+the budget spreads each block's fixed cost of library calls over many cells
+and keeps memory flat in n (about 47 MB at peak at grid 21), where one pass
 over the whole grid would grow it as n^3.  Grids past ``GRID_N_MAX`` (64),
 whose cube blocks would outgrow the budget, are refused.  Sweeps share the
 budget.
@@ -50,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import channels
 from .channels import (
     Channel,
     ModelParams,
@@ -82,16 +83,9 @@ SINGULAR_MARGIN = 1e-6
 STATE_TOL = 1e-12
 QFI_REL_TOL = 1e-6
 DPI_SLACK = 1e-6
-# Cells per block of each of the three grid passes, and per call of a sweep
-# (``sweep`` reads it here).  A pass takes about blocks x F + cells x c, F
-# (some 30 library calls) being about 1 ms per cube block and 0.5 ms per
-# interior block and channel; peak memory is about 3 KB per cell of the
-# largest blocks of two passes at once (the cube pass runs beside the
-# others), 47 MB at grid 21.  4096 runs grid 11 in 4 blocks and grid 21 in 10.
-BLOCK_CELLS = 4096
-# The largest grid whose cube blocks keep to the budget: past it every block
-# is one x value's n^2 cells, and memory grows as n^2.
-GRID_N_MAX = math.isqrt(BLOCK_CELLS)
+# The largest grid whose cube blocks keep to ``channels.BLOCK_CELLS``: past
+# it every block is one x value's n^2 cells, and memory grows as n^2.
+GRID_N_MAX = math.isqrt(channels.BLOCK_CELLS)
 # The white channel's estimated parameters, in the order of each cell's residuals.
 WHITE_QFI_PARAMS = ("p", "x", "r")
 
@@ -179,8 +173,8 @@ def _r_grid(n: int) -> np.ndarray:
 
 def _blocks(xs: np.ndarray, *axes: np.ndarray):
     """The grid xs by ``axes``, x-major, as ``meshgrid`` arrays of blocks of
-    consecutive x values, each of at most ``BLOCK_CELLS`` cells or one x."""
-    step = max(1, BLOCK_CELLS // math.prod(map(len, axes)))
+    consecutive x values, each of at most ``channels.BLOCK_CELLS`` cells or one x."""
+    step = max(1, channels.BLOCK_CELLS // math.prod(map(len, axes)))
     for start in range(0, len(xs), step):
         yield np.meshgrid(xs[start : start + step], *axes, indexing="ij")
 

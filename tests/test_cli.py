@@ -85,6 +85,12 @@ class TestSweepCommand:
         assert rc == 1
         assert "start must be below stop" in capsys.readouterr().err
 
+    def test_unreadable_value_is_reported_before_a_broken_rule(self, capsys):
+        # --p is both fixed while varied and not a float: the value that does
+        # not read is the one reported.
+        assert main(["sweep", *SWEEP_FLAGS, "--p", "zz"]) == 1
+        assert capsys.readouterr().err == "unruhkit: --p: expected float, got 'zz'\n"
+
     def test_flags_before_and_after_out_write_the_same_csv(self, tmp_path):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         assert main(["sweep", *SWEEP_FLAGS[:6], "--out", str(first), *SWEEP_FLAGS[6:]]) == 0

@@ -5,7 +5,7 @@ The figure presets and the benchmark's seeded ``sweep-small`` pools (seeds
 each evaluator that ``sweep`` calls wrapped, so the shape of the block each
 call gets is recorded.  A single series is one ``(rows,)`` call per method;
 several series are ``(series, rows)`` calls of as many whole series as fit in
-``verify.BLOCK_CELLS`` cells.  No call may get a 0-d value or a part of a
+``channels.BLOCK_CELLS`` cells.  No call may get a 0-d value or a part of a
 column, no cell error may escape, and each empty cell is counted under the
 reason its NaN names.  Each column of a stacked call equals, bit for bit, the
 column of its own single-series spec.
@@ -27,7 +27,7 @@ import pytest
 
 from unruhkit import Channel, parse_spec, run_sweep
 from unruhkit import sweep as sweep_module
-from unruhkit import verify as verify_module
+from unruhkit import channels as channels_module
 from unruhkit.sweep import FIGURE_PRESETS, Method, QfiForm, Quantity, SweepSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,7 +74,7 @@ def column_shapes(monkeypatch) -> list:
 def _call_shapes(series: int, rows: int, methods: int) -> list:
     """The block shapes ``run_sweep`` calls each evaluator with: per method,
     one call per block of as many whole series as fit in the budget."""
-    per_call = max(1, verify_module.BLOCK_CELLS // rows)
+    per_call = max(1, channels_module.BLOCK_CELLS // rows)
     shapes = []
     for first in range(0, series, per_call):
         count = min(per_call, series - first)
@@ -212,7 +212,7 @@ def test_budget_does_not_change_the_table(monkeypatch, column_shapes, budget):
     # the default's tables; the call count follows the budget.
     specs = [FIGURE_PRESETS["fig1a"], FIGURE_PRESETS["fig9b"], *_multi_series_specs(19, 12)]
     default = [run_sweep(spec) for spec in specs]
-    monkeypatch.setattr(verify_module, "BLOCK_CELLS", budget)
+    monkeypatch.setattr(channels_module, "BLOCK_CELLS", budget)
     for spec, want in zip(specs, default):
         table = _run(spec, column_shapes)
         assert table == want and _bits(table) == _bits(want), spec
@@ -225,7 +225,7 @@ def test_budget_does_not_change_the_table(monkeypatch, column_shapes, budget):
 def test_series_past_the_budget_are_split(column_shapes):
     # 10 series of 1,001 rows hold 10,010 cells: calls of four series (4,004
     # cells), as 5 would pass 4,096.  Rows past the budget give one series per call.
-    assert verify_module.BLOCK_CELLS == 4096
+    assert channels_module.BLOCK_CELLS == 4096
     fixed = {"x": tuple(0.05 * k for k in range(1, 11)), "r": (0.3,)}
     for step, want in ((0.001, [(4, 1001)] * 2 + [(2, 1001)]), (1.0 / 4199, [(4200,)] * 10)):
         spec = SweepSpec(
@@ -241,4 +241,4 @@ def test_series_past_the_budget_are_split(column_shapes):
         table = _run(spec, column_shapes)
         assert column_shapes == want
         rows = len(table.rows)
-        assert max(map(math.prod, column_shapes)) <= max(rows, verify_module.BLOCK_CELLS)
+        assert max(map(math.prod, column_shapes)) <= max(rows, channels_module.BLOCK_CELLS)

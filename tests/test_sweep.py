@@ -221,6 +221,70 @@ class TestParseSpec:
             parse_spec([], config_text="wat = 1")
 
 
+# A valid white-channel spec, as SweepSpec fields and as sweep flags.
+SPEC_FIELDS = dict(
+    channel=Channel.WHITE,
+    vary="p",
+    start=0.0,
+    stop=1.0,
+    step=0.5,
+    fixed={"x": (0.3,), "r": (0.0,)},
+    quantity=Quantity.CONCURRENCE,
+)
+SPEC_FLAGS = "--channel white --vary p --range 0:1:0.5 --x 0.3 --r 0 --quantity concurrence"
+
+
+class TestParameterSetRules:
+    """A spec built in code keeps the rules of the parameter set that the
+    sweep flags keep, with the message the CLI prints for the same mistake."""
+
+    @pytest.mark.parametrize(
+        "fields, flags, message",
+        [
+            (
+                {"vary": "q"},
+                SPEC_FLAGS.replace("--vary p", "--vary q"),
+                "--vary: 'q' is not a white-channel parameter ('x', 'p', 'r')",
+            ),
+            (
+                {"fixed": {"x": (0.3,)}},
+                SPEC_FLAGS.replace(" --r 0", ""),
+                "--r is required for the white channel",
+            ),
+            (
+                {"fixed": {"x": (0.3,)}, "quantity": Quantity.QFI_P},
+                SPEC_FLAGS.replace(" --r 0", "").replace("concurrence", "qfi-p"),
+                "--r is required for the white channel",
+            ),
+            (
+                {"fixed": {"x": (0.3,), "p": (0.5,), "r": (0.0,)}},
+                SPEC_FLAGS + " --p 0.5",
+                "--p: parameter is being varied, do not also fix it",
+            ),
+            (
+                {"fixed": {"x": (0.3,), "q": (0.5,), "r": (0.0,)}},
+                SPEC_FLAGS + " --q 0.5",
+                "--q: not a white-channel parameter",
+            ),
+            (
+                {"fixed": {"x": (), "r": (0.0,)}},
+                SPEC_FLAGS.replace(" --x 0.3", "") + " --x",
+                "--x: missing value (scalar or comma-list)",
+            ),
+        ],
+        ids=["vary-foreign", "r-missing", "r-missing-qfi", "varied-fixed", "fixed-foreign", "empty-values"],
+    )
+    def test_spec_built_in_code_breaks_the_rule_as_the_cli_does(self, fields, flags, message, capsys):
+        assert main(["sweep", *flags.split()]) == 1
+        assert capsys.readouterr().err == f"unruhkit: {message}\n"
+        with pytest.raises(ParseError) as direct:
+            SweepSpec(**{**SPEC_FIELDS, **fields})
+        assert str(direct.value) == message
+        with pytest.raises(ParseError) as replaced:
+            dataclasses.replace(FIGURE_PRESETS["fig1a"], **fields)
+        assert str(replaced.value) == message
+
+
 class TestFigurePresets:
     def test_caption_table(self):
         # Literal table of caption parameters, kept independent of the

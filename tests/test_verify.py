@@ -26,6 +26,7 @@ from unruhkit import (
     state_family,
     unruh_second_qubit,
 )
+from unruhkit import channels as channels_module
 from unruhkit import verify as verify_module
 from unruhkit.cli import main
 from unruhkit.qlinalg import hermitian_defect
@@ -114,7 +115,7 @@ def test_block_size_does_not_change_the_report(monkeypatch, block_cells):
     # and the whole grid in one block give the default's report: blocks keep
     # x-major order.
     default = run_verification(grid_n=11).render()
-    monkeypatch.setattr(verify_module, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(channels_module, "BLOCK_CELLS", block_cells)
     assert run_verification(grid_n=11).render() == default
 
 
@@ -410,8 +411,8 @@ def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
         monkeypatch.setattr(verify_module, name, counted(name))
     n = 21
     run_verification(grid_n=n)
-    cube_blocks = math.ceil(n / (verify_module.BLOCK_CELLS // n**2))
-    interior_blocks = math.ceil((n - 2) / (verify_module.BLOCK_CELLS // ((n - 2) * n)))
+    cube_blocks = math.ceil(n / (channels_module.BLOCK_CELLS // n**2))
+    interior_blocks = math.ceil((n - 2) / (channels_module.BLOCK_CELLS // ((n - 2) * n)))
     assert (cube_blocks, interior_blocks) == (3, 2)
     assert calls == {
         "accelerated_white": cube_blocks + 1,
