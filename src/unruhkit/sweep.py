@@ -7,18 +7,20 @@ parameter, numerically and/or from the closed forms.  Presets regenerate the
 data behind each published figure panel.
 
 Each method of a sweep is one evaluator call over all of its series: the
-series are stacked into ``(series, rows)`` arrays and the result is split
-back into columns.  A call holds as many whole series as fit in
-``channels.BLOCK_CELLS`` (4096) cells, and at least one, so a long grid keeps
-one series per call; the budget spreads each call's fixed cost over many
-cells and bounds memory (``verify`` peaks near 47 MB at grid 21).  A single
-series is a plain ``(rows,)`` call with float parameters.  Every cell equals
-its single-series call bit for bit.
+varied grid is one ``(rows,)`` array that broadcasts against a ``(series, 1)``
+column per parameter with several values (one value stays a float), so no
+copy is made per series.  A call holds as many whole series as fit in
+``channels.BLOCK_CELLS`` (4096) cells, and at least one; the budget spreads
+each call's fixed cost over many cells and bounds memory (``verify`` peaks
+near 47 MB at grid 21).  A spec with one series is a ``(rows,)`` call with
+float parameters; one with several is always a ``(count, rows)`` call, even
+at one series per call.  Every cell equals its single-series call bit for bit.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import math
 import os
@@ -27,6 +29,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,8 +62,6 @@ MAX_GRID_ROWS = 1_000_000
 # Published figures draw acceleration series up to r=0.8, slightly past the
 # physical bound pi/4; sweeps accept values up to that ceiling and flag them.
 R_CAPTION_MAX = 0.8
-
-_CANONICAL_PARAM_ORDER = CHANNEL_PARAMS[Channel.WHITE_COLOR]
 
 
 class Quantity(str, Enum):
@@ -99,7 +100,9 @@ class SweepSpec:
     """A validated grid job: what to vary, what to hold, what to compute.
 
     A spec is valid by construction: ``validate_spec`` runs when it is built
-    (``dataclasses.replace`` included) and raises ``ParseError``.
+    (``dataclasses.replace`` included) and raises ``ParseError``.  Once valid,
+    ``start``, ``stop``, ``step`` and every fixed value are floats, and
+    ``fixed`` is read-only, in the channel's parameter order.
     """
 
     channel: Channel
@@ -107,7 +110,7 @@ class SweepSpec:
     start: float
     stop: float
     step: float
-    fixed: dict[str, tuple[float, ...]]
+    fixed: Mapping[str, tuple[float, ...]]
     quantity: Quantity
     method: Method = Method.BOTH
     qfi_form: QfiForm = QfiForm.TWO
@@ -116,6 +119,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         validate_spec(self)
+        fixed = {k: tuple(map(float, self.fixed[k])) for k in CHANNEL_PARAMS[self.channel] if k in self.fixed}
+        object.__setattr__(self, "fixed", MappingProxyType(fixed))
+        for name in ("start", "stop", "step"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: the spec is rebuilt from its fields.
+        return functools.partial(SweepSpec, **{**vars(self), "fixed": dict(self.fixed)}), ()
 
     @property
     def r_limit(self) -> float:
@@ -257,7 +268,7 @@ def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[st
     start, stop, step = (_convert(float, "range", part) for part in range_parts)
 
     fixed = {}
-    for name in _CANONICAL_PARAM_ORDER:
+    for name in CHANNEL_PARAMS[Channel.WHITE_COLOR]:
         if name in flags:
             fixed[name] = tuple(_convert(float, name, part) for part in flags[name].split(","))
     return SweepSpec(channel, flags["vary"], start, stop, step, fixed, quantity, **choices)
@@ -302,8 +313,8 @@ def validate_spec(spec: SweepSpec) -> None:
             )
     # Acceleration values up to the published-figure ceiling 0.8 are
     # accepted; anything past pi/4 is flagged in the provenance.
-    if spec.r_limit > R_CAPTION_MAX + 1e-12:
-        raise ParseError(f"--r: value {spec.r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
+    if (r_limit := spec.r_limit) > R_CAPTION_MAX + 1e-12:
+        raise ParseError(f"--r: value {r_limit:g} outside [0, {R_CAPTION_MAX:g}]")
     # The model's own domain rule decides, at the lowest and at the highest
     # value of every parameter; the keys rank NaN as both, so it is refused.
     values = {**spec.fixed, spec.vary: (spec.start, spec.stop)}
@@ -311,7 +322,7 @@ def validate_spec(spec: SweepSpec) -> None:
     highest = {name: max(group, key=lambda v: (v != v, v)) for name, group in values.items()}
     try:
         for point in (lowest, highest):
-            ModelParams(**point, channel=spec.channel).validate(spec.r_limit)
+            ModelParams(**point, channel=spec.channel).validate(r_limit)
     except DomainError as exc:
         raise ParseError(f"sweep values leave the model's domain: {exc}") from exc
     rows = _row_count(spec.start, spec.stop, spec.step)
@@ -387,14 +398,6 @@ def figure_preset(name: str) -> SweepSpec:
 # Running sweeps
 # ---------------------------------------------------------------------------
 
-def _series_combos(spec: SweepSpec) -> list[dict[str, float]]:
-    names = [name for name in _CANONICAL_PARAM_ORDER if name in spec.fixed]
-    return [
-        dict(zip(names, values))
-        for values in itertools.product(*(spec.fixed[name] for name in names))
-    ]
-
-
 def _label_format(values: Sequence[float]):
     """How a series label prints a parameter with these values: ``:g``, unless
     two distinct values print alike that way; then the shortest round-trip
@@ -412,10 +415,10 @@ def _echo_value(value: float) -> str:
 
 
 def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarray, Optional[str]]:
-    """The cells of one block of ``_series_blocks``, whose varied parameter is
-    an array in ``point``, and the QFI form whose ``NAN_ERRORS`` entry names
-    the reason of its NaN cells (None for concurrence, whose forms raise,
-    never NaN)."""
+    """The cells of one call over ``point`` (the ``(rows,)`` grid, floats and
+    ``(series, 1)`` columns), and the QFI form whose ``NAN_ERRORS`` entry
+    names the reason of its NaN cells (None for concurrence, whose forms
+    raise, never NaN)."""
     if spec.quantity is Quantity.CONCURRENCE:
         params = ModelParams(channel=spec.channel, **point)
         if variant == "numeric":
@@ -424,8 +427,8 @@ def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarr
 
     estimated = spec.quantity.estimated_param
     if variant == "numeric":
-        # The engines need theta in the shape of the column.
-        theta = np.broadcast_to(point[estimated], np.shape(point[spec.vary]))
+        # The engines need theta in the shape of the cells.
+        theta = np.broadcast_to(point[estimated], np.broadcast(*point.values()).shape)
         others = {k: v for k, v in point.items() if k != estimated}
         reduced = spec.qfi_form is QfiForm.SINGLE
         engine = qfi_single_bloch if reduced else qfi_two_qubit_spectral_retry
@@ -437,33 +440,9 @@ def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarr
     return result.value, result.form
 
 
-def _series_blocks(spec: SweepSpec, combos: list[dict[str, float]], values: list[float]):
-    """The series in calls of at most ``channels.BLOCK_CELLS`` cells, and at
-    least one series each, as (first series, number of series, point).
-
-    One series is the point of its floats with the grid as a ``(rows,)``
-    array.  Several are ``(series, rows)`` arrays: the grid repeated per
-    series, and each parameter with several values a ``(series, 1)`` column
-    of them; a parameter with one value stays a float.
-    """
-    grid = np.array(values)
-    series_params = [name for name, group in spec.fixed.items() if len(group) > 1]
-    step = max(1, channels.BLOCK_CELLS // len(values))
-    for first in range(0, len(combos), step):
-        block = combos[first : first + step]
-        if len(block) == 1:
-            point = {**block[0], spec.vary: grid}
-        else:
-            stacked = {name: np.array([combo[name] for combo in block])[:, None] for name in series_params}
-            point = {**block[0], **stacked, spec.vary: np.tile(grid, (len(block), 1))}
-        yield first, len(block), point
-
-
-def _evaluate_block(
-    spec: SweepSpec, point: dict, count: int, variant: str, warnings: dict[str, int]
-) -> list[list[Optional[float]]]:
-    """The ``count`` output columns of one call over ``point``, a block of
-    ``_series_blocks``; every cell equals its float call bit for bit.
+def _evaluate_block(spec: SweepSpec, point: dict, variant: str, warnings: dict[str, int]) -> list[list[Optional[float]]]:
+    """The output columns of one call over ``point``, one per series; every
+    cell equals its float call bit for bit.
 
     A NaN cell (a closed form's singular cell, an engine's cell whose complex
     step reaches a branch point) comes back as None, counted in ``warnings``
@@ -471,7 +450,7 @@ def _evaluate_block(
     column's form.  An exception the call raises propagates.
     """
     block, form = _column_values(spec, point, variant)
-    block = np.reshape(block, (count, -1))
+    block = np.atleast_2d(block)  # a (rows,) call is one series
     nan = np.isnan(block)
     empty = int(np.count_nonzero(nan))
     cells = block.astype(object)  # Python floats, bit for bit
@@ -490,11 +469,7 @@ def _quantity_base(spec: SweepSpec) -> str:
 
 def _spec_echo(spec: SweepSpec) -> str:
     """The spec as sweep flags that parse back to it."""
-    fixed = " ".join(
-        f"{name}={','.join(map(_echo_value, spec.fixed[name]))}"
-        for name in _CANONICAL_PARAM_ORDER
-        if name in spec.fixed
-    )
+    fixed = " ".join(f"{name}={','.join(map(_echo_value, group))}" for name, group in spec.fixed.items())
     grid = ":".join(map(_echo_value, (spec.start, spec.stop, spec.step)))
     return (
         f"spec: channel={spec.channel.value} vary={spec.vary} "
@@ -508,16 +483,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep grid, one call per method and block of series;
     singular cells come back as None.  Columns run series-major, then method."""
     values = grid_values(spec.start, spec.stop, spec.step)
-    combos = _series_combos(spec)
     base = _quantity_base(spec)
     variants = spec.method.variants
-    formats = {
-        name: _label_format(spec.fixed[name]) for name in combos[0] if len(spec.fixed[name]) > 1
-    }
+    names = tuple(spec.fixed)
+    # The series: every combination of the fixed values, and each parameter
+    # with several values as a (series, 1) column of that product.
+    combos = list(itertools.product(*spec.fixed.values()))
+    product = np.array(combos)
+    formats = {j: _label_format(group) for j, group in enumerate(spec.fixed.values()) if len(group) > 1}
+    floats = {name: group[0] for name, group in spec.fixed.items() if len(group) == 1}
 
     columns = [spec.vary]
     for combo in combos:
-        label = "|".join(f"{name}={fmt(combo[name])}" for name, fmt in formats.items())
+        label = "|".join(f"{names[j]}={fmt(combo[j])}" for j, fmt in formats.items())
         columns.extend(
             f"{base}[{label}]:{variant}" if label else f"{base}:{variant}" for variant in variants
         )
@@ -526,10 +504,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     # Cells by column: a block's columns are every len(variants)-th from its
     # first series' column of that variant.
     cells: list = [None] * (len(combos) * len(variants))
-    for first, count, point in _series_blocks(spec, combos, values):
+    step = max(1, channels.BLOCK_CELLS // len(values))
+    grid = np.array(values)
+    for first in range(0, len(combos), step):
+        stacked = {names[j]: product[first : first + step, j, None] for j in formats}
+        point = {**floats, **stacked, spec.vary: grid}
         for v, variant in enumerate(variants):
-            block = _evaluate_block(spec, point, count, variant, warnings)
-            cells[first * len(variants) + v : (first + count) * len(variants) : len(variants)] = block
+            block = _evaluate_block(spec, point, variant, warnings)
+            cells[first * len(variants) + v : (first + len(block)) * len(variants) : len(variants)] = block
     rows = [list(row) for row in zip(values, *cells)]
 
     provenance = [f"tool: unruhkit {_version}"]

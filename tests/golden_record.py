@@ -1,9 +1,11 @@
 """The golden record of unruhkit's outputs, and the script that rewrites it.
 
 ``tests/golden/`` holds, per figure preset, its provenance lines (without the
-``generated:`` timestamp) and its ``render_csv_body``, and ``unruhkit
-verify``'s stdout and exit code at grids 5, 11 and 21.  ``test_golden.py``
-compares today's outputs with the record exactly.
+``generated:`` timestamp) and its ``render_csv_body``; the same, in one file,
+for the first specs of the benchmark's ``sweep-small`` pool of seed 3199,
+enough to reach every kind of spec in that pool, each a single series; and
+``unruhkit verify``'s stdout and exit code at grids 5, 11 and 21.
+``test_golden.py`` compares today's outputs with the record exactly.
 
 Rewrite the record after a change that moves outputs on purpose:
 
@@ -20,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import os
+import random
 import re
 import sys
 from decimal import Decimal
@@ -29,6 +33,7 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 VERIFY_GRIDS = (5, 11, 21)
+POOL_SEED = 3199
 # Moves are taken exactly between printed decimals: a cell of 12 significant
 # digits in [0.1, 1) whose last digit flips has moved by exactly 1e-12.
 MOVE_LIMIT = Decimal("1e-12")
@@ -36,16 +41,37 @@ INFINITE = Decimal("Infinity")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _pool_sample() -> list:
+    """The first argv lists of the ``sweep-small`` pool of ``POOL_SEED`` that
+    hold every kind of spec in the pool: channel, concurrence or QFI, method
+    and QFI form (what decides the layers a spec reaches)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_golden", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    rng = random.Random(POOL_SEED)
+    pool = [workloads.generate_spec(rng) for _ in range(workloads.POOL_SIZE)]
+    kinds = [(s.channel, s.quantity == "concurrence", s.method, s.qfi_form) for s in pool]
+    wanted, seen = set(kinds), set()
+    for count, kind in enumerate(kinds, start=1):
+        seen.add(kind)
+        if seen == wanted:
+            return [small.argv[1:] for small in pool[:count]]
+
+
 def current_outputs() -> dict[str, str]:
     """File name -> the text the record holds for it, computed now."""
     from unruhkit.cli import main
-    from unruhkit.sweep import FIGURE_PRESETS, render_csv_body, run_sweep
+    from unruhkit.sweep import FIGURE_PRESETS, parse_spec, render_csv_body, run_sweep
 
-    outputs = {}
-    for name, spec in FIGURE_PRESETS.items():
+    def record(spec) -> str:
         table = run_sweep(spec)
-        head = "".join(f"# {line}\n" for line in table.provenance)
-        outputs[f"{name}.csv"] = head + render_csv_body(table)
+        return "".join(f"# {line}\n" for line in table.provenance) + render_csv_body(table)
+
+    outputs = {f"{name}.csv": record(spec) for name, spec in FIGURE_PRESETS.items()}
+    pool = "".join(record(parse_spec(argv)) for argv in _pool_sample())
+    outputs[f"sweep_small_seed{POOL_SEED}.csv"] = pool
     for grid in VERIFY_GRIDS:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

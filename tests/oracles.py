@@ -153,15 +153,44 @@ def central_difference(f, theta: float, h: float = 1e-6) -> float:
     return (f(theta + h) - f(theta - h)) / (2.0 * h)
 
 
+def _xstate_mp(cp, cq, g, x, r):
+    """The accelerated state's entries (d00, d11, d22, d33, rho12), in mpmath.
+
+    The initial mixture cp P_phi + (cq/2)(|01><01| + |10><10|) + g I/4, with
+    g = 1 - cp - cq, goes through the Kraus pair diag(cos r, 1), sin r |1><0|
+    on the second qubit; rho12 is the |01>,|10> coherence.
+    """
+    c, s = mpmath.cos(r), mpmath.sin(r)
+    g = g / 4
+    a01 = cp * (1 - x**2) + cq / 2 + g
+    a10 = cp * x**2 + cq / 2 + g
+    return c**2 * g, a01 + s**2 * g, c**2 * a10, a10 * s**2 + g, cp * x * mpmath.sqrt(1 - x**2) * c
+
+
+def oracle_concurrence_xstate_mp(channel: str, x: float, p: float = 0.0, q: float = 0.0, r: float = 0.0,
+                                 dps: int = 50) -> float:
+    """Concurrence of the accelerated state at ``dps`` digits from the X-state
+    formula C = 2 max(0, |rho12| - sqrt(rho00 rho33)) (Yu and Eberly, Quantum
+    Inf. Comput. 7, 459 (2007)) rather than from Wootters' eigenvalues.
+
+    The entries are ``_xstate_mp``'s, from the float arguments taken exactly.
+    The combined strengths and 1 - p - q are taken in doubles, as the state
+    builder takes them, so 1 - p - q is exactly 0 on the color channel and on
+    the edge q = 1.0 - p.
+    """
+    cp, cq = {"white": (p, 0.0), "color": (q, 1.0 - q), "whitecolor": (p, q)}[channel]
+    with mpmath.workdps(dps):
+        d00, _, _, d33, rho12 = _xstate_mp(*map(mpmath.mpf, (cp, cq, (1.0 - cp) - cq, x, r)))
+        return float(max(0, 2 * (abs(rho12) - mpmath.sqrt(d00 * d33))))
+
+
 def oracle_qfi_xstate_mp(channel: str, param: str, x: float, p: float = 0.0, q: float = 0.0, r: float = 0.0,
                          dps: int = 50) -> float:
     """Two-qubit QFI of the accelerated state in ``param`` at ``dps`` digits,
     from the X-state block formula rather than an eigendecomposition.
 
-    The state is built along the channel route: the initial mixture
-    p P_phi + (q/2)(|01><01| + |10><10|) + (1-p-q) I/4, then the Kraus pair
-    diag(cos r, 1), sin r |1><0| on the second qubit, with p, q the combined
-    strengths of ``channel`` (color of strength q is (q, 1 - q)).  It is
+    The state is ``_xstate_mp``'s at the combined strengths of ``channel``
+    (color of strength q is (q, 1 - q)), all in mpmath.  It is
     diag(d00, d33) plus a real 2x2 block on {|01>, |10>} of trace t and Bloch
     vector s, and the QFI is additive over the orthogonal parts (Liu et al.,
     J. Phys. A 53, 023001 (2020)):
@@ -175,13 +204,9 @@ def oracle_qfi_xstate_mp(channel: str, param: str, x: float, p: float = 0.0, q: 
         def parts(theta):
             v = {**point, param: theta}
             cp, cq = {"white": (v["p"], 0), "color": (v["q"], 1 - v["q"]), "whitecolor": (v["p"], v["q"])}[channel]
-            xx, c, s = v["x"], mpmath.cos(v["r"]), mpmath.sin(v["r"])
-            g = (1 - cp - cq) / 4
-            a01 = cp * (1 - xx**2) + cq / 2 + g
-            a10 = cp * xx**2 + cq / 2 + g
-            d11, d22 = a01 + s**2 * g, c**2 * a10
+            d00, d11, d22, d33, rho12 = _xstate_mp(cp, cq, 1 - cp - cq, v["x"], v["r"])
             t = d11 + d22
-            return c**2 * g, a10 * s**2 + g, t, 2 * cp * xx * mpmath.sqrt(1 - xx**2) * c / t, (d11 - d22) / t
+            return d00, d33, t, 2 * rho12 / t, (d11 - d22) / t
 
         values = parts(point[param])
         primes = [mpmath.diff(lambda th, k=k: parts(th)[k], point[param]) for k in range(5)]

@@ -78,7 +78,7 @@ def _call_shapes(series: int, rows: int, methods: int) -> list:
     shapes = []
     for first in range(0, series, per_call):
         count = min(per_call, series - first)
-        shapes += [(rows,) if count == 1 else (count, rows)] * methods
+        shapes += [(rows,) if series == 1 else (count, rows)] * methods
     return shapes
 
 
@@ -227,7 +227,7 @@ def test_series_past_the_budget_are_split(column_shapes):
     # cells), as 5 would pass 4,096.  Rows past the budget give one series per call.
     assert channels_module.BLOCK_CELLS == 4096
     fixed = {"x": tuple(0.05 * k for k in range(1, 11)), "r": (0.3,)}
-    for step, want in ((0.001, [(4, 1001)] * 2 + [(2, 1001)]), (1.0 / 4199, [(4200,)] * 10)):
+    for step, want in ((0.001, [(4, 1001)] * 2 + [(2, 1001)]), (1.0 / 4199, [(1, 4200)] * 10)):
         spec = SweepSpec(
             channel=Channel.WHITE,
             vary="p",

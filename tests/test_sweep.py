@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -626,3 +628,61 @@ class TestLabelsAndEcho:
                 base = sweep_module._quantity_base(spec)
                 want += [f"{base}[{multi[0]}={value:g}]:{variant}" for variant in spec.method.variants]
             assert run_sweep(spec).columns == want, name
+
+
+class TestFrozenSpec:
+    """A valid spec stays valid: ``fixed`` is read-only, in the channel's
+    parameter order, and every number is a Python float."""
+
+    NUMPY_FIELDS = dict(
+        channel=Channel.WHITE,
+        vary="p",
+        start=np.float64(0.0),
+        stop=np.int64(1),
+        step=np.float64(0.5),
+        fixed={"r": (np.float64(0.1), np.float64(0.1000000001)), "x": (np.float64(1 / 3),)},
+        quantity=Quantity.CONCURRENCE,
+    )
+
+    @pytest.mark.parametrize("name", ["x", "r", "q"])
+    def test_fixed_refuses_assignment(self, name):
+        spec = FIGURE_PRESETS["fig1a"]
+        with pytest.raises(TypeError):
+            spec.fixed[name] = ()
+        assert spec.fixed == {"x": (0.2,), "r": (0.0, 0.5, 0.8)}
+
+    def test_builder_dict_is_copied(self):
+        fields = {**self.NUMPY_FIELDS, "fixed": dict(self.NUMPY_FIELDS["fixed"])}
+        spec = SweepSpec(**fields)
+        fields["fixed"]["x"] = ()
+        assert spec.fixed["x"] == (1 / 3,)
+
+    def test_numbers_are_floats_in_parameter_order(self):
+        spec = SweepSpec(**self.NUMPY_FIELDS)
+        assert list(spec.fixed) == ["x", "r"]
+        numbers = [spec.start, spec.stop, spec.step, *(v for group in spec.fixed.values() for v in group)]
+        assert {type(v) for v in numbers} == {float}
+
+    def test_numpy_spec_prints_plain_numbers(self):
+        spec = SweepSpec(**self.NUMPY_FIELDS)
+        table = run_sweep(spec)
+        assert table.columns == [
+            "p",
+            "concurrence[r=0.1]:numeric",
+            "concurrence[r=0.1]:closed",
+            "concurrence[r=0.1000000001]:numeric",
+            "concurrence[r=0.1000000001]:closed",
+        ]
+        assert table.provenance[1] == (
+            "spec: channel=white vary=p range=0:1:0.5 x=0.3333333333333333 r=0.1,0.1000000001 "
+            "quantity=concurrence method=both qfi-form=two"
+        )
+        assert parse_spec(TestLabelsAndEcho._echo_flags(spec)) == spec
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_preset_survives_pickle_and_deepcopy(self, name):
+        spec = FIGURE_PRESETS[name]
+        for again in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert again == spec and again is not spec
+            with pytest.raises(TypeError):
+                again.fixed["x"] = ()
