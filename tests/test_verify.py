@@ -393,32 +393,149 @@ def test_check_notes_in_order():
 
 
 def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
-    # One white and one color build per block of the n^3 cube, plus the
-    # white mixing-line probe, and one two-qubit engine call per channel and
-    # block of the interior grid, which the DPI and closed-form checks share.
+    # Per block of the n^3 cube, one white and one color build, one
+    # concurrence call for both and one Bloch engine call; one concurrence
+    # call per block of the combined channel's grid; per channel and block of
+    # the interior grid, one two-qubit and one Bloch engine call, which the
+    # DPI and closed-form checks share; and the white mixing-line probe's
+    # state and concurrence.  No residual function calls an engine itself.
     calls = {}
+    lock = threading.Lock()  # the cube pass counts from its own thread
 
     def counted(name):
         fn = getattr(verify_module, name)
 
         def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            with lock:
+                calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         return call
 
-    for name in ("accelerated_white", "accelerated_color", "qfi_two_qubit_spectral_retry"):
+    names = ("accelerated_white", "accelerated_color", "concurrence", "qfi_single_bloch")
+    for name in (*names, "qfi_two_qubit_spectral_retry"):
         monkeypatch.setattr(verify_module, name, counted(name))
     n = 21
     run_verification(grid_n=n)
     cube_blocks = math.ceil(n / (channels_module.BLOCK_CELLS // n**2))
+    m = n // 2 + 1
+    p, q = np.meshgrid(np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, m), indexing="ij")
+    whitecolor_cells = np.count_nonzero(p + q <= 1.0) * m
+    whitecolor_blocks = math.ceil(m / (channels_module.BLOCK_CELLS // whitecolor_cells))
     interior_blocks = math.ceil((n - 2) / (channels_module.BLOCK_CELLS // ((n - 2) * n)))
-    assert (cube_blocks, interior_blocks) == (3, 2)
+    assert (cube_blocks, whitecolor_blocks, interior_blocks) == (3, 3, 2)
     assert calls == {
         "accelerated_white": cube_blocks + 1,
         "accelerated_color": cube_blocks,
+        "concurrence": cube_blocks + whitecolor_blocks + 1,
+        "qfi_single_bloch": cube_blocks + 2 * interior_blocks,
         "qfi_two_qubit_spectral_retry": 2 * interior_blocks,
     }
+
+
+# The points each check skips, from the skip rules as stated: the
+# single-qubit QFI within SINGULAR_MARGIN of a pure reduction, the two-qubit
+# closed form where it is NaN.  Every other check skips no point.
+SKIPPED_POINTS = {
+    "qfi-single-closed-vs-bloch-engine": lambda x, p, r: (
+        np.abs((1.0 - (1.0 - 2.0 * x * x) * p) * np.cos(r) ** 2 - 1.0) >= 1.0 - verify_module.SINGULAR_MARGIN
+    ),
+    "qfi-two-closed-vs-spectral-engine": lambda x, p, r: np.isnan(
+        qfi_two_white_closed(verify_module.WHITE_QFI_PARAMS, x, p, r).value
+    ),
+}
+
+
+def test_residual_functions_give_the_grid_residuals_at_any_of_its_points(monkeypatch):
+    # Each pass's residual functions, fed a block built from a seeded,
+    # shuffled subset of the grid's own points, give the grid pass's
+    # residual at each point bit for bit, and -inf exactly where the check
+    # skips the point: a residual depends on its point alone, not on the
+    # block's shape, order or neighbours.
+    scans = []
+    scan = verify_module._scan
+
+    def recording(checks, blocks, build):
+        blocks, outputs = list(blocks), [[] for _ in checks]
+
+        def recorded(k, residual):
+            def call(points, shared):
+                out = residual(points, shared)
+                outputs[k].append(np.asarray(out, dtype=float))
+                return out
+
+            return call
+
+        scans.append((checks, blocks, build, outputs))
+        return scan([(record, recorded(k, fn)) for k, (record, fn) in enumerate(checks)], blocks, build)
+
+    monkeypatch.setattr(verify_module, "_scan", recording)
+    # Small blocks, so that each pass's grid residuals come from several.
+    monkeypatch.setattr(channels_module, "BLOCK_CELLS", 64)
+    run_verification(grid_n=7)
+    assert len(scans) == 4  # the cube, the combined grid, the interior's two channels
+    rng = np.random.default_rng(3400)
+    skipped_somewhere = set()
+    for checks, blocks, build, outputs in scans:
+        assert len(blocks) > 1
+        cells = blocks[0][0].ndim
+        points = tuple(np.concatenate([block[a].ravel() for block in blocks]) for a in range(len(blocks[0])))
+        subset = rng.permutation(points[0].size)[: points[0].size // 2]
+        picked = tuple(axis[subset] for axis in points)
+        shared = build(*picked)
+        for (record, residual), per_block in zip(checks, outputs):
+            flat = [out.reshape(out.shape[: out.ndim - cells] + (-1,)) for out in per_block]
+            grid = np.concatenate(flat, axis=-1)
+            want = grid[..., subset]
+            got = np.asarray(residual(picked, shared), dtype=float)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), record.name
+            rule = SKIPPED_POINTS.get(record.name, lambda *point: np.zeros(point[0].shape, dtype=bool))
+            skipped = np.broadcast_to(rule(*picked), got.shape)
+            assert np.array_equal(np.isneginf(got), skipped), record.name
+            if skipped.any():
+                skipped_somewhere.add(record.name)
+    assert skipped_somewhere == {"qfi-single-closed-vs-bloch-engine"}
+
+
+def test_update_reads_the_parameter_axis_last():
+    # Residuals with a leading axis over three parameters, at a 2 x 3 grid of
+    # points (x, s): the first maximum in the order x, s, parameter wins.
+    x, s = np.meshgrid([0.0, 1.0], [0.0, 0.5, 1.0], indexing="ij")
+    residuals = np.full((3, 2, 3), -math.inf)
+    residuals[0, 1, 0] = 5.0  # the first parameter, at a later cell
+    residuals[2, 0, 2] = 5.0  # the last parameter, at an earlier cell
+    residuals[1, 0, 2] = 5.0  # the same cell, an earlier parameter
+    check = verify_module.CheckRecord("check", "grid", 1.0)
+    check.update(residuals, x, s)
+    assert (check.max_residual, check.worst_point) == (5.0, (0.0, 1.0))
+    # A larger residual in a later block wins; a tie does not.
+    check.update(np.array([[-1.0], [6.0], [6.0]]), np.array([0.5]), np.array([0.5]))
+    assert (check.max_residual, check.worst_point) == (6.0, (0.5, 0.5))
+    check.update(np.full((3, 2, 3), 6.0), x, s)
+    assert check.worst_point == (0.5, 0.5)
+
+
+def test_update_never_lets_a_skipped_point_set_the_worst():
+    # -inf marks a skipped point: it sets nothing while the check has no
+    # residual, and never wins over a finite one, however negative.
+    check = verify_module.CheckRecord("check", "grid", 1.0)
+    check.update(np.full((3, 2), -math.inf), np.array([0.1, 0.2]))
+    assert (check.max_residual, check.worst_point) == (-math.inf, None)
+    check.update(np.array([[-math.inf, -7.0], [-math.inf, -9.0]]), np.array([0.3, 0.4]))
+    assert (check.max_residual, check.worst_point) == (-7.0, (0.4,))
+    check.update(np.full((2, 2), -math.inf), np.array([0.5, 0.6]))
+    assert (check.max_residual, check.worst_point) == (-7.0, (0.4,))
+
+
+def test_update_lets_nan_win_outright():
+    # A NaN on any parameter of a cell wins over every finite residual, before
+    # or after it, and the check keeps it.
+    check = verify_module.CheckRecord("check", "grid", 1.0)
+    check.update(np.array([[2.0, 9.0], [math.nan, 1.0]]), np.array([0.1, 0.2]))
+    assert math.isnan(check.max_residual) and check.worst_point == (0.1,)
+    check.update(np.array([[50.0], [50.0]]), np.array([0.3]))
+    assert math.isnan(check.max_residual) and check.worst_point == (0.1,)
+    assert not check.passed
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
