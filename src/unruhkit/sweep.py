@@ -7,14 +7,16 @@ parameter, numerically and/or from the closed forms.  Presets regenerate the
 data behind each published figure panel.
 
 Each method of a sweep is one evaluator call over all of its series: the
-varied grid is one ``(rows,)`` array that broadcasts against a ``(series, 1)``
-column per parameter with several values (one value stays a float), so no
-copy is made per series.  A call holds as many whole series as fit in
-``channels.BLOCK_CELLS`` (4096) cells, and at least one; the budget spreads
-each call's fixed cost over many cells and bounds memory (``verify`` peaks
-near 47 MB at grid 21).  A spec with one series is a ``(rows,)`` call with
-float parameters; one with several is always a ``(count, rows)`` call, even
-at one series per call.  Every cell equals its single-series call bit for bit.
+varied grid is one ``(rows,)`` float64 array that broadcasts against a
+``(series, 1)`` column per parameter with several values (one value stays a
+float), so no copy is made per series.  A call holds as many whole series as
+fit in ``channels.BLOCK_CELLS`` (4096) cells, and at least one; the budget
+spreads each call's fixed cost over many cells and bounds memory (``verify``
+peaks near 47 MB at grid 21).  A spec with one series is a ``(rows,)`` call
+with float parameters; one with several is always a ``(count, rows)`` call,
+even at one series per call.  The calls fill one ``(rows, columns)`` float64
+table, grid first, whose ``tolist`` gives the rows; every cell equals its
+single-series call bit for bit.
 """
 
 from __future__ import annotations
@@ -153,13 +155,13 @@ def _row_count(start: float, stop: float, step: float) -> float:
     return math.floor(quotient) + 1 if math.isfinite(quotient) else math.inf
 
 
-def grid_values(start: float, stop: float, step: float) -> list[float]:
-    """The grid start, start+step, ... with ``_row_count`` rows.
+def grid_values(start: float, stop: float, step: float) -> np.ndarray:
+    """The float64 grid start, start+step, ... with ``_row_count`` rows.
 
-    The last value is clamped to ``stop`` so accumulated rounding cannot
-    push it out of the parameter's domain.
+    Each value is ``start + i * step``, clamped to ``stop`` so accumulated
+    rounding cannot push the last one out of the parameter's domain.
     """
-    return [min(start + i * step, stop) for i in range(_row_count(start, stop, step))]
+    return np.minimum(start + np.arange(_row_count(start, stop, step)) * step, stop)
 
 
 # Each flag's value form; a choice flag's lists its enum's values.
@@ -440,27 +442,6 @@ def _column_values(spec: SweepSpec, point: dict, variant: str) -> tuple[np.ndarr
     return result.value, result.form
 
 
-def _evaluate_block(spec: SweepSpec, point: dict, variant: str, warnings: dict[str, int]) -> list[list[Optional[float]]]:
-    """The output columns of one call over ``point``, one per series; every
-    cell equals its float call bit for bit.
-
-    A NaN cell (a closed form's singular cell, an engine's cell whose complex
-    step reaches a branch point) comes back as None, counted in ``warnings``
-    under the exception its float call raises: ``NAN_ERRORS`` of the
-    column's form.  An exception the call raises propagates.
-    """
-    block, form = _column_values(spec, point, variant)
-    block = np.atleast_2d(block)  # a (rows,) call is one series
-    nan = np.isnan(block)
-    empty = int(np.count_nonzero(nan))
-    cells = block.astype(object)  # Python floats, bit for bit
-    if empty:
-        cells[nan] = None
-        kind = NAN_ERRORS[form].__name__
-        warnings[kind] = warnings.get(kind, 0) + empty
-    return cells.tolist()
-
-
 def _quantity_base(spec: SweepSpec) -> str:
     if spec.quantity is Quantity.CONCURRENCE:
         return spec.quantity.value
@@ -480,9 +461,15 @@ def _spec_echo(spec: SweepSpec) -> str:
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the sweep grid, one call per method and block of series;
-    singular cells come back as None.  Columns run series-major, then method."""
-    values = grid_values(spec.start, spec.stop, spec.step)
+    """Evaluate the sweep grid into one float64 table, one call per method
+    and block of series; columns run series-major, then method.
+
+    A NaN cell (a closed form's singular cell, an engine's cell whose complex
+    step reaches a branch point) becomes None, counted in ``warnings`` under
+    the exception its float call raises: ``NAN_ERRORS`` of its form.  An
+    exception a call raises propagates.
+    """
+    grid = grid_values(spec.start, spec.stop, spec.step)
     base = _quantity_base(spec)
     variants = spec.method.variants
     names = tuple(spec.fixed)
@@ -501,18 +488,26 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         )
 
     warnings: dict[str, int] = {}
-    # Cells by column: a block's columns are every len(variants)-th from its
-    # first series' column of that variant.
-    cells: list = [None] * (len(combos) * len(variants))
-    step = max(1, channels.BLOCK_CELLS // len(values))
-    grid = np.array(values)
+    table = np.empty((len(grid), len(columns)))
+    table[:, 0] = grid
+    # A block's columns are every len(variants)-th from its first series'
+    # column of that variant.
+    step = max(1, channels.BLOCK_CELLS // len(grid))
     for first in range(0, len(combos), step):
         stacked = {names[j]: product[first : first + step, j, None] for j in formats}
         point = {**floats, **stacked, spec.vary: grid}
         for v, variant in enumerate(variants):
-            block = _evaluate_block(spec, point, variant, warnings)
-            cells[first * len(variants) + v : (first + len(block)) * len(variants) : len(variants)] = block
-    rows = [list(row) for row in zip(values, *cells)]
+            block, form = _column_values(spec, point, variant)
+            block = np.atleast_2d(block)  # a (rows,) call is one series
+            if empty := int(np.count_nonzero(np.isnan(block))):
+                kind = NAN_ERRORS[form].__name__
+                warnings[kind] = warnings.get(kind, 0) + empty
+            at = 1 + first * len(variants) + v
+            table[:, at : at + len(block) * len(variants) : len(variants)] = block.T
+    rows = table.tolist()
+    if warnings:  # each NaN cell becomes None
+        for i in np.flatnonzero(np.isnan(table).any(axis=1)):
+            rows[i] = [None if cell != cell else cell for cell in rows[i]]
 
     provenance = [f"tool: unruhkit {_version}"]
     if spec.label != "sweep":
@@ -535,16 +530,21 @@ def format_cell(value: Optional[float]) -> str:
 
 
 def render_csv_body(table: SweepTable) -> str:
-    """Header plus data lines; deterministic for identical specs."""
-    # A row without an empty cell is one % of a whole-row template: the same
-    # text as format(c, _CELL_FORMAT) per cell.
+    """Header plus data lines; deterministic for identical specs.  Each chunk
+    of at most ``channels.BLOCK_CELLS`` cells (and at least one row) is one %
+    of a multi-row template, the text of format(c, _CELL_FORMAT) per cell; a
+    chunk with an empty cell, which that % refuses, goes row by row."""
     template = ",".join(["%" + _CELL_FORMAT] * len(table.columns))
+    per_chunk = max(1, channels.BLOCK_CELLS // len(table.columns))
     lines = [",".join(table.columns)]
-    for row in table.rows:
-        if None in row:
-            lines.append(",".join(map(format_cell, row)))
-        else:
-            lines.append(template % tuple(row))
+    for first in range(0, len(table.rows), per_chunk):
+        chunk = table.rows[first : first + per_chunk]
+        # Via a list: a tuple grown from the chain fills CPython's tuple free lists.
+        cells = tuple(list(itertools.chain.from_iterable(chunk)))
+        try:
+            lines.append("\n".join([template] * len(chunk)) % cells)
+        except TypeError:  # None, an empty cell, is no real number
+            lines.extend(",".join(map(format_cell, row)) if None in row else template % tuple(row) for row in chunk)
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,5 @@
+import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -5,6 +7,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
@@ -31,3 +35,20 @@ def state_stack(rng) -> np.ndarray:
                 states.append(accelerated_whitecolor(x, s / 2, 1.0 - s, r))
     states.extend(random_density(rng) for _ in range(20))
     return np.stack(states)
+
+
+@pytest.fixture(scope="session")
+def sweep_small_pools() -> dict[int, list[list[str]]]:
+    """The benchmark's seeded ``sweep-small`` pools of seeds 1-3, generated by
+    ``perfbench/workloads.py``: each spec is its ``sweep`` flags, without the
+    command name."""
+    # Imported under a name no other module uses.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_pool", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    pools = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        pools[seed] = [workloads.generate_spec(rng).argv[1:] for _ in range(workloads.POOL_SIZE)]
+    return pools

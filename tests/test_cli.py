@@ -416,6 +416,21 @@ def test_verify_under_dev_mode_warns_of_nothing():
     assert done.stdout + "exit code: 0\n" == golden
 
 
+def test_figure_under_dev_mode_warns_of_nothing(tmp_path):
+    # fig9b's 9 empty cells go from NaN to None to empty fields; -W error
+    # makes any warning on the way, such as a complex cast, fail the run.
+    out = tmp_path / "fig9b.csv"
+    script = "from unruhkit.cli import run; run()"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, "figure", "fig9b", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    golden = (Path(__file__).parent / "golden" / "fig9b.csv").read_text(encoding="utf-8")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "\n".join(body(out.read_text(encoding="utf-8"))) + "\n" == golden
+
+
 class TestCachedParser:
     """Calls of main in one process share no state."""
 

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import importlib.util
 import itertools
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,17 +26,6 @@ from unruhkit import Channel, parse_spec, run_sweep
 from unruhkit import sweep as sweep_module
 from unruhkit import channels as channels_module
 from unruhkit.sweep import FIGURE_PRESETS, Method, QfiForm, Quantity, SweepSpec
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _workloads():
-    """perfbench/workloads.py, imported under a name no other module uses."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads_pool", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _broadcast(*values) -> tuple[int, ...]:
@@ -110,14 +96,11 @@ def test_every_preset_column_is_one_call(column_shapes):
     }
 
 
-def test_every_pool_column_is_one_call(column_shapes):
-    workloads = _workloads()
+def test_every_pool_column_is_one_call(column_shapes, sweep_small_pools):
     reasons = collections.Counter()
-    for seed in (1, 2, 3):
-        rng = random.Random(seed)
-        for _ in range(workloads.POOL_SIZE):
-            argv = workloads.generate_spec(rng).argv
-            table = _run(parse_spec(argv[1:]), column_shapes)
+    for pool in sweep_small_pools.values():
+        for argv in pool:
+            table = _run(parse_spec(argv), column_shapes)
             reasons.update(table.warnings)
     # The same counts, reason by reason, as when each NaN cell was rerun as
     # a float call to learn its exception.

@@ -48,6 +48,23 @@ class TestGridValues:
         assert len(grid_values(0.0, 1.0, 0.25)) == 5
         assert len(grid_values(0.2, 0.3, 0.04)) == 3
 
+    def test_raw_overshoot_clamped_to_stop(self):
+        # The last raw step 0 + 3 * 0.1 is 0.30000000000000004.
+        assert 0.0 + 3 * 0.1 > 0.3
+        assert grid_values(0.0, 0.3, 0.1).tolist() == [0.0, 0.1, 0.2, 0.3]
+
+    def test_first_column_is_the_grid(self, sweep_small_pools):
+        # The grid as one float64 array is the per-row loop's grid bit for
+        # bit, and each table's first column holds its Python floats.
+        pools = [parse_spec(argv) for pool in sweep_small_pools.values() for argv in pool]
+        for spec in [*FIGURE_PRESETS.values(), *pools]:
+            grid = grid_values(spec.start, spec.stop, spec.step)
+            loop = [min(spec.start + i * spec.step, spec.stop) for i in range(len(grid))]
+            assert list(map(float.hex, grid.tolist())) == list(map(float.hex, loop)), spec
+            first = [row[0] for row in run_sweep(spec).rows]
+            assert all(type(value) is float for value in first), spec
+            assert list(map(float.hex, first)) == list(map(float.hex, loop)), spec
+
 
 class TestParseSpec:
     def test_happy_path(self):
@@ -574,6 +591,21 @@ class TestCsvEmission:
             table = run_sweep(figure_preset(name))
             assert render_csv_body(table) == self.per_cell_body(table)
         assert any(None in row for row in table.rows)
+
+    def test_chunks_render_as_the_per_cell_format(self, monkeypatch):
+        # 3 columns of 1,500 rows hold 4,500 cells: a chunk of 1,365 rows
+        # (4,095 cells) and a chunk of 135 rows, the second with an empty cell.
+        per_chunk = sweep_module.channels.BLOCK_CELLS // 3
+        rows = [[i / 7, -math.pi * i, 1e-300 * (i + 1)] for i in range(1500)]
+        rows[per_chunk + 7][1] = None
+        table = sweep_module.SweepTable(columns=["a", "b", "c"], rows=rows, provenance=[])
+        assert render_csv_body(table) == self.per_cell_body(table)
+        # One row of fig9b's 7 cells per chunk; its rows x=0 and x=1 hold the
+        # 9 empty cells.
+        monkeypatch.setattr(sweep_module.channels, "BLOCK_CELLS", 8)
+        table = run_sweep(figure_preset("fig9b"))
+        assert [row[0] for row in table.rows if None in row] == [0.0, 1.0]
+        assert render_csv_body(table) == self.per_cell_body(table)
 
     def test_reemission_identical_up_to_timestamp(self, tmp_path):
         table = run_sweep(figure_preset("fig4a"))
