@@ -71,6 +71,7 @@ from .fisher import (
     qfi_two_qubit_spectral_retry,
     qfi_two_qubit_terms,
     qfi_two_white_closed,
+    qfi_two_white_terms,
     reduced_accelerated_qubit,
     state_family,
 )

@@ -9,9 +9,11 @@ parameter:
 * ``qfi_two_qubit_spectral``: the symmetric-logarithmic-derivative (SLD)
   form on a 4x4 family, F = 2 sum_{i,j} |<V_i|drho|V_j>|^2/(l_i+l_j).
 
-The spectral-form decomposition F = term_classical + term_quantum -
-term_pairs costs as much again, so only ``qfi_two_qubit_terms`` computes it;
-its value is the SLD engine's, bit for bit, from the same arithmetic.
+Both two-qubit routes, the SLD engine and the closed form, follow one rule:
+a value function never computes the decomposition F = term_classical +
+term_quantum - term_pairs.  ``qfi_two_qubit_terms`` and ``qfi_two_white_terms``
+give it on request, with the value bit for bit from the same private parts
+(``_sld``, ``_white_closed``).
 
 Derivatives are taken by complex step: every family is real-analytic in its
 parameter, so one evaluation at theta + ih gives rho = Re and drho = Im/h,
@@ -40,14 +42,12 @@ output drops it.
 The closed forms published for the white channel (single-qubit expressions
 for each parameter and the spectral-form building blocks kappa_i, b_i, mu_i)
 are implemented as printed; only the two-qubit value restates quantum -
-pairs without its cancellation (``qfi_two_white_closed``).  The two-qubit
-form's values and primes, partial derivatives in the estimated parameter,
-come from one complex-step evaluation of the published blocks, so no
-gradient is derived by hand; it stays independent of the SLD engine, which
-steps the state, not the blocks.  The verification
-harness compares the closed forms against the engines and records residuals.
-They take broadcast arrays of (x, p, r) and give NaN where a term is
-undefined.
+pairs without its cancellation (``_white_closed``).  Its primes, partial
+derivatives in the estimated parameter, come from one complex-step
+evaluation of the published blocks, so no gradient is derived by hand and it
+stays independent of the SLD engine, which steps the state.  The closed forms
+take broadcast arrays of (x, p, r) and give NaN where a term is undefined;
+the verification harness compares them against the engines.
 
 Floats cross one boundary, ``_float_boundary``: a float call runs as a
 one-element array and returns floats, so it equals its array entry bit for
@@ -98,13 +98,15 @@ NAN_ERRORS = {
 }
 
 _EYE4 = np.eye(4, dtype=bool)
+# A closed form's message for a name that is not one of the white channel's.
+_CLOSED_UNKNOWN = "parameter must be one of p, x, r; got {param!r}"
 
 
 @dataclass(frozen=True)
 class QfiValue:
-    """A Fisher information value, its originating form, and (from
-    ``qfi_two_qubit_terms`` and ``qfi_two_white_closed``) the
-    classical/quantum/pair-term decomposition."""
+    """A Fisher information value, its originating form, and the
+    classical/quantum/pair-term decomposition, which only
+    ``qfi_two_qubit_terms`` and ``qfi_two_white_terms`` give (else None)."""
 
     value: float
     form: str
@@ -221,11 +223,16 @@ def _per_name(param: str | tuple[str, ...], value):
     return value if isinstance(param, tuple) else value[0]
 
 
-def _white_names(param: str | tuple[str, ...]) -> tuple[str, ...]:
-    """The names of ``param``, each one of the white channel's p, x, r."""
+def _param_names(param, channel: Channel, unknown: str = "parameter {name!r} is not part of the {channel} channel"):
+    """The names of ``param``: each a parameter of ``channel`` (else the
+    ``DomainError`` ``unknown``, formatted with name, channel and param), at
+    least one and none twice, as a family's thetas fill one slot per name."""
     names = _leaves(param)
-    if not set(names) <= set(CHANNEL_PARAMS[Channel.WHITE]):
-        raise DomainError(f"parameter must be one of p, x, r; got {param!r}")
+    for name in names:
+        if name not in CHANNEL_PARAMS[channel]:
+            raise DomainError(unknown.format(name=name, channel=channel.value, param=param))
+    if not names or len(set(names)) < len(names):
+        raise DomainError(f"parameters must be named once each, at least one; got {param!r}")
     return names
 
 
@@ -359,10 +366,7 @@ def state_family(
     need a theta of the broadcast shape.
     """
     channel = Channel(channel)
-    names = _leaves(param)
-    for name in names:
-        if name not in CHANNEL_PARAMS[channel]:
-            raise DomainError(f"parameter {name!r} is not part of the {channel.value} channel")
+    names = _param_names(param, channel)
 
     build = _reduced_state if reduced else _whitecolor_state
     fixed = {"x": x, "p": p, "q": q, "r": r}
@@ -390,7 +394,7 @@ def qfi_single_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float 
     numerical engine does.  NaN where the mixed branch's denominator
     vanishes.  A tuple ``param`` gives a leading axis over its names.
     """
-    names = _white_names(param)
+    names = _param_names(param, Channel.WHITE, _CLOSED_UNKNOWN)
     _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
     a = 1.0 - 2.0 * x * x
     lin = 1.0 - a * p
@@ -577,64 +581,68 @@ def kappa_mu_terms(x, p, r) -> KappaMuTerms:
     return KappaMuTerms(kappa1, kappa2, kappa3, b1, b2, b3, mu1, mu2)
 
 
+def _white_closed(param: str | tuple[str, ...], x, p, r, r_max: float) -> tuple:
+    """The closed two-qubit form's shared parts, each with a leading axis
+    over the names of ``param``: the value before its clip at zero,
+    term_classical, kappa1, kappa2, mu1, mu2, mu1' and mu2'.
+
+    Primes (``_white_stepped``) are partial derivatives in the estimated
+    parameter.  The classical term sums prime^2/lam over the eigenvalues, the
+    coherent pair's as (kappa1 -+ kappa2)/16; it is NaN where mu is.  As
+    mu1 mu2 = -1, both roots give one angle prime theta' = mu'/(1 + mu^2),
+    and the published quantum - pairs is exactly kappa2^2/(2 kappa1) theta'^2,
+    with theta' from the root with |mu| <= 1: the value takes that, as the
+    float difference of the two terms, each of size kappa1 theta'^2, loses
+    every digit where the coherent block is near-degenerate (small p and r).
+    """
+    names = _param_names(param, Channel.WHITE, _CLOSED_UNKNOWN)
+    _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
+    (kappa1, kappa2, _, mu1, mu2, eig_low, eig_high), primes = _white_stepped(names, *np.broadcast_arrays(x, p, r))
+    kappa1_prime, kappa2_prime, _, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = primes
+
+    lams = (eig_low, eig_high, (kappa1 - kappa2) / 16.0, (kappa1 + kappa2) / 16.0)
+    d_lams = (eig_low_prime, eig_high_prime, (kappa1_prime - kappa2_prime) / 16.0, (kappa1_prime + kappa2_prime) / 16.0)
+    term_classical = 0.0
+    for lam, prime in zip(lams, d_lams):
+        kept = lam >= EIG_FLOOR
+        term_classical = term_classical + np.where(kept, prime * prime / np.where(kept, lam, 1.0), 0.0)
+    term_classical = np.where(np.isnan(mu1), np.nan, term_classical)
+
+    inner = np.abs(mu1) <= 1.0
+    theta_prime = np.where(inner, mu1_prime, mu2_prime) / np.where(inner, 1.0 + mu1 * mu1, 1.0 + mu2 * mu2)
+    value = term_classical + kappa2 * kappa2 / (2.0 * kappa1) * (theta_prime * theta_prime)
+    return value, term_classical, kappa1, kappa2, mu1, mu2, mu1_prime, mu2_prime
+
+
 @_float_boundary(FORM_CLOSED, "x", "p", "r")
 def qfi_two_white_closed(param: str | tuple[str, ...], x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
     """Closed-form spectral QFI of the accelerated white channel.
 
-    Assembled from the published building blocks with primes taken by complex
-    step of the published blocks in the estimated parameter, and the
-    pair-term eigenvalues taken as (kappa1 -+ kappa2)/16, i.e. the coherent
-    block's eigenvalue pair.  NaN where the block coherence vanishes (p=0,
-    x in {0, 1}) or the block is degenerate.  A tuple ``param`` gives a
-    leading axis over its names, all from one set of building blocks.
-
-    The decomposition is the published one, but the value is not the float
-    sum classical + quantum - pairs.  Both mu roots give one angle prime
-    theta' = mu'/(1 + mu^2), as mu1 mu2 = -1, so quantum - pairs is exactly
-    kappa2^2/(2 kappa1) theta'^2; the value takes that, with theta' from the
-    root with |mu| <= 1.  The quantum and pair terms are each of size
-    kappa1 theta'^2, so their float difference loses every digit where the
-    coherent block is near-degenerate (small p and r).
+    Assembled from the published building blocks (``_white_closed``).  NaN
+    where the block coherence vanishes (p=0, x in {0, 1}) or the block is
+    degenerate.  A tuple ``param`` gives a leading axis over its names, all
+    from one set of building blocks.  The decomposition is None:
+    ``qfi_two_white_terms`` gives the same value with it.
     """
-    names = _white_names(param)
-    _validate_points(r_max, x, p, 0.0, r, Channel.WHITE)
-    (kappa1, kappa2, _, mu1, mu2, eig_low, eig_high), primes = _white_stepped(
-        names, *np.broadcast_arrays(x, p, r)
-    )
-    kappa1_prime, kappa2_prime, _, mu1_prime, mu2_prime, eig_low_prime, eig_high_prime = primes
+    value = _white_closed(param, x, p, r, r_max)[0]
+    return QfiValue(value=clip_at_zero(_per_name(param, value)), form=FORM_CLOSED)
 
-    lam2 = (kappa1 - kappa2) / 16.0
-    lam3 = (kappa1 + kappa2) / 16.0
-    lam2_prime = (kappa1_prime - kappa2_prime) / 16.0
-    lam3_prime = (kappa1_prime + kappa2_prime) / 16.0
 
-    term_classical = 0.0
-    for lam, prime in (
-        (eig_low, eig_low_prime),
-        (eig_high, eig_high_prime),
-        (lam2, lam2_prime),
-        (lam3, lam3_prime),
-    ):
-        kept = lam >= EIG_FLOOR
-        kept_lam = np.where(kept, lam, 1.0)
-        term_classical = term_classical + np.where(kept, prime * prime / kept_lam, 0.0)
-    term_classical = np.where(np.isnan(mu1), np.nan, term_classical)
+@_float_boundary(FORM_CLOSED, "x", "p", "r")
+def qfi_two_white_terms(param: str | tuple[str, ...], x, p, r, r_max: float = RINDLER_R_MAX) -> QfiValue:
+    """``qfi_two_white_closed``'s value, bit for bit, with the published
+    decomposition (term_classical, term_quantum, term_pairs).
 
-    one1 = 1.0 + mu1 * mu1
-    one2 = 1.0 + mu2 * mu2
-    term_quantum = 0.25 * (
-        (kappa1 - kappa2) * (mu1_prime * mu1_prime) / (one1 * one1)
-        + (kappa1 + kappa2) * (mu2_prime * mu2_prime) / (one2 * one2)
-    )
-    mu_gap = mu1 - mu2
-    term_pairs = (
-        8.0
-        * (lam2 * lam3 / (lam2 + lam3))
-        * (mu_gap * mu_gap / (one1 * one2))
-        * (mu1_prime * mu1_prime / (one1 * one1) + mu2_prime * mu2_prime / (one2 * one2))
-    )
-    inner = np.abs(mu1) <= 1.0
-    theta_prime = np.where(inner, mu1_prime, mu2_prime) / np.where(inner, one1, one2)
-    value = term_classical + kappa2 * kappa2 / (2.0 * kappa1) * (theta_prime * theta_prime)
+    The value is not the float sum classical + quantum - pairs, whose
+    difference cancels near degeneracy (``_white_closed``).  Each term has
+    the value's shape; the classical one is NaN where the value is.
+    """
+    value, term_classical, kappa1, kappa2, mu1, mu2, mu1_prime, mu2_prime = _white_closed(param, x, p, r, r_max)
+    lam2, lam3 = (kappa1 - kappa2) / 16.0, (kappa1 + kappa2) / 16.0
+    one1, one2, mu_gap = 1.0 + mu1 * mu1, 1.0 + mu2 * mu2, mu1 - mu2
+    slope1, slope2 = mu1_prime * mu1_prime, mu2_prime * mu2_prime
+    term_quantum = 0.25 * ((kappa1 - kappa2) * slope1 / (one1 * one1) + (kappa1 + kappa2) * slope2 / (one2 * one2))
+    term_pairs = (8.0 * (lam2 * lam3 / (lam2 + lam3)) * (mu_gap * mu_gap / (one1 * one2))
+                  * (slope1 / (one1 * one1) + slope2 / (one2 * one2)))
     value, *terms = (_per_name(param, t) for t in (value, term_classical, term_quantum, term_pairs))
     return QfiValue(value=clip_at_zero(value), form=FORM_CLOSED, decomposition=tuple(terms))

@@ -169,10 +169,7 @@ _FLAG_GRAMMAR = {
     "channel": "|".join(Channel),
     "vary": "p|q|x|r",
     "range": "start:stop:step",
-    "x": "scalar or comma-list",
-    "p": "scalar or comma-list",
-    "q": "scalar or comma-list",
-    "r": "scalar or comma-list",
+    **dict.fromkeys("xpqr", "scalar or comma-list"),
     "quantity": "|".join(Quantity),
     "method": "|".join(Method),
     "qfi-form": "|".join(QfiForm),
@@ -198,10 +195,12 @@ def _tokens_to_mapping(argv: Sequence[str], grammar: dict[str, str] = _FLAG_GRAM
 
 
 def _convert(kind, name: str, token: str):
-    """``token`` read by ``kind`` (``float`` or ``int``) as the value of --``name``."""
+    """``token`` read by ``kind`` (``float``, ``int`` or a choice enum) as the value of --``name``."""
     try:
         return kind(token)
     except ValueError as exc:
+        if issubclass(kind, Enum):
+            raise ParseError(f"--{name}: {token!r} not in {_FLAG_GRAMMAR[name]}") from exc
         raise ParseError(f"--{name}: expected {kind.__name__}, got {token!r}") from exc
 
 
@@ -218,15 +217,6 @@ def _config_to_mapping(text: str) -> dict[str, str]:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         mapping[key] = value
     return mapping
-
-
-def _parse_choice(flags: dict[str, str], name: str, kind):
-    """The member of the enum ``kind`` that flag ``name`` names."""
-    token = flags[name]
-    try:
-        return kind(token)
-    except ValueError as exc:
-        raise ParseError(f"--{name}: {token!r} not in {_FLAG_GRAMMAR[name]}") from exc
 
 
 def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[str] = None) -> SweepSpec:
@@ -256,13 +246,10 @@ def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[st
         if required not in flags:
             raise ParseError(f"--{required} is required ({_FLAG_GRAMMAR[required]})")
 
-    channel = _parse_choice(flags, "channel", Channel)
-    quantity = _parse_choice(flags, "quantity", Quantity)
-    choices = {}
-    if "method" in flags:
-        choices["method"] = _parse_choice(flags, "method", Method)
-    if "qfi-form" in flags:
-        choices["qfi_form"] = _parse_choice(flags, "qfi-form", QfiForm)
+    channel = _convert(Channel, "channel", flags["channel"])
+    quantity = _convert(Quantity, "quantity", flags["quantity"])
+    optional = (("method", Method), ("qfi-form", QfiForm))
+    choices = {name.replace("-", "_"): _convert(kind, name, flags[name]) for name, kind in optional if name in flags}
 
     range_parts = flags["range"].split(":")
     if len(range_parts) != 3:
@@ -299,6 +286,9 @@ def validate_spec(spec: SweepSpec) -> None:
             raise ParseError(f"--{name}: not a {spec.channel.value}-channel parameter")
         if not group:
             raise ParseError(f"--{name}: missing value ({_FLAG_GRAMMAR[name]})")
+        # Two equal values would print two series under one header.
+        if len(set(group)) < len(group):
+            raise ParseError(f"--{name}: a value is given twice in {','.join(f'{v:g}' for v in group)}")
     for name in params:
         if name != spec.vary and name not in spec.fixed:
             raise ParseError(f"--{name} is required for the {spec.channel.value} channel")

@@ -25,6 +25,7 @@ from unruhkit import (
     qfi_two_qubit_spectral,
     qfi_two_qubit_terms,
     qfi_two_white_closed,
+    qfi_two_white_terms,
     state_family,
     unruh_second_qubit,
 )
@@ -55,6 +56,7 @@ VARIANTS = {
     ),
     **{f"qfi-single-{param}": _qfi(qfi_single_white_closed, param) for param in "pxr"},
     **{f"qfi-two-{param}": _qfi(qfi_two_white_closed, param) for param in "pxr"},
+    **{f"qfi-two-terms-{param}": _qfi(qfi_two_white_terms, param) for param in "pxr"},
 }
 
 

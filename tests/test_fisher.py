@@ -26,6 +26,7 @@ from unruhkit import (
     qfi_two_qubit_spectral_retry,
     qfi_two_qubit_terms,
     qfi_two_white_closed,
+    qfi_two_white_terms,
     reduced_accelerated_qubit,
     run_sweep,
     state_family,
@@ -255,6 +256,24 @@ class TestSpectralEngine:
                     oracle = oracle_qfi_xstate_mp(channel.value, param, **point)
                     assert engine == pytest.approx(oracle, rel=1e-13), (channel, param)
 
+    @pytest.mark.parametrize("r", [0.0, 3e-6, 1e-3])
+    def test_engine_matches_the_oracle_beside_a_rising_population(self, r):
+        # The color state's d33 = beta_c sin^2 r is 0 at r = 0 with zero slope.
+        family = state_family(Channel.COLOR, "r", x=0.4, q=0.2)
+        oracle = oracle_qfi_xstate_mp("color", "r", x=0.4, q=0.2, r=r)
+        assert qfi_two_qubit_spectral(family, r).value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a population under EIG_FLOOR loses its share")
+    @pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-6])
+    def test_engine_keeps_a_population_under_the_floor(self, r):
+        # Here d33 = beta_c sin^2 r is below EIG_FLOOR, so the engine drops
+        # its pair sums: F_r reads 1.7e-18, 1.7e-14 and 1.7e-12 where the
+        # 50-digit X-state route reads 4 beta_c = 1.728 at each r.
+        family = state_family(Channel.COLOR, "r", x=0.4, q=0.2)
+        oracle = oracle_qfi_xstate_mp("color", "r", x=0.4, q=0.2, r=r)
+        assert oracle == pytest.approx(1.728, rel=1e-12)
+        assert qfi_two_qubit_spectral(family, r).value == pytest.approx(oracle, rel=1e-9)
+
     def test_decomposition_identity(self):
         # At r=0 three eigenvalues tie exactly, exercising the tied-pair branch.
         for fixed, theta in ((dict(x=0.3, r=0.4), 0.6), (dict(x=0.2, r=0.0), 0.5)):
@@ -437,9 +456,13 @@ class TestTwoQubitClosedForm:
         assert worst < 1e-10
 
     def test_decomposition_identity(self):
-        got = qfi_two_white_closed("x", 0.4, 0.6, 0.3)
+        got = qfi_two_white_terms("x", 0.4, 0.6, 0.3)
         classical, quantum, pairs = got.decomposition
         assert got.value == pytest.approx(classical + quantum - pairs, abs=1e-12)
+        # The value function computes no split, as the SLD engine's does not.
+        closed = qfi_two_white_closed("x", 0.4, 0.6, 0.3)
+        assert closed.decomposition is None
+        assert closed.value == got.value
 
     def test_singular_without_coherence(self):
         for x, p in ((0.0, 0.4), (1.0, 0.4), (0.3, 0.0)):
@@ -708,15 +731,17 @@ class TestMultiParameter:
             assert np.array_equal(nan_at[0], (point["x"] == 1.0) & (not reduced))
             assert not nan_at[1:].any()
 
-    @pytest.mark.parametrize("closed", [qfi_two_white_closed, qfi_single_white_closed])
+    @pytest.mark.parametrize("closed", [qfi_two_white_closed, qfi_two_white_terms, qfi_single_white_closed])
     def test_closed_form_equals_one_parameter_calls(self, closed):
         point = self.edge_grid(Channel.WHITE)
         names = ("x", "p", "r")
         got = closed(names, point["x"], point["p"], point["r"])
         for k, name in enumerate(names):
             self.assert_entry_bitwise(got, k, closed(name, point["x"], point["p"], point["r"]))
-        if closed is qfi_two_white_closed:
+        if closed is not qfi_single_white_closed:
             assert np.isnan(got.value).any()
+        if closed is qfi_two_white_terms:
+            assert got.value.tobytes() == qfi_two_white_closed(names, point["x"], point["p"], point["r"]).value.tobytes()
 
     def test_float_call_gives_an_array_over_the_parameters(self):
         family = state_family(Channel.WHITE, ("x", "r"), p=0.4)
@@ -730,9 +755,34 @@ class TestMultiParameter:
             with pytest.raises(FamilyEvalError):
                 engine(family, (1.0, 0.2))
         assert [t.tolist() for t in got.decomposition] == [list(ts) for ts in zip(*(one.decomposition for one in want))]
-        closed = qfi_two_white_closed(("p", "r"), 0.3, 0.4, 0.2)
-        assert closed.value.tolist() == [qfi_two_white_closed(n, 0.3, 0.4, 0.2).value for n in "pr"]
-        with pytest.raises(SingularPointError):
-            qfi_two_white_closed(("p", "r"), 0.3, 0.0, 0.2)
+        for form in (qfi_two_white_closed, qfi_two_white_terms):
+            closed = form(("p", "r"), 0.3, 0.4, 0.2)
+            want = [form(n, 0.3, 0.4, 0.2) for n in "pr"]
+            assert closed.value.tolist() == [one.value for one in want]
+            with pytest.raises(SingularPointError):
+                form(("p", "r"), 0.3, 0.0, 0.2)
+        assert [t.tolist() for t in closed.decomposition] == [list(ts) for ts in zip(*(one.decomposition for one in want))]
+        assert closed.value.tolist() == qfi_two_white_closed(("p", "r"), 0.3, 0.4, 0.2).value.tolist()
         with pytest.raises(DomainError):
             state_family(Channel.COLOR, ("x", "p"))
+
+    @pytest.mark.parametrize("param", [("p", "p"), ("x", "r", "x"), ()])
+    def test_a_name_given_twice_or_none_is_refused(self, param):
+        # A family's thetas fill one slot per name: a repeated name once
+        # dropped its first theta (F = [0, 2.2058] at ("p", "p")), and no
+        # name failed in a different way in every form.
+        for reduced in (False, True):
+            with pytest.raises(DomainError, match="once each"):
+                state_family(Channel.WHITE, param, x=0.3, r=0.2, reduced=reduced)
+        for closed in (qfi_two_white_closed, qfi_two_white_terms, qfi_single_white_closed):
+            with pytest.raises(DomainError, match="once each"):
+                closed(param, 0.3, 0.4, 0.2)
+            with pytest.raises(DomainError, match="once each"):
+                closed(param, np.array([0.3]), 0.4, 0.2)
+
+    def test_an_unknown_name_keeps_its_message(self):
+        with pytest.raises(DomainError, match="parameter 'q' is not part of the white channel"):
+            state_family(Channel.WHITE, ("p", "q"))
+        for closed in (qfi_two_white_closed, qfi_two_white_terms, qfi_single_white_closed):
+            with pytest.raises(DomainError, match=r"must be one of p, x, r; got \('p', 'q'\)"):
+                closed(("p", "q"), 0.3, 0.4, 0.2)

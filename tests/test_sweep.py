@@ -290,8 +290,21 @@ class TestParameterSetRules:
                 SPEC_FLAGS.replace(" --x 0.3", "") + " --x",
                 "--x: missing value (scalar or comma-list)",
             ),
+            (
+                {"fixed": {"x": (0.2, 0.2), "r": (0.0, 0.0)}},
+                SPEC_FLAGS.replace("--x 0.3 --r 0", "--x 0.2,0.2 --r 0,0.0"),
+                "--x: a value is given twice in 0.2,0.2",
+            ),
+            (
+                {"fixed": {"x": (0.3,), "r": (0.0, 0.5, 0)}},
+                SPEC_FLAGS.replace("--r 0", "--r 0,0.5,0.0"),
+                "--r: a value is given twice in 0,0.5,0",
+            ),
         ],
-        ids=["vary-foreign", "r-missing", "r-missing-qfi", "varied-fixed", "fixed-foreign", "empty-values"],
+        ids=[
+            "vary-foreign", "r-missing", "r-missing-qfi", "varied-fixed", "fixed-foreign", "empty-values",
+            "repeated-values", "repeated-r",
+        ],
     )
     def test_spec_built_in_code_breaks_the_rule_as_the_cli_does(self, fields, flags, message, capsys):
         assert main(["sweep", *flags.split()]) == 1
