@@ -88,6 +88,7 @@ class ModelParams:
     p : white-noise strength
     q : color-noise strength
     r : acceleration parameter, radians
+    channel : a ``Channel`` or its name
     """
 
     x: float
@@ -95,6 +96,9 @@ class ModelParams:
     q: float = 0.0
     r: float = 0.0
     channel: Channel = Channel.WHITE
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "channel", Channel(self.channel))
 
     def validate(self, r_max: float = RINDLER_R_MAX) -> None:
         """``_validate_points`` of the fields; ``r_max`` widens the r bound."""
@@ -347,8 +351,8 @@ def r_from_acceleration(acceleration: float, omega_c: float) -> float:
     the mode frequency and the speed of light; r runs from 0 (no
     acceleration) to pi/4 (infinite acceleration).
     """
-    if acceleration <= 0.0:
+    if not acceleration > 0.0:
         raise DomainError(f"acceleration must be positive, got {acceleration}")
-    if omega_c <= 0.0:
+    if not omega_c > 0.0:
         raise DomainError(f"omega_c must be positive, got {omega_c}")
     return math.atan(math.exp(-math.pi * omega_c / acceleration))

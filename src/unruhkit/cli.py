@@ -77,10 +77,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_csv(run_sweep(spec), flags.get("out"))
             return 0
         flags = _tokens_to_mapping(argv[1:], _COMMANDS["verify"])
-        tolerance = _convert(float, "tol", flags.get("tol", "1e-8"))
-        grid_n = _convert(int, "grid", flags.get("grid", "21"))
+        readers = {"tol": ("tolerance", float), "grid": ("grid_n", int)}
+        options = {key: _convert(kind, name, flags[name]) for name, (key, kind) in readers.items() if name in flags}
         try:
-            report = run_verification(tolerance, grid_n)
+            report = run_verification(**options)
         except ValueError as exc:
             print(f"unruhkit: {exc}", file=sys.stderr)
             return 1

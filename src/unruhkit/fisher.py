@@ -604,7 +604,7 @@ def _white_closed(param: str | tuple[str, ...], x, p, r, r_max: float) -> tuple:
     d_lams = (eig_low_prime, eig_high_prime, (kappa1_prime - kappa2_prime) / 16.0, (kappa1_prime + kappa2_prime) / 16.0)
     term_classical = 0.0
     for lam, prime in zip(lams, d_lams):
-        kept = lam >= EIG_FLOOR
+        kept = lam + lam >= EIG_FLOOR  # the engine's rule for a diagonal pair
         term_classical = term_classical + np.where(kept, prime * prime / np.where(kept, lam, 1.0), 0.0)
     term_classical = np.where(np.isnan(mu1), np.nan, term_classical)
 

@@ -35,13 +35,6 @@ def _as_inexact(m) -> np.ndarray:
     return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
 
 
-def _as_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
-    m = _as_inexact(m)
-    if m.shape != (dim, dim):
-        raise DomainError(f"{name} must be {dim}x{dim}, got shape {m.shape}")
-    return m
-
-
 def as_stack(m: np.ndarray, name: str = "m") -> np.ndarray:
     """``m`` as a float64 (complex128 if complex) array of shape ``(..., 4, 4)``;
     raises ``DomainError`` otherwise."""
@@ -65,8 +58,10 @@ def hermitian_defect(m: np.ndarray) -> float:
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two single-qubit operators, (A x B)[2i+k, 2j+l] = A[i,j] B[k,l]."""
-    a = _as_square(a, 2, "a")
-    b = _as_square(b, 2, "b")
+    a, b = _as_inexact(a), _as_inexact(b)
+    for name, m in (("a", a), ("b", b)):
+        if m.shape != (2, 2):
+            raise DomainError(f"{name} must be 2x2, got shape {m.shape}")
     return np.kron(a, b)
 
 
@@ -75,21 +70,21 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
     Parameters
     ----------
-    rho : (4, 4) array
-        Two-qubit operator in the |00>,|01>,|10>,|11> product basis.
+    rho : (..., 4, 4) array
+        Two-qubit operator(s) in the |00>,|01>,|10>,|11> product basis.
     keep : {"first", "second"}
         Which subsystem survives.
 
     Returns
     -------
-    (2, 2) array.  Unit trace and Hermiticity are inherited from the input.
+    (..., 2, 2) array.  Unit trace and Hermiticity are inherited from the input.
     """
-    rho = _as_square(rho, 4, "rho")
-    r = rho.reshape(2, 2, 2, 2)
+    rho = as_stack(rho, "rho")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "first":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep == "second":
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise DomainError(f"keep must be 'first' or 'second', got {keep!r}")
 
 

@@ -101,10 +101,11 @@ class QfiForm(str, Enum):
 class SweepSpec:
     """A validated grid job: what to vary, what to hold, what to compute.
 
-    A spec is valid by construction: ``validate_spec`` runs when it is built
-    (``dataclasses.replace`` included) and raises ``ParseError``.  Once valid,
-    ``start``, ``stop``, ``step`` and every fixed value are floats, and
-    ``fixed`` is read-only, in the channel's parameter order.
+    Each field is a value or its flag text (an enum's name, a number's).
+    Building a spec (``dataclasses.replace`` included) reads each field once,
+    in the order of the sweep flags, then runs ``validate_spec``; either
+    raises the CLI's ``ParseError``.  Then the choices are enum members, the
+    numbers floats, and ``fixed`` is read-only, in the channel's order.
     """
 
     channel: Channel
@@ -120,11 +121,15 @@ class SweepSpec:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        validate_spec(self)
-        fixed = {k: tuple(map(float, self.fixed[k])) for k in CHANNEL_PARAMS[self.channel] if k in self.fixed}
-        object.__setattr__(self, "fixed", MappingProxyType(fixed))
+        for name, kind in (("channel", Channel), ("quantity", Quantity), ("method", Method), ("qfi_form", QfiForm)):
+            object.__setattr__(self, name, _convert(kind, name.replace("_", "-"), getattr(self, name)))
         for name in ("start", "stop", "step"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _convert(float, "range", getattr(self, name)))
+        fixed = {k: tuple(_convert(float, k, v) for v in group) for k, group in self.fixed.items()}
+        object.__setattr__(self, "fixed", fixed)
+        validate_spec(self)
+        canonical = {k: fixed[k] for k in CHANNEL_PARAMS[self.channel] if k in fixed}
+        object.__setattr__(self, "fixed", MappingProxyType(canonical))
 
     def __reduce__(self):
         # A mappingproxy neither pickles nor deep-copies: the spec is rebuilt from its fields.
@@ -194,11 +199,11 @@ def _tokens_to_mapping(argv: Sequence[str], grammar: dict[str, str] = _FLAG_GRAM
     return mapping
 
 
-def _convert(kind, name: str, token: str):
-    """``token`` read by ``kind`` (``float``, ``int`` or a choice enum) as the value of --``name``."""
+def _convert(kind, name: str, token):
+    """``token``, text or a value, read by ``kind`` (``float``, ``int`` or a choice enum) as --``name``."""
     try:
         return kind(token)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         if issubclass(kind, Enum):
             raise ParseError(f"--{name}: {token!r} not in {_FLAG_GRAMMAR[name]}") from exc
         raise ParseError(f"--{name}: expected {kind.__name__}, got {token!r}") from exc
@@ -220,8 +225,8 @@ def _config_to_mapping(text: str) -> dict[str, str]:
 
 
 def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[str] = None) -> SweepSpec:
-    """Read sweep flags and an optional config into a SweepSpec, which
-    validates itself; a flag not given takes the SweepSpec default.
+    """Split sweep flags and an optional config into the text fields of a
+    SweepSpec, which reads and validates them; a flag not given takes its default.
 
     ``argv`` is the --name value tokens, or the {name: value} mapping
     ``_tokens_to_mapping`` has already read from them (the CLI walks its
@@ -246,21 +251,12 @@ def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[st
         if required not in flags:
             raise ParseError(f"--{required} is required ({_FLAG_GRAMMAR[required]})")
 
-    channel = _convert(Channel, "channel", flags["channel"])
-    quantity = _convert(Quantity, "quantity", flags["quantity"])
-    optional = (("method", Method), ("qfi-form", QfiForm))
-    choices = {name.replace("-", "_"): _convert(kind, name, flags[name]) for name, kind in optional if name in flags}
-
     range_parts = flags["range"].split(":")
     if len(range_parts) != 3:
         raise ParseError(f"--range: expected {_FLAG_GRAMMAR['range']}, got {flags['range']!r}")
-    start, stop, step = (_convert(float, "range", part) for part in range_parts)
-
-    fixed = {}
-    for name in CHANNEL_PARAMS[Channel.WHITE_COLOR]:
-        if name in flags:
-            fixed[name] = tuple(_convert(float, name, part) for part in flags[name].split(","))
-    return SweepSpec(channel, flags["vary"], start, stop, step, fixed, quantity, **choices)
+    fixed = {name: flags[name].split(",") for name in CHANNEL_PARAMS[Channel.WHITE_COLOR] if name in flags}
+    choices = {name.replace("-", "_"): flags[name] for name in ("method", "qfi-form") if name in flags}
+    return SweepSpec(flags["channel"], flags["vary"], *range_parts, fixed, flags["quantity"], **choices)
 
 
 def _range_text(spec: SweepSpec) -> str:

@@ -15,6 +15,7 @@ from unruhkit import (
     accelerated_white,
     accelerated_whitecolor,
     color_coeffs,
+    concurrence_closed,
     initial_state,
     is_density_matrix,
     phi_ket,
@@ -146,6 +147,19 @@ class TestUnruhChannel:
 
 
 class TestAcceleratedStates:
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_channel_name_builds_that_channels_state(self, channel):
+        point = dict(x=0.3, p=0.3, q=0.4, r=0.2)
+        named = ModelParams(**point, channel=channel.value)
+        member = ModelParams(**point, channel=channel)
+        assert named.channel is channel
+        assert np.array_equal(accelerated_state(named), accelerated_state(member))
+        assert concurrence_closed(named) == concurrence_closed(member)
+
+    def test_unknown_channel_name_raises(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Channel"):
+            ModelParams(x=0.3, channel="bogus")
+
     def test_white_matches_channel_route(self):
         for x in np.linspace(0, 1, 9):
             for p in np.linspace(0, 1, 9):
@@ -383,7 +397,9 @@ class TestRFromAcceleration:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 < v < RINDLER_R_MAX for v in values)
 
-    @pytest.mark.parametrize("a,w", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize(
+        "a,w", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
     def test_domain(self, a, w):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be positive"):
             r_from_acceleration(a, w)

@@ -293,7 +293,7 @@ class TestVerifyCommand:
         from unruhkit import CheckRecord, VerificationReport
         import unruhkit.cli as cli
 
-        def fake(tolerance, grid_n):
+        def fake(tolerance=1e-8, grid_n=21):  # the CLI passes only the flags given
             report = VerificationReport(tolerance=tolerance, grid_n=grid_n)
             report.checks.append(
                 CheckRecord(
@@ -308,6 +308,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_verification", fake)
         assert main(["verify"]) == 2
         assert "overall: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, passed",
+        [([], {}), (["--grid", "5"], {"grid_n": 5}), (["--tol", "1e-6"], {"tolerance": 1e-6})],
+    )
+    def test_only_the_flags_given_are_passed(self, monkeypatch, flags, passed):
+        from unruhkit import VerificationReport
+
+        calls = []
+
+        def fake(**options):
+            calls.append(options)
+            return VerificationReport(tolerance=1e-8, grid_n=21)
+
+        monkeypatch.setattr(cli, "run_verification", fake)
+        assert main(["verify", *flags]) == 0
+        assert calls == [passed]
 
     def test_nan_tolerance_is_usage_error(self, capsys):
         for tol in ("nan", "inf"):

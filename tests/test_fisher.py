@@ -89,6 +89,13 @@ class TestReducedQubit:
         params = ModelParams(x=1 / math.sqrt(2), q=1.0, r=0.0, channel=Channel.COLOR)
         assert np.allclose(reduced_accelerated_qubit(params), np.eye(2) / 2, atol=1e-14)
 
+    def test_stack_matches_each_point_bitwise(self):
+        xs = np.array([0.2, 0.3, 0.9])
+        got = reduced_accelerated_qubit(ModelParams(x=xs, p=0.5, r=0.1))
+        assert got.shape == (3, 2, 2)
+        for x, reduced in zip(xs, got):
+            assert np.array_equal(reduced, reduced_accelerated_qubit(ModelParams(x=float(x), p=0.5, r=0.1)))
+
     def test_family_fast_path_matches_partial_trace(self):
         for channel in Channel:
             for x in np.linspace(0.1, 0.9, 5):
@@ -454,6 +461,19 @@ class TestTwoQubitClosedForm:
                 closed = qfi_two_white_closed(param, x, p, r).value
                 worst = max(worst, abs(closed - engine) / max(closed, engine, 1e-9))
         assert worst < 1e-10
+
+    def test_floors_the_eigenvalues_the_engine_floors(self):
+        # Near p = 1 the low white eigenvalue, 6.8e-13 here, lies in
+        # [EIG_FLOOR/2, EIG_FLOOR): the engine keeps it (its pair sum 2 lam
+        # reaches the floor), and so must the closed form.  The bound is
+        # sized from the largest gap in this band, 1.2e-5 at p = 1 - 1e-11,
+        # where both routes lose digits to a rank-1 coherent block.
+        x, p, r = 0.5, 1.0 - 3e-12, 0.3
+        low = _white_stepped(("p",), np.array(x), np.array(p), np.array(r))[0][5]
+        assert fisher_module.EIG_FLOOR / 2.0 <= low < fisher_module.EIG_FLOOR
+        engine = qfi_two_qubit_spectral(state_family(Channel.WHITE, "p", x=x, r=r), p).value
+        closed = qfi_two_white_closed("p", x, p, r).value
+        assert abs(closed - engine) <= 1e-4 * engine
 
     def test_decomposition_identity(self):
         got = qfi_two_white_terms("x", 0.4, 0.6, 0.3)

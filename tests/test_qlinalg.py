@@ -101,6 +101,18 @@ class TestPartialTrace:
         with pytest.raises(DomainError):
             partial_trace(np.eye(4) / 4, keep="third")
 
+    @pytest.mark.parametrize("keep", ["first", "second"])
+    def test_stack_matches_each_matrix_bitwise(self, rng, keep):
+        stack = np.array([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        got = partial_trace(stack, keep)
+        assert got.shape == (2, 3, 2, 2)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(got[index], partial_trace(stack[index], keep))
+
+    def test_rejects_a_non_4x4_shape(self):
+        with pytest.raises(DomainError, match="rho must be 4x4"):
+            partial_trace(np.eye(2), keep="first")
+
 
 class TestEigHermitian:
     def test_diagonal(self):

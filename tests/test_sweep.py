@@ -300,10 +300,35 @@ class TestParameterSetRules:
                 SPEC_FLAGS.replace("--r 0", "--r 0,0.5,0.0"),
                 "--r: a value is given twice in 0,0.5,0",
             ),
+            (
+                {"channel": "bogus"},
+                SPEC_FLAGS.replace("white", "bogus"),
+                "--channel: 'bogus' not in white|color|whitecolor",
+            ),
+            (
+                {"quantity": "qfi"},
+                SPEC_FLAGS.replace("concurrence", "qfi"),
+                "--quantity: 'qfi' not in concurrence|qfi-p|qfi-q|qfi-x|qfi-r",
+            ),
+            ({"method": "exact"}, SPEC_FLAGS + " --method exact", "--method: 'exact' not in numeric|closed|both"),
+            ({"qfi_form": "three"}, SPEC_FLAGS + " --qfi-form three", "--qfi-form: 'three' not in single|two"),
+            ({"step": "half"}, SPEC_FLAGS.replace("0:1:0.5", "0:1:half"), "--range: expected float, got 'half'"),
+            (
+                {"fixed": {"x": ("0.3x",), "r": ("0",)}},
+                SPEC_FLAGS.replace("--x 0.3", "--x 0.3x"),
+                "--x: expected float, got '0.3x'",
+            ),
+            (
+                # Of several mistakes, the first read is the one reported.
+                {"method": "exact", "start": "zero", "fixed": {"x": ("?",), "r": ("0",)}},
+                SPEC_FLAGS.replace("0:1:0.5", "zero:1:0.5").replace("--x 0.3", "--x ?") + " --method exact",
+                "--method: 'exact' not in numeric|closed|both",
+            ),
         ],
         ids=[
             "vary-foreign", "r-missing", "r-missing-qfi", "varied-fixed", "fixed-foreign", "empty-values",
-            "repeated-values", "repeated-r",
+            "repeated-values", "repeated-r", "channel-name", "quantity-name", "method-name", "qfi-form-name",
+            "range-text", "fixed-text", "first-of-several",
         ],
     )
     def test_spec_built_in_code_breaks_the_rule_as_the_cli_does(self, fields, flags, message, capsys):
@@ -315,6 +340,35 @@ class TestParameterSetRules:
         with pytest.raises(ParseError) as replaced:
             dataclasses.replace(FIGURE_PRESETS["fig1a"], **fields)
         assert str(replaced.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, flags",
+        [
+            ({"channel": "white", "vary": "p", "quantity": "concurrence"}, SPEC_FLAGS),
+            ({"method": "numeric"}, SPEC_FLAGS + " --method numeric"),
+            (
+                {"quantity": "qfi-p", "qfi_form": "single"},
+                SPEC_FLAGS.replace("concurrence", "qfi-p") + " --qfi-form single",
+            ),
+            ({"start": "0", "stop": "1", "step": "0.5"}, SPEC_FLAGS),
+            ({"fixed": {"r": ["0", "0.25"], "x": ("0.3",)}}, SPEC_FLAGS.replace("--r 0", "--r 0,0.25")),
+        ],
+        ids=["choice-names", "method-name", "qfi-form-name", "range-text", "fixed-text"],
+    )
+    def test_text_fields_give_the_spec_the_flags_give(self, fields, flags):
+        built = SweepSpec(**{**SPEC_FIELDS, **fields})
+        parsed = parse_spec(flags.split())
+        assert built == parsed
+        # A str enum equals its name: the types show the names were read.
+        for field in dataclasses.fields(SweepSpec):
+            assert type(getattr(built, field.name)) is type(getattr(parsed, field.name)), field.name
+        assert list(built.fixed) == list(parsed.fixed)
+        assert run_sweep(built).rows == run_sweep(parsed).rows
+
+    @pytest.mark.parametrize("name", ["start", "stop", "step"])
+    def test_a_number_that_is_not_one_is_the_clis_error(self, name):
+        with pytest.raises(ParseError, match="^--range: expected float, got None$"):
+            SweepSpec(**{**SPEC_FIELDS, name: None})
 
 
 class TestFigurePresets:
@@ -662,6 +716,20 @@ class TestLabelsAndEcho:
         fields = ("channel", "vary", "start", "stop", "step", "fixed", "quantity", "method", "qfi_form", "r_limit")
         for field in fields:
             assert getattr(again, field) == getattr(spec, field), (name, field)
+
+    @pytest.mark.parametrize("name", FIGURE_PRESETS)
+    def test_preset_rebuilt_from_its_echoed_text_fields(self, name):
+        preset = FIGURE_PRESETS[name]
+        flags = self._echo_flags(preset)
+        text = dict(zip((flag[2:] for flag in flags[::2]), flags[1::2]))
+        fixed = {k: text[k].split(",") for k in "xpqr" if k in text}
+        rebuilt = SweepSpec(
+            text["channel"], text["vary"], *text["range"].split(":"), fixed, text["quantity"],
+            method=text["method"], qfi_form=text["qfi-form"], label=preset.label, notes=preset.notes,
+        )
+        assert rebuilt == preset
+        for field in dataclasses.fields(SweepSpec):
+            assert type(getattr(rebuilt, field.name)) is type(getattr(preset, field.name)), field.name
 
     def test_preset_headers_keep_the_g_format(self):
         # Every preset's series print apart under :g, so its header is the
