@@ -480,8 +480,7 @@ def qfi_two_qubit_terms(family: StateFamily, theta) -> QfiValue:
     """
     lam, weight, keep, kept_sum, value, bad = _sld(family, theta)
     lam_i, lam_j = lam[..., :, None], lam[..., None, :]
-    # The diagonal of ``keep``: l_i + l_i >= EIG_FLOOR.
-    classical = _EYE4 & (lam_i >= EIG_FLOOR / 2.0)
+    classical = keep & _EYE4  # the diagonal pairs: l_i + l_i >= EIG_FLOOR
     term_classical = _masked_sum(classical, weight / np.where(classical, lam_i, 1.0))
     gap_sq = (lam_i - lam_j) ** 2
     off_diagonal = keep & ~_EYE4

@@ -28,7 +28,7 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -101,7 +101,7 @@ class QfiForm(str, Enum):
 class SweepSpec:
     """A validated grid job: what to vary, what to hold, what to compute.
 
-    Each field is a value or its flag text (an enum's name, a number's).
+    Each field is a value or its flag text (an enum's name, a number's, a group's comma-list).
     Building a spec (``dataclasses.replace`` included) reads each field once,
     in the order of the sweep flags, then runs ``validate_spec``; either
     raises the CLI's ``ParseError``.  Then the choices are enum members, the
@@ -125,7 +125,11 @@ class SweepSpec:
             object.__setattr__(self, name, _convert(kind, name.replace("_", "-"), getattr(self, name)))
         for name in ("start", "stop", "step"):
             object.__setattr__(self, name, _convert(float, "range", getattr(self, name)))
-        fixed = {k: tuple(_convert(float, k, v) for v in group) for k, group in self.fixed.items()}
+        fixed = {}
+        for k, group in self.fixed.items():
+            if not isinstance(group, Iterable):
+                raise ParseError(f"--{k}: expected a scalar or comma-list, got {group!r}")
+            fixed[k] = tuple(_convert(float, k, v) for v in (group.split(",") if isinstance(group, str) else group))
         object.__setattr__(self, "fixed", fixed)
         validate_spec(self)
         canonical = {k: fixed[k] for k in CHANNEL_PARAMS[self.channel] if k in fixed}
@@ -254,7 +258,7 @@ def parse_spec(argv: Sequence[str] | Mapping[str, str], config_text: Optional[st
     range_parts = flags["range"].split(":")
     if len(range_parts) != 3:
         raise ParseError(f"--range: expected {_FLAG_GRAMMAR['range']}, got {flags['range']!r}")
-    fixed = {name: flags[name].split(",") for name in CHANNEL_PARAMS[Channel.WHITE_COLOR] if name in flags}
+    fixed = {name: flags[name] for name in CHANNEL_PARAMS[Channel.WHITE_COLOR] if name in flags}
     choices = {name.replace("-", "_"): flags[name] for name in ("method", "qfi-form") if name in flags}
     return SweepSpec(flags["channel"], flags["vary"], *range_parts, fixed, flags["quantity"], **choices)
 

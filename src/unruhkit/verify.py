@@ -5,15 +5,17 @@ tuple of arrays of one shape, x first) and of ``shared``, what the block's
 pass built there: its states and the engines' values.  The function returns
 the residual at each point, in the points' shape or with a leading axis over
 the check's parameters; a point it skips, such as a closed form's NaN where
-its float call raises ``SingularPointError``, reads -inf.  A check passes
-when its worst residual is at most its threshold; a NaN residual fails it.
-A ``ledgered`` check documents a known defect of a published closed form
-(the printed white-noise surd coefficient, and the combined-channel form as
-printed, where the cos(r)-weighted reading holds): it is reported but never
-fails the run.  Every other check, including the interpreted readings that
-pass with margin, gates it.  A new check takes its residual function, its
-record in its pass's list, a row in the README's check table, and entries in
-the tests' ``CHECK_IDENTITIES_GRID5`` and ``CHECK_NOTES_GRID5``.
+its float call raises ``SingularPointError``, reads -inf, and its record
+counts it.  A check passes when its worst residual is at most its
+threshold; a NaN residual fails it.  A ``ledgered`` check documents a known
+defect of a published closed form (the printed white-noise surd
+coefficient, and the combined-channel form as printed, where the
+cos(r)-weighted reading holds): it is reported but never fails the run.
+Every other check, including the interpreted readings that pass with
+margin, gates it.  A new check takes its residual function and its record
+in its pass's list, whose name places it in the report (``run_verification``
+needs no edit), a row in the README's check table, and entries in the
+tests' ``CHECK_IDENTITIES_GRID5`` and ``CHECK_NOTES_GRID5``.
 
 Each of three passes walks its grid once in blocks of consecutive x values,
 at most ``channels.BLOCK_CELLS`` cells or one x value's, and builds
@@ -71,8 +73,8 @@ class CheckRecord:
     float or an array of the points' shape; a leading axis beyond that shape
     runs over parameters and is read last.  The first maximum in the order x,
     the grid's other axes, parameter wins, whatever the blocks; a NaN wins
-    outright, so the check fails where it cannot vouch.  ``passed`` is the
-    pass rule, the one place it lives.
+    outright, so the check fails where it cannot vouch.  ``skipped`` counts
+    the points -inf on every parameter; ``passed`` is the one pass rule.
     """
 
     name: str
@@ -82,6 +84,7 @@ class CheckRecord:
     notes: str = ""
     max_residual: float = -math.inf
     worst_point: tuple[float, ...] | None = None
+    skipped: int = 0
 
     @property
     def passed(self) -> bool:
@@ -91,6 +94,7 @@ class CheckRecord:
         residuals = np.asarray(residuals, dtype=float)
         if residuals.ndim > max(map(np.ndim, coords)):
             residuals = residuals.max(axis=0)  # a cell's largest, or NaN
+        self.skipped += int(np.count_nonzero(residuals == -math.inf))
         if residuals.size == 0 or math.isnan(self.max_residual):
             return
         i = int(np.argmax(residuals))
@@ -144,17 +148,12 @@ def _blocks(xs: np.ndarray, *axes: np.ndarray):
         yield np.meshgrid(xs[start : start + step], *axes, indexing="ij")
 
 
-def _scan(checks, blocks, build) -> list[int]:
-    """Per block of points, ``build(*points)`` once, then update each (record,
-    residual function) of ``checks``; return each one's count of -inf residuals."""
-    skipped = [0] * len(checks)
+def _scan(checks, blocks, build) -> None:
+    """Per block of points, ``build(*points)`` once, then update each (record, residual) of ``checks``."""
     for points in blocks:
         shared = build(*points)
-        for k, (record, residual) in enumerate(checks):
-            values = residual(points, shared)
-            record.update(values, *points)
-            skipped[k] += int(np.count_nonzero(values == -math.inf))
-    return skipped
+        for record, residual in checks:
+            record.update(residual(points, shared), *points)
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,6 +235,7 @@ def _check_cube(n: int, tol: float) -> list[CheckRecord]:
     reductions, both concurrence forms, and the single-qubit QFI, p = s."""
     grid = f"{n}^3"
     color_note = "strength symbol read as the color strength q"
+    color_route = CheckRecord("color-closed-state-vs-channel", grid, STATE_TOL, notes=color_note)
     # The combined channel has no printed closed state; its boundary
     # reductions are the white edge q=0 and the color edge p+q=1, where it
     # loses its isotropic component.
@@ -252,10 +252,7 @@ def _check_cube(n: int, tol: float) -> list[CheckRecord]:
     checks = [
         (CheckRecord("white-closed-state-vs-channel", grid, STATE_TOL), partial(_route, Channel.WHITE)),
         (CheckRecord("white-state-validity", grid, STATE_TOL), partial(_validity, Channel.WHITE)),
-        (
-            CheckRecord("color-closed-state-vs-channel", grid, STATE_TOL, notes=color_note),
-            partial(_route, Channel.COLOR),
-        ),
+        (color_route, partial(_route, Channel.COLOR)),
         (CheckRecord("color-state-validity", grid, STATE_TOL), partial(_validity, Channel.COLOR)),
         (edges, _edges),
         (corrected, partial(_concurrence_gap, concurrence_white_closed, "C-white")),
@@ -263,15 +260,13 @@ def _check_cube(n: int, tol: float) -> list[CheckRecord]:
         (color_closed, partial(_concurrence_gap, concurrence_color_closed, "C-color")),
         (single, _single_qfi),
     ]
-    *_, skipped = _scan(checks, _blocks(_grid(n), _grid(n), _r_grid(n)), _cube_shared)
+    _scan(checks, _blocks(_grid(n), _grid(n), _r_grid(n)), _cube_shared)
     # Probe the exactly known mixing line where the printed coefficient breaks.
     probe = (1.0 / math.sqrt(2.0), 0.9, 0.0)
     werner_residual = printed_gap(probe, {"C-white": concurrence(accelerated_white(*probe))})
     printed.update(werner_residual, *probe)
     printed.notes = f"printed coefficient fails; residual {werner_residual:.3f} on the exact mixing line"
-    # Each skipped point skips all of its estimated parameters.
-    gaps = skipped // len(WHITE_QFI_PARAMS)
-    single.notes = f"{gaps} pure-reduction grid points skipped" if gaps else ""
+    single.notes = f"{single.skipped} pure-reduction grid points skipped" if single.skipped else ""
     return [record for record, _ in checks]
 
 
@@ -298,7 +293,7 @@ def _check_whitecolor(m: int, tol: float) -> list[CheckRecord]:
         f"{match} reading matches the engine "
         f"(printed {printed.max_residual:.2e}, cos-r-weighted {weighted.max_residual:.2e})"
     )
-    return [route, printed, weighted]
+    return [record for record, _ in checks]
 
 
 def _check_interior(n: int) -> list[CheckRecord]:
@@ -307,15 +302,16 @@ def _check_interior(n: int) -> list[CheckRecord]:
     interior = _grid(n)[1:-1]
     two_closed = CheckRecord("qfi-two-closed-vs-spectral-engine", f"int({n})^3x3", QFI_REL_TOL)
     dpi = CheckRecord("qfi-data-processing-inequality", f"2 ch x int({n})^2 x {n} x 3", DPI_SLACK)
-    checks = [(dpi, lambda points, shared: shared["single"] - shared["two"]), (two_closed, _two_qfi)]
-    _, gaps = _scan(checks, _blocks(interior, interior, _r_grid(n)), partial(_interior_shared, Channel.WHITE))
-    _scan(checks[:1], _blocks(interior, interior, _r_grid(n)), partial(_interior_shared, Channel.COLOR))
+    dpi_check = (dpi, lambda points, shared: shared["single"] - shared["two"])
+    checks = [(two_closed, _two_qfi), dpi_check]  # the color pass reuses the DPI entry
+    _scan(checks, _blocks(interior, interior, _r_grid(n)), partial(_interior_shared, Channel.WHITE))
+    _scan([dpi_check], _blocks(interior, interior, _r_grid(n)), partial(_interior_shared, Channel.COLOR))
     two_closed.notes = (
         "primes read as partial derivatives; pair eigenvalues read as the "
-        f"coherent block pair; {gaps} singular points skipped"
+        f"coherent block pair; {two_closed.skipped} singular points skipped"
     )
     dpi.notes = f"{2 * len(WHITE_QFI_PARAMS) * len(interior) ** 2 * n} comparisons"
-    return [two_closed, dpi]
+    return [record for record, _ in checks]
 
 
 def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationReport:
@@ -328,7 +324,7 @@ def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationR
         raise ValueError(f"grid_n must be at most {GRID_N_MAX}")
     # The cube pass runs on a worker thread, so the passes must share no
     # state.  The worker's exception is re-raised here and wins over this
-    # thread's: the cube pass comes first in the report's order.
+    # thread's: the cube pass comes first in pass order.
     cube = {}
 
     def run_cube() -> None:
@@ -346,7 +342,8 @@ def run_verification(tolerance: float = 1e-8, grid_n: int = 21) -> VerificationR
         worker.join()
         if "error" in cube:
             raise cube.pop("error")
-    # Report order: the states and edges, the combined route, the concurrence forms, the QFIs.
-    states, forms, single = cube["records"][:5], cube["records"][5:8], cube["records"][8]
-    checks = [*states, whitecolor[0], *forms, *whitecolor[1:], single, *interior]
+    # Report order, by the family each name starts with: the state checks, then
+    # concurrence-*, then qfi-*; the stable sort keeps pass order, then list order.
+    family = {"concurrence": 1, "qfi": 2}
+    checks = sorted([*cube["records"], *whitecolor, *interior], key=lambda c: family.get(c.name.split("-")[0], 0))
     return VerificationReport(tolerance=tolerance, grid_n=grid_n, checks=checks)

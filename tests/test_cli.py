@@ -403,6 +403,15 @@ class TestUsageErrors:
         assert capsys.readouterr() == (f"unruhkit {__version__}\n", "")
 
 
+def test_package_metadata_reads_the_version_the_cli_prints():
+    # One source for the version: pyproject.toml names none of its own, and
+    # the build reads the attribute that --version and the provenance print.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "unruhkit.version.__version__"}
+
+
 def test_import_loads_numpy_only():
     # The runtime dependency stays numpy only, and the CLI needs no argparse.
     script = (

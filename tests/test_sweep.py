@@ -319,6 +319,11 @@ class TestParameterSetRules:
                 "--x: expected float, got '0.3x'",
             ),
             (
+                {"fixed": {"x": "10", "r": (0,)}},
+                SPEC_FLAGS.replace("--x 0.3", "--x 10"),
+                "sweep values leave the model's domain: x=10.0 outside [0, 1]",
+            ),
+            (
                 # Of several mistakes, the first read is the one reported.
                 {"method": "exact", "start": "zero", "fixed": {"x": ("?",), "r": ("0",)}},
                 SPEC_FLAGS.replace("0:1:0.5", "zero:1:0.5").replace("--x 0.3", "--x ?") + " --method exact",
@@ -328,7 +333,7 @@ class TestParameterSetRules:
         ids=[
             "vary-foreign", "r-missing", "r-missing-qfi", "varied-fixed", "fixed-foreign", "empty-values",
             "repeated-values", "repeated-r", "channel-name", "quantity-name", "method-name", "qfi-form-name",
-            "range-text", "fixed-text", "first-of-several",
+            "range-text", "fixed-text", "group-text-domain", "first-of-several",
         ],
     )
     def test_spec_built_in_code_breaks_the_rule_as_the_cli_does(self, fields, flags, message, capsys):
@@ -352,8 +357,14 @@ class TestParameterSetRules:
             ),
             ({"start": "0", "stop": "1", "step": "0.5"}, SPEC_FLAGS),
             ({"fixed": {"r": ["0", "0.25"], "x": ("0.3",)}}, SPEC_FLAGS.replace("--r 0", "--r 0,0.25")),
+            # A group given as text is its flag's comma-list, not a sequence of characters.
+            ({"fixed": {"x": "0.3", "r": "0"}}, SPEC_FLAGS),
+            ({"fixed": {"x": "0.3,0.5", "r": (0,)}}, SPEC_FLAGS.replace("--x 0.3", "--x 0.3,0.5")),
         ],
-        ids=["choice-names", "method-name", "qfi-form-name", "range-text", "fixed-text"],
+        ids=[
+            "choice-names", "method-name", "qfi-form-name", "range-text", "fixed-text", "group-text",
+            "group-comma-list",
+        ],
     )
     def test_text_fields_give_the_spec_the_flags_give(self, fields, flags):
         built = SweepSpec(**{**SPEC_FIELDS, **fields})
@@ -364,6 +375,10 @@ class TestParameterSetRules:
             assert type(getattr(built, field.name)) is type(getattr(parsed, field.name)), field.name
         assert list(built.fixed) == list(parsed.fixed)
         assert run_sweep(built).rows == run_sweep(parsed).rows
+
+    def test_a_group_that_is_neither_text_nor_values_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^--x: expected a scalar or comma-list, got 0.3$"):
+            SweepSpec(**{**SPEC_FIELDS, "fixed": {"x": 0.3, "r": (0.0,)}})
 
     @pytest.mark.parametrize("name", ["start", "stop", "step"])
     def test_a_number_that_is_not_one_is_the_clis_error(self, name):

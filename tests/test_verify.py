@@ -178,7 +178,7 @@ def test_a_pass_that_raises_reaches_the_caller_and_leaves_no_thread(monkeypatch,
 
 
 def test_the_cube_pass_exception_wins(monkeypatch):
-    # The cube pass comes first in the report's order, so when both passes
+    # The cube pass comes first in pass order, so when both passes
     # raise, the caller sees the cube pass's exception.
     for name in ("_check_cube", "_check_interior"):
         monkeypatch.setattr(verify_module, name, _raising(name))
@@ -536,6 +536,69 @@ def test_update_lets_nan_win_outright():
     check.update(np.array([[50.0], [50.0]]), np.array([0.3]))
     assert math.isnan(check.max_residual) and check.worst_point == (0.1,)
     assert not check.passed
+
+
+def test_skipped_counts_points_whatever_the_blocks():
+    # A point is skipped when its residual is -inf on every parameter: the
+    # count is of points, not of (point, parameter) entries.  A NaN fails
+    # the check and is no skip, and counting runs on after it is recorded.
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    residuals = np.array(
+        [
+            [-math.inf, -math.inf, math.nan, -math.inf],
+            [-math.inf, 1.0, -math.inf, -math.inf],
+            [-math.inf, -math.inf, -math.inf, -math.inf],
+        ]
+    )
+    whole = verify_module.CheckRecord("check", "grid", 1.0)
+    whole.update(residuals, x)
+    assert whole.skipped == 2 and math.isnan(whole.max_residual)
+    whole.update(np.full((3, 2), -math.inf), x[:2])
+    whole.update(np.array([-math.inf, 0.0]), x[2:])  # no parameter axis
+    assert whole.skipped == 5
+    split = verify_module.CheckRecord("check", "grid", 1.0)
+    for block in (slice(0, 1), slice(1, 3), slice(3, 4)):
+        split.update(residuals[:, block], x[block])
+    assert split.skipped == 2
+
+
+# A failing check appended to each pass's list, one per family, by the
+# pass's build function: the check it then follows in the report.
+APPENDED_CHECKS = [
+    ("_cube_shared", "appended-state-check", "whitecolor-boundary-reductions"),
+    ("_cube_shared", "concurrence-appended", "concurrence-color-closed"),
+    ("_cube_shared", "qfi-appended", "qfi-single-closed-vs-bloch-engine"),
+    ("_whitecolor_shared", "appended-state-check", "whitecolor-closed-state-vs-channel"),
+    ("_whitecolor_shared", "concurrence-appended", "concurrence-whitecolor-closed(cos-r)"),
+    ("_whitecolor_shared", "qfi-appended", "qfi-single-closed-vs-bloch-engine"),
+    ("_interior_shared", "appended-state-check", "whitecolor-closed-state-vs-channel"),
+    ("_interior_shared", "concurrence-appended", "concurrence-whitecolor-closed(cos-r)"),
+    ("_interior_shared", "qfi-appended", "qfi-data-processing-inequality"),
+]
+
+
+@pytest.mark.parametrize("build, name, after", APPENDED_CHECKS)
+def test_a_check_appended_to_a_pass_is_reported_in_its_family_and_gates_the_run(monkeypatch, build, name, after):
+    # A check is declared once, in its pass's list: no other code places it.
+    # Appended there, a failing check is reported after its family's checks
+    # from its own and earlier passes, and it fails the run.
+    scan = verify_module._scan
+    appended = verify_module.CheckRecord(name, "grid", 1.0)
+
+    def appending(checks, blocks, build_fn):
+        # The interior's first scan is the white channel's, over its list.
+        if getattr(build_fn, "func", build_fn).__name__ == build and appended.worst_point is None:
+            checks.append((appended, lambda points, shared: np.full(points[0].shape, 2.0)))
+        scan(checks, blocks, build_fn)
+
+    monkeypatch.setattr(verify_module, "_scan", appending)
+    report = run_verification(grid_n=5)
+    want = [identity[0] for identity in CHECK_IDENTITIES_GRID5]
+    want.insert(want.index(after) + 1, name)
+    assert [c.name for c in report.checks] == want
+    assert record(report, name).max_residual == 2.0
+    assert not report.overall_pass
+    assert report.render().endswith("overall: FAIL (15 checks, 2 ledgered)")
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
