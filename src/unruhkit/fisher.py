@@ -202,12 +202,13 @@ def _family_stencil(family: StateFamily, theta) -> tuple[np.ndarray, np.ndarray,
         bad_k = ~np.isfinite(m).all(axis=(-2, -1))
         if bad_k.any():
             m = np.where(bad_k[..., None, None], np.eye(family.dim) / family.dim, m)
-        if rho is None:
-            rho, unset = m.real, bad_k
+        if rho is None:  # a copy: the view m.real would keep all of m alive
+            rho, unset = m.real.copy(), bad_k
         elif unset.any():
             rho, unset = np.where(unset[..., None, None], m.real, rho), unset & bad_k
         np.divide(m.imag, COMPLEX_STEP, out=d_rho[k])
         bad[k] = bad_k
+        del m  # else it lives through the next direction's evaluation
     return rho, d_rho, bad
 
 
@@ -434,18 +435,19 @@ def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _sld(family: StateFamily, theta):
     """The SLD sum's parts at ``theta``: the eigenvalues lam of rho, the
     squared entries weight = D_ij^2 of D = V^T (drho) V, the mask ``keep`` of
-    the pairs whose eigenvalue sum is at least ``EIG_FLOOR``, those sums with
-    1 outside the mask, the value F = 2 sum_{keep} D_ij^2/(l_i + l_j), and the
-    mask of the cells where the family is not finite at theta + ih."""
+    the pairs whose eigenvalue sum is at least ``EIG_FLOOR``, the value
+    F = 2 sum_{keep} D_ij^2/(l_i + l_j), and the mask of the cells where the
+    family is not finite at theta + ih."""
     rho, d_rho, bad = _family_stencil(family, theta)
     lam, v = np.linalg.eigh(rho)
-    weight = (v.swapaxes(-1, -2) @ d_rho @ v) ** 2
+    weight = v.swapaxes(-1, -2) @ d_rho  # in one buffer, with rho and drho freed
+    del rho, d_rho
+    weight = weight @ v
+    np.square(weight, out=weight)
     pair_sum = lam[..., :, None] + lam[..., None, :]
     keep = pair_sum >= EIG_FLOOR
-    # Divisors are swapped for 1 outside their masks, so nothing divides by 0.
-    kept_sum = np.where(keep, pair_sum, 1.0)
-    value = 2.0 * _masked_sum(keep, weight / kept_sum)
-    return lam, weight, keep, kept_sum, value, bad
+    value = 2.0 * np.divide(weight, pair_sum, out=np.zeros_like(weight), where=keep).sum(axis=(-2, -1))
+    return lam, weight, keep, value, bad
 
 
 @_float_boundary(FORM_TWO_SPECTRAL, "theta")
@@ -478,8 +480,10 @@ def qfi_two_qubit_terms(family: StateFamily, theta) -> QfiValue:
     quantum - pairs throughout.  Each term has the value's shape and its NaN
     cells.
     """
-    lam, weight, keep, kept_sum, value, bad = _sld(family, theta)
+    lam, weight, keep, value, bad = _sld(family, theta)
     lam_i, lam_j = lam[..., :, None], lam[..., None, :]
+    # Divisors are swapped for 1 outside their masks, so nothing divides by 0.
+    kept_sum = np.where(keep, lam_i + lam_j, 1.0)
     classical = keep & _EYE4  # the diagonal pairs: l_i + l_i >= EIG_FLOOR
     term_classical = _masked_sum(classical, weight / np.where(classical, lam_i, 1.0))
     gap_sq = (lam_i - lam_j) ** 2

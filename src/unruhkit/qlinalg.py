@@ -51,9 +51,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def hermitian_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of ``m``, or of any matrix of a stack, from
-    its conjugate transpose."""
+    its conjugate transpose; not finite if an entry is not, so checks read
+    ``not defect <= tol``, which NaN fails."""
     m = _as_inexact(m)
-    return float(np.abs(m - dagger(m)).max(initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which every check fails
+        gap = m - dagger(m)
+    return float(np.abs(gap, out=None if np.iscomplexobj(gap) else gap).max(initial=0.0))
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,9 +124,11 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """
     m = as_stack(m)
     defect = hermitian_defect(m)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
         raise NotHermitianError(f"asymmetry {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    symmetric = m + dagger(m)
+    symmetric /= 2
+    w, v = np.linalg.eigh(symmetric)
     return SpectralDecomposition(eigenvalues=w[..., ::-1], eigenvectors=v[..., ::-1])
 
 
@@ -161,8 +166,8 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> bool:
     rho = _as_inexact(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if hermitian_defect(rho) > tol:
+    if not hermitian_defect(rho) <= tol:
         return False
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if not abs(np.trace(rho).real - 1.0) <= tol:
         return False
     return bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -tol)

@@ -12,7 +12,7 @@ varied grid is one ``(rows,)`` float64 array that broadcasts against a
 float), so no copy is made per series.  A call holds as many whole series as
 fit in ``channels.BLOCK_CELLS`` (4096) cells, and at least one; the budget
 spreads each call's fixed cost over many cells and bounds memory (``verify``
-peaks near 47 MB at grid 21).  A spec with one series is a ``(rows,)`` call
+peaks near 39 MB at grid 21).  A spec with one series is a ``(rows,)`` call
 with float parameters; one with several is always a ``(count, rows)`` call,
 even at one series per call.  The calls fill one ``(rows, columns)`` float64
 table, grid first, whose ``tolist`` gives the rows; every cell equals its

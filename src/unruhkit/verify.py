@@ -154,6 +154,7 @@ def _scan(checks, blocks, build) -> None:
         shared = build(*points)
         for record, residual in checks:
             record.update(residual(points, shared), *points)
+        del shared  # else this block's arrays live through the next block's build
 
 
 def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +165,8 @@ def _entry_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cube_shared(x, s, r) -> dict:
     """White and color states, their concurrences, and the white reduction's Bloch QFI."""
     white, color = accelerated_white(x, s, r), accelerated_color(x, s, r)
-    engine_w, engine_c = concurrence(np.stack([white, color]))
+    # One engine call per channel: a call on both stacked holds twice the temporaries.
+    engine_w, engine_c = concurrence(white), concurrence(color)
     single = qfi_single_bloch(state_family(Channel.WHITE, WHITE_QFI_PARAMS, reduced=True), (s, x, r)).value
     return {"white": white, "color": color, "C-white": engine_w, "C-color": engine_c, "single": single}
 

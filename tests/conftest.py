@@ -37,6 +37,33 @@ def state_stack(rng) -> np.ndarray:
     return np.stack(states)
 
 
+NON_FINITE_PLACES = ("all", "diagonal", "pair", "imaginary", "stack")
+
+
+@pytest.fixture(
+    params=[(value, where) for value in (np.nan, np.inf, -np.inf) for where in NON_FINITE_PLACES],
+    ids=lambda case: f"{case[0]}-{case[1]}",
+)
+def non_finite_state(request) -> np.ndarray:
+    """The maximally mixed state with entries set to NaN, inf or -inf: all of
+    them, one diagonal entry, a symmetric off-diagonal pair, the imaginary
+    part of a conjugate pair, or one entry of one matrix of a stack."""
+    value, where = request.param
+    if where == "all":
+        return np.full((4, 4), value)
+    state = np.eye(4, dtype=complex if where == "imaginary" else float) / 4
+    if where == "diagonal":
+        state[0, 0] = value
+    elif where == "pair":
+        state[1, 2] = state[2, 1] = value
+    elif where == "imaginary":
+        state[1, 2], state[2, 1] = complex(0.0, value), complex(0.0, -value)
+    else:
+        state = np.stack([state] * 3)
+        state[1, 3, 3] = value
+    return state
+
+
 @pytest.fixture(scope="session")
 def sweep_small_pools() -> dict[int, list[list[str]]]:
     """The benchmark's seeded ``sweep-small`` pools of seeds 1-3, generated by

@@ -141,6 +141,11 @@ class TestUnruhChannel:
         with pytest.raises(DomainError):
             unruh_second_qubit(random_density(rng), 1.0)
 
+    def test_non_finite_state_rejected(self, non_finite_state):
+        # NaN compares False, so each check is written for it to fail.
+        with pytest.raises(DomainError, match="not Hermitian"):
+            unruh_second_qubit(non_finite_state, 0.3)
+
     def test_r_limit_can_be_widened(self, rng):
         out = unruh_second_qubit(random_density(rng), 0.8, r_max=0.8)
         assert is_density_matrix(out, tol=1e-10)

@@ -7,6 +7,7 @@ from unruhkit import (
     Channel,
     ModelParams,
     NegativeRadicandError,
+    NotHermitianError,
     NotPSDError,
     accelerated_color,
     accelerated_state,
@@ -84,6 +85,10 @@ class TestConcurrenceEngine:
         bad[3] = np.diag([1.0, -1e-3, 0.5, -0.5])
         with pytest.raises(NotPSDError):
             concurrence(bad)
+
+    def test_non_finite_matrix_rejected(self, non_finite_state):
+        with pytest.raises(NotHermitianError):
+            concurrence(non_finite_state)
 
     def test_singlet_is_maximal(self):
         assert concurrence(singlet_projector()) == pytest.approx(1.0, abs=1e-12)

@@ -252,16 +252,29 @@ class TestSpectralEngine:
 
     def test_oracle_matches_the_engine_at_scattered_points(self, rng):
         # The oracle's route (X-state blocks at 50 digits) against the SLD
-        # engine's, on all three channels.
-        for channel in Channel:
+        # engine's, on all three channels: seeded points in the bulk, then
+        # crowded to x -> 0, x -> 1, the strength -> 0 and r -> 0, each 1e-9
+        # to 1e-1 from its edge.  Strengths stay at or under 0.9: near p -> 1
+        # both routes lose digits (ROADMAP item 13).  A point with a
+        # population under 1e-10 is left out; the strict xfail below pins
+        # that band.  The worst error measured on 1,800 such points is 1.6e-15.
+        n = 6
+        x, s, r = rng.uniform((0.05, 0.05, 0.0), (0.95, 0.9, RINDLER_R_MAX), (5 * n, 3)).T
+        edge = 10.0 ** rng.uniform(-9.0, -1.0, (4, n))
+        x[n : 2 * n], x[2 * n : 3 * n], s[3 * n : 4 * n], r[4 * n :] = edge[0], 1.0 - edge[1], edge[2], edge[3]
+        combined = {"p": s, "q": (1.0 - s) * rng.uniform(0.0, 0.9, s.size)}  # 1 - p - q >= 0.01
+        for channel, strengths in ((Channel.WHITE, {"p": s}), (Channel.COLOR, {"q": s}), (Channel.WHITE_COLOR, combined)):
             names = CHANNEL_PARAMS[channel]
-            for _ in range(3):
-                point = dict(zip("xpqr", rng.uniform((0.05, 0.05, 0.05, 0.0), (0.95, 0.45, 0.45, RINDLER_R_MAX))))
-                for param in names:
-                    fixed = {k: point[k] for k in names if k != param}
-                    engine = qfi_two_qubit_spectral(state_family(channel, param, **fixed), point[param]).value
-                    oracle = oracle_qfi_xstate_mp(channel.value, param, **point)
-                    assert engine == pytest.approx(oracle, rel=1e-13), (channel, param)
+            point = {"x": x, "r": r, **strengths}
+            engine = qfi_two_qubit_spectral(state_family(channel, names), tuple(point[k] for k in names)).value
+            populations = np.diagonal(accelerated_state(ModelParams(**point, channel=channel)), axis1=-2, axis2=-1)
+            if channel is Channel.COLOR:  # d00 is 0 at every point, with zero slope
+                populations = populations[:, 1:]
+            for i in np.flatnonzero(populations.min(axis=-1) >= 1e-10):
+                at = {k: float(v[i]) for k, v in point.items()}
+                for k, param in enumerate(names):
+                    oracle = oracle_qfi_xstate_mp(channel.value, param, **at)
+                    assert engine[k, i] == pytest.approx(oracle, rel=1e-14, abs=0), (channel, param, at)
 
     @pytest.mark.parametrize("r", [0.0, 3e-6, 1e-3])
     def test_engine_matches_the_oracle_beside_a_rising_population(self, r):

@@ -149,6 +149,11 @@ class TestEigHermitian:
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
 
+    def test_non_finite_matrix_rejected(self, non_finite_state):
+        # NaN compares False, so the check is written for it to fail.
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(non_finite_state)
+
     def test_deterministic_on_repeats(self, rng):
         h = random_density(rng)
         first = eig_hermitian(h)
@@ -186,6 +191,10 @@ class TestSqrtPsd:
     def test_not_psd_rejected(self):
         with pytest.raises(NotPSDError):
             sqrt_psd(np.diag([1.0, -1e-3, 0.5, 0.25]))
+
+    def test_non_finite_matrix_rejected(self, non_finite_state):
+        with pytest.raises(NotHermitianError):
+            sqrt_psd(non_finite_state)
 
 
 class TestStacks:
@@ -252,6 +261,11 @@ def test_is_density_matrix_rejects_traceless():
     assert not is_density_matrix(np.zeros(4))
     for count in (2, 4):
         assert not is_density_matrix(np.stack([np.eye(4) / 4] * count))
+
+
+def test_is_density_matrix_rejects_a_non_finite_matrix(non_finite_state):
+    # False, as documented, with no LinAlgError and no RuntimeWarning.
+    assert is_density_matrix(non_finite_state) is False
 
 
 class TestRealArithmetic:

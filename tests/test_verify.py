@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,7 +395,7 @@ def test_check_notes_in_order():
 
 def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
     # Per block of the n^3 cube, one white and one color build, one
-    # concurrence call for both and one Bloch engine call; one concurrence
+    # concurrence call for each and one Bloch engine call; one concurrence
     # call per block of the combined channel's grid; per channel and block of
     # the interior grid, one two-qubit and one Bloch engine call, which the
     # DPI and closed-form checks share; and the white mixing-line probe's
@@ -427,10 +428,31 @@ def test_each_grid_builds_its_states_and_engine_values_once(monkeypatch):
     assert calls == {
         "accelerated_white": cube_blocks + 1,
         "accelerated_color": cube_blocks,
-        "concurrence": cube_blocks + whitecolor_blocks + 1,
+        "concurrence": 2 * cube_blocks + whitecolor_blocks + 1,
         "qfi_single_bloch": cube_blocks + 2 * interior_blocks,
         "qfi_two_qubit_spectral_retry": 2 * interior_blocks,
     }
+
+
+# Each pass's tracemalloc peak at grid 11, alone and after a warm-up call,
+# is deterministic.  Each bound is about 15% over the measured peak (cube
+# 0.99 MB, interior 1.09 MB) and under the 1.91 and 2.03 MB of passes that
+# stack both channels into one concurrence call and build the SLD weights
+# from three temporaries.
+@pytest.mark.parametrize(
+    ("run_pass", "bound_mb"),
+    [(lambda: verify_module._check_cube(11, 1e-8), 1.15), (lambda: verify_module._check_interior(11), 1.25)],
+    ids=["cube", "interior"],
+)
+def test_a_pass_holds_few_block_arrays_at_once(run_pass, bound_mb):
+    run_pass()
+    tracemalloc.start()
+    try:
+        run_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < bound_mb
 
 
 # The points each check skips, from the skip rules as stated: the
